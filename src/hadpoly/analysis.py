@@ -3,7 +3,9 @@
 Every check returns a ``PropertyReport`` whose ``witness`` explains a failure
 in machine-readable form (an index, an index pair, or a root bound), or
 raises ``ValueError`` when a precondition is violated.  No floating point is
-used anywhere; root queries go through Sturm chains and exact isolation.
+used anywhere.  Real-rootedness is one integer Sturm chain of the polynomial
+itself, with no square-free part; interlacing compares exactly isolated
+roots, and decides each input's real-rootedness once per call.
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ from .poly import Poly, comb0, reverse
 from .roots import (
     RootIsolation,
     compare_roots,
-    count_real_roots,
+    distinct_root_counts,
     isolate_roots,
     real_roots_with_multiplicity,
-    square_free_part,
 )
 
 __all__ = [
@@ -143,20 +144,19 @@ def is_ulc(h: Poly, m: int) -> PropertyReport:
 def is_real_rooted(p: Poly) -> PropertyReport:
     """All complex zeros of ``p`` are real (constants hold vacuously).
 
-    Decided by comparing the Sturm count of distinct real roots of the
-    square-free part against its degree.
+    Decided by one Sturm chain of ``p`` itself: its count of distinct real
+    roots against deg p - deg gcd(p, p'), the number of distinct roots.
     """
     if p.is_zero:
         raise ValueError("real-rootedness of the zero polynomial is undefined")
     if p.degree == 0:
         return PropertyReport.passed("constant polynomial")
-    q = square_free_part(p)
-    found = count_real_roots(q)
-    if found == q.degree:
+    found, needed = distinct_root_counts(p)
+    if found == needed:
         return PropertyReport.passed()
     return PropertyReport.failed(
-        {"distinct_real_roots": found, "distinct_roots_needed": q.degree},
-        f"only {found} of {q.degree} distinct roots are real",
+        {"distinct_real_roots": found, "distinct_roots_needed": needed},
+        f"only {found} of {needed} distinct roots are real",
     )
 
 
@@ -182,6 +182,11 @@ def interlaces(b: Poly, a: Poly) -> PropertyReport:
     for name, p in (("a", a), ("b", b)):
         if not is_real_rooted(p).holds:
             raise ValueError(f"non-real-rooted input: {name} = {p}")
+    return _real_rooted_interlace(b, a)
+
+
+def _real_rooted_interlace(b: Poly, a: Poly) -> PropertyReport:
+    """``interlaces`` for nonzero ``a`` and ``b`` already known to be real-rooted."""
     deg_a, deg_b = a.degree, b.degree
     if deg_a == 0 and deg_b == 0:
         return PropertyReport.passed("both constant")

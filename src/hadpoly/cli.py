@@ -4,7 +4,9 @@ Polynomials are passed as comma-separated coefficients in ascending degree
 order ("1,0,7" is 1 + 7x^2); entries may be integers or "num/den" rationals.
 Results print in the same format by default, as a JSON object with
 ``--json``, or human-readable with ``--pretty``.  ``--in FILE`` reads a JSON
-object ``{"coeffs": [...], "degree_tag": n}`` instead of ``--poly``.
+object ``{"coeffs": [...], "degree_tag": n}`` instead of ``--poly``; for
+``invw``, ``f`` and ``h`` the tag is the default ``--degree`` and must agree
+with an explicit one.
 
 Exit codes: 0 a computation succeeded / a checked property holds / a verify
 suite met its expectation; 1 a checked property fails or a suite found a
@@ -51,14 +53,16 @@ def _load_input_file(path: str) -> tuple[Poly, int | None]:
         data = json.load(fh)
     if not isinstance(data, dict) or "coeffs" not in data:
         raise ValueError(f"{path}: expected a JSON object with a 'coeffs' field")
-    coeffs = [Fraction(str(c)) for c in data["coeffs"]]
+    if not isinstance(data["coeffs"], list):
+        raise ValueError(f"{path}: 'coeffs' must be a JSON list")
+    poly = Poly([Fraction(str(c)) for c in data["coeffs"]])
     tag = data.get("degree_tag")
     if tag is not None:
-        tag = int(tag)
-        poly = Poly(coeffs)
+        if isinstance(tag, bool) or not isinstance(tag, int) or tag < 0:
+            raise ValueError(f"{path}: degree_tag must be a nonnegative integer, got {tag!r}")
         if not poly.is_zero and poly.degree > tag:
             raise ValueError(f"{path}: degree_tag {tag} below the parsed degree")
-    return Poly(coeffs), tag
+    return poly, tag
 
 
 def _emit_poly(args, p: Poly, degree_tag: int | None = None) -> None:
@@ -71,13 +75,28 @@ def _emit_poly(args, p: Poly, degree_tag: int | None = None) -> None:
         print(poly_to_csv(p))
 
 
-def _input_poly(args) -> Poly:
+def _read_input(args) -> tuple[Poly, int | None]:
     if getattr(args, "infile", None):
-        poly, _ = _load_input_file(args.infile)
-        return poly
+        return _load_input_file(args.infile)
     if args.poly is None:
         raise ValueError("missing polynomial: pass --poly or --in FILE")
-    return parse_poly(args.poly)
+    return parse_poly(args.poly), None
+
+
+def _input_poly(args) -> Poly:
+    return _read_input(args)[0]
+
+
+def _input_with_degree(args) -> tuple[Poly, int]:
+    """The input polynomial and its reference degree: ``--degree`` or the file's tag."""
+    poly, tag = _read_input(args)
+    if args.degree is None:
+        if tag is None:
+            raise ValueError("missing reference degree: pass --degree or a degree_tag")
+        return poly, tag
+    if tag is not None and tag != args.degree:
+        raise ValueError(f"--degree {args.degree} conflicts with the file's degree_tag {tag}")
+    return poly, args.degree
 
 
 def _add_output_flags(sub) -> None:
@@ -101,20 +120,20 @@ def cmd_w(args) -> int:
 
 
 def cmd_invw(args) -> int:
-    h = _input_poly(args)
-    _emit_poly(args, operators.w_inverse(h, args.degree))
+    h, degree = _input_with_degree(args)
+    _emit_poly(args, operators.w_inverse(h, degree))
     return 0
 
 
 def cmd_f(args) -> int:
-    h = _input_poly(args)
-    _emit_poly(args, operators.f_from_h(h, args.degree))
+    h, degree = _input_with_degree(args)
+    _emit_poly(args, operators.f_from_h(h, degree))
     return 0
 
 
 def cmd_h(args) -> int:
-    f = _input_poly(args)
-    _emit_poly(args, operators.h_from_f(f, args.degree))
+    f, degree = _input_with_degree(args)
+    _emit_poly(args, operators.h_from_f(f, degree))
     return 0
 
 
@@ -289,7 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
         s = sub.add_parser(name)
         _add_poly_input(s)
         if needs_degree:
-            s.add_argument("--degree", type=int, required=True, help=degree_help)
+            s.add_argument(
+                "--degree", type=int, help=f"{degree_help} (default: the --in file's degree_tag)"
+            )
         _add_output_flags(s)
         s.set_defaults(fn=fn)
 

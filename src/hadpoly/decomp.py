@@ -12,7 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import PropertyReport, interlaces, is_gamma_positive, is_real_rooted
+from .analysis import (
+    PropertyReport,
+    _real_rooted_interlace,
+    is_gamma_positive,
+    is_real_rooted,
+)
 from .operators import diamond
 from .poly import Poly, reflect, reverse
 
@@ -128,7 +133,9 @@ def decomposition_is_interlacing(dec: SymDecomp) -> PropertyReport:
                 {"part": name, "reason": "not real-rooted"},
                 f"{name} is not real-rooted",
             )
-    return interlaces(dec.b, dec.a)
+    if dec.a.is_zero or dec.b.is_zero:
+        return PropertyReport.passed("zero polynomial convention")
+    return _real_rooted_interlace(dec.b, dec.a)
 
 
 def decomposition_is_gamma_positive(dec: SymDecomp) -> PropertyReport:

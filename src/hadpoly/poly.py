@@ -4,6 +4,11 @@ Coefficients are `fractions.Fraction` values (arbitrary precision, always in
 lowest terms, denominator >= 1), stored dense in ascending degree order.  The
 canonical form never stores trailing zero coefficients; the zero polynomial
 has an empty coefficient tuple and degree ``None``.
+
+Root work (gcd here, Sturm chains and square-free factorization in
+``roots``) runs on integer vectors instead: ascending coefficient tuples of
+a primitive integer multiple of a polynomial, combined by pseudo-division so
+that no ``Fraction`` is normalised inside the loops.
 """
 
 from __future__ import annotations
@@ -12,16 +17,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-Rational = Fraction
-
 Coefficient = Union[int, Fraction]
-
-
-def rational(value: int | str | Fraction, den: int | None = None) -> Fraction:
-    """Build an exact rational from an int, a Fraction, or a "num/den" string."""
-    if den is not None:
-        return Fraction(value, den)
-    return Fraction(value)
 
 
 def comb0(n: int, k: int) -> int:
@@ -264,24 +260,6 @@ def format_poly(p: Poly, var: str = "x") -> str:
     return text
 
 
-def add(a: Poly, b: Poly) -> Poly:
-    """Coefficientwise sum in canonical form."""
-    return a + b
-
-
-def mul(a: Poly, b: Poly) -> Poly:
-    """Exact convolution product."""
-    return a * b
-
-
-def derivative(p: Poly, order: int = 1) -> Poly:
-    return p.derivative(order)
-
-
-def evaluate(p: Poly, x: Coefficient) -> Fraction:
-    return p.evaluate(x)
-
-
 def reverse(h: Poly, d: int) -> Poly:
     """Coefficient reversal x^d * h(1/x); requires deg h <= d.
 
@@ -310,16 +288,115 @@ def reflect(f: Poly, d: int) -> Poly:
     return composed if d % 2 == 0 else -composed
 
 
+# -- integer vectors for root work ---------------------------------------------
+#
+# An integer vector is the ascending coefficient tuple of a polynomial with
+# integer coefficients; the zero polynomial is the empty tuple.  Scaling by a
+# positive constant changes no sign and no root, so the root layer works on
+# these primitive multiples rather than on ``Fraction`` coefficients.
+
+
+def _int_clear(p: Poly) -> tuple[int, ...]:
+    """Integer coefficients of a positive rational multiple of ``p``.
+
+    Clears denominators and divides out the content; all sign queries on the
+    result agree with those on ``p``.
+    """
+    den = 1
+    for c in p.coeffs:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+
+
+def _strip(v: list[int]) -> list[int]:
+    """Drop trailing zeros of ``v`` in place."""
+    while v and v[-1] == 0:
+        v.pop()
+    return v
+
+
+def _primitive(v: list[int]) -> tuple[int, ...]:
+    """``v`` (without trailing zeros) divided by its positive content."""
+    content = math.gcd(*v) if v else 0
+    if content > 1:
+        return tuple(c // content for c in v)
+    return tuple(v)
+
+
+def _int_derivative(v: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(i * c for i, c in enumerate(v) if i)
+
+
+def _int_sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    n = max(len(a), len(b))
+    a, b = a + (0,) * (n - len(a)), b + (0,) * (n - len(b))
+    return tuple(_strip([x - y for x, y in zip(a, b)]))
+
+
+def _prem(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """A positive integer multiple of the remainder of ``a`` modulo ``b``.
+
+    Pseudo-division: each step multiplies the running remainder by
+    ``|lc(b)| / g`` with ``g = gcd(|lc(b)|, top coefficient)``, so the total
+    multiplier is a positive divisor of ``|lc(b)|**delta`` and every sign
+    of the true remainder is kept.  Trailing zeros are dropped.
+    """
+    n = len(b) - 1
+    lead = b[-1]
+    low = b[:-1] if lead > 0 else tuple(-c for c in b[:-1])
+    lead = abs(lead)
+    r = list(a)
+    while len(r) > n:
+        top = r.pop()
+        if not top:
+            continue
+        g = math.gcd(lead, top)
+        m, top = lead // g, top // g
+        if m != 1:
+            r = [m * c for c in r]
+        k = len(r) - n
+        for j, c in enumerate(low):
+            if c:
+                r[k + j] -= top * c
+    return _strip(r)
+
+
+def _int_exact_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Quotient ``a / b`` for primitive ``b`` dividing ``a``.
+
+    By Gauss's lemma the quotient has integer coefficients, so each long
+    division step divides exactly; a remainder signals an internal error.
+    """
+    n = len(b) - 1
+    r = list(a)
+    q = [0] * (len(a) - n)
+    for i in range(len(a) - 1, n - 1, -1):
+        if r[i]:
+            c = q[i - n] = r[i] // b[-1]
+            for j, bj in enumerate(b):
+                r[i - n + j] -= c * bj
+    if any(r):
+        raise ValueError("integer division is not exact")
+    return tuple(q)
+
+
+def _int_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Primitive greatest common divisor by the primitive pseudo-remainder sequence."""
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _primitive(list(a)), _primitive(list(b))
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    if a and a[-1] < 0:
+        a = tuple(-c for c in a)
+    return a
+
+
 def gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor via the Euclidean algorithm."""
+    """Monic greatest common divisor via the primitive pseudo-remainder sequence."""
     if a.is_zero and b.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
-    # Remainders are made monic at each step to keep coefficients small.
-    a, b = a.monic(), b.monic()
-    while not b.is_zero:
-        _, r = divmod(a, b)
-        a, b = b, r.monic()
-    return a
+    return Poly(_int_gcd(_int_clear(a), _int_clear(b))).monic()
 
 
 class TaggedPoly:

@@ -1,8 +1,11 @@
 """Exact real-root counting, isolation, and comparison.
 
-Everything here works over the rationals with no floating point:
+Everything here is exact, with no floating point, and runs on integer
+vectors (primitive integer multiples of the polynomials, see ``poly``):
 
-* Sturm chains count distinct real roots on intervals and on the whole line.
+* Sturm chains are primitive pseudo-remainder sequences.  One chain of p
+  itself, square-free or not, counts its distinct real roots on intervals
+  and on the whole line, and its last element is gcd(p, p').
 * Square-free (Yun) decomposition recovers multiplicities.
 * Isolation bisects on sign-variation counts of the interval-rescaled
   polynomial (Descartes' rule on (0, 1)-remapped intervals), starting from
@@ -18,79 +21,121 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Poly, gcd
+from .poly import (
+    Poly,
+    _int_clear,
+    _int_derivative,
+    _int_exact_div,
+    _int_gcd,
+    _int_sub,
+    _prem,
+    _primitive,
+    gcd,
+)
 
 #: default maximum width of a reported isolating interval
 DEFAULT_MAX_WIDTH = Fraction(1, 8)
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+def _int_sturm_chain(v: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Sturm chain of the integer vector ``v``, as integer vectors.
+
+    Element i is a positive multiple of the i-th element of the Euclidean
+    chain v, v', -rem(v, v'), ...: the multipliers are those of the pseudo-
+    remainder and the contents divided out.  ``v`` need not be square-free;
+    the last element is then a multiple of gcd(v, v').  A constant ``v`` is
+    its own chain.
+    """
+    if len(v) == 1:
+        return [v]
+    chain = [v, _primitive(list(_int_derivative(v)))]
+    while True:
+        r = _primitive(_prem(chain[-2], chain[-1]))
+        if not r:
+            return chain
+        chain.append(tuple(-c for c in r))
 
 
-def sign_variations(values: list[Fraction]) -> int:
-    """Number of sign changes in a sequence, ignoring zeros."""
-    signs = [_sign(v) for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _chain_of(p: Poly) -> list[tuple[int, ...]]:
+    if p.is_zero:
+        raise ValueError("Sturm chain of the zero polynomial is undefined")
+    return _int_sturm_chain(_int_clear(p))
 
 
 def sturm_chain(p: Poly) -> list[Poly]:
-    """Sturm chain p, p', -rem(...), ... of a square-free polynomial."""
-    if p.is_zero:
-        raise ValueError("Sturm chain of the zero polynomial is undefined")
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero:
-        _, r = divmod(chain[-2], chain[-1])
-        chain.append(-r)
-    chain.pop()
-    return chain
+    """Sturm chain of ``p``: positive multiples of p, p', -rem(...), ....
+
+    Every element is a primitive integer polynomial.  ``p`` need not be
+    square-free: the last element is then a multiple of gcd(p, p').
+    """
+    return [Poly(q) for q in _chain_of(p)]
 
 
-def _chain_variations_at(chain: list[Poly], x: Fraction) -> int:
-    return sign_variations([q.evaluate(x) for q in chain])
+def _variations(signs: list[int]) -> int:
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _chain_variations_at_infinity(chain: list[Poly], positive: bool) -> int:
+def _sign_right_of(v: tuple[int, ...], x: Fraction) -> int:
+    """Sign of the nonzero integer vector ``v`` just right of ``x``.
+
+    That is the sign of the first derivative not vanishing at ``x``.
+    """
+    s = _sign_at(v, x)
+    while s == 0:
+        v = _int_derivative(v)
+        s = _sign_at(v, x)
+    return s
+
+
+def _variations_right_of(chain: list[tuple[int, ...]], x: Fraction) -> int:
+    """Sign variations of the chain just right of ``x``.
+
+    There every element of the chain of a non-square-free ``p`` has the sign
+    of gcd(p, p') times that of the matching element of the chain of the
+    square-free part, whose variations just right of ``x`` equal those at
+    ``x`` itself: what a Sturm count on (lo, hi] needs, even when ``x`` is a
+    multiple root.
+    """
+    return _variations([_sign_right_of(q, x) for q in chain])
+
+
+def _variations_at_infinity(chain: list[tuple[int, ...]], positive: bool) -> int:
     signs = []
     for q in chain:
-        if q.is_zero:
-            continue
-        s = _sign(q.leading_coefficient)
-        if not positive and q.degree % 2 == 1:
+        s = (q[-1] > 0) - (q[-1] < 0)
+        if not positive and len(q) % 2 == 0:
             s = -s
         signs.append(s)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return _variations(signs)
 
 
 def count_real_roots(
     p: Poly, lo: Fraction | None = None, hi: Fraction | None = None
 ) -> int:
     """Distinct real roots of ``p`` in (lo, hi], with ``None`` meaning +-infinity."""
-    q = square_free_part(p)
-    if q.degree == 0:
-        return 0
-    chain = sturm_chain(q)
-    v_lo = (
-        _chain_variations_at_infinity(chain, positive=False)
-        if lo is None
-        else _chain_variations_at(chain, lo)
-    )
-    v_hi = (
-        _chain_variations_at_infinity(chain, positive=True)
-        if hi is None
-        else _chain_variations_at(chain, hi)
-    )
+    chain = _chain_of(p)
+    v_lo = _variations_at_infinity(chain, False) if lo is None else _variations_right_of(chain, lo)
+    v_hi = _variations_at_infinity(chain, True) if hi is None else _variations_right_of(chain, hi)
     return v_lo - v_hi
+
+
+def distinct_root_counts(p: Poly) -> tuple[int, int]:
+    """(distinct real roots, distinct complex roots) of nonzero ``p`` from one Sturm chain.
+
+    The second count is deg p - deg gcd(p, p'), read off the chain's last
+    element; no square-free part is computed.
+    """
+    chain = _chain_of(p)
+    real = _variations_at_infinity(chain, False) - _variations_at_infinity(chain, True)
+    return real, len(chain[0]) - len(chain[-1])
 
 
 def square_free_part(p: Poly) -> Poly:
     """Monic square-free part p / gcd(p, p')."""
     if p.is_zero:
         raise ValueError("square-free part of the zero polynomial is undefined")
-    if p.degree == 0:
-        return Poly.one()
-    g = gcd(p, p.derivative())
-    return p.exact_div(g).monic()
+    v = _int_clear(p)
+    return Poly(_int_exact_div(v, _int_gcd(v, _int_derivative(v)))).monic()
 
 
 def yun_decomposition(p: Poly) -> list[tuple[Poly, int]]:
@@ -98,27 +143,27 @@ def yun_decomposition(p: Poly) -> list[tuple[Poly, int]]:
 
     Returns pairs (q, m) with p proportional to the product of q**m and every
     q square-free; factors of multiplicity m collect exactly the roots of p
-    of multiplicity m.
+    of multiplicity m.  Runs on integer vectors: each gcd is primitive and
+    each division exact, so ``c`` and ``d`` stay integer multiples of Yun's
+    sequences by one common constant.
     """
     if p.is_zero:
         raise ValueError("square-free factorization of zero is undefined")
-    p = p.monic()
-    if p.degree == 0:
+    v = _int_clear(p)
+    if len(v) == 1:
         return []
-    dp = p.derivative()
-    g = gcd(p, dp)
-    if g.degree == 0:
-        return [(p, 1)]
+    dv = _int_derivative(v)
+    g = _int_gcd(v, dv)
     factors = []
-    c = p.exact_div(g)
-    d = dp.exact_div(g) - c.derivative()
+    c = _int_exact_div(v, g)
+    d = _int_sub(_int_exact_div(dv, g), _int_derivative(c))
     i = 1
-    while c.degree is not None and c.degree >= 1:
-        q = gcd(c, d) if not d.is_zero else c.monic()
-        if q.degree >= 1:
-            factors.append((q.monic(), i))
-        c = c.exact_div(q)
-        d = d.exact_div(q) - c.derivative()
+    while len(c) > 1:
+        q = _int_gcd(c, d)
+        if len(q) > 1:
+            factors.append((Poly(q).monic(), i))
+        c = _int_exact_div(c, q)
+        d = _int_sub(_int_exact_div(d, q), _int_derivative(c))
         i += 1
     return factors
 
@@ -191,24 +236,6 @@ def _rational_roots_capped(q: Poly) -> list[Fraction]:
                 if _sign_at(ints, signed) == 0:
                     found.append(signed)
     return found
-
-
-def _int_clear(p: Poly) -> tuple[int, ...]:
-    """Integer coefficients of a positive rational multiple of ``p``.
-
-    Clears denominators and divides out the content; all sign queries on the
-    result agree with those on ``p``.
-    """
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c.numerator) * (den // c.denominator) for c in p.coeffs]
-    content = 0
-    for v in ints:
-        content = math.gcd(content, v)
-    if content > 1:
-        ints = [v // content for v in ints]
-    return tuple(ints)
 
 
 def _sign_at(int_coeffs: tuple[int, ...], x: Fraction) -> int:

@@ -196,3 +196,9 @@ def test_counterexample_suite_entrypoint():
     with criterion("counterexample verification command confirms at depth 8", 30.0):
         result = verify_reeve(8)
         assert result.ok
+
+
+def test_counterexample_suite_at_depth_12():
+    with criterion("counterexample verification command confirms at depth 12", 15.0):
+        result = verify_reeve(12)
+        assert result.ok

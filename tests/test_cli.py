@@ -108,6 +108,42 @@ class TestOperatorCommands:
         code, _, err = run(capsys, "f", "--in", str(spec), "--degree", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("coeffs", ["123", {"0": 1}, 7, None])
+    def test_input_file_coeffs_not_a_list(self, capsys, tmp_path, coeffs):
+        spec = tmp_path / "poly.json"
+        spec.write_text(json.dumps({"coeffs": coeffs}))
+        code, out, err = run(capsys, "f", "--in", str(spec), "--degree", "3")
+        assert code == 2 and out == "" and "'coeffs' must be a JSON list" in err
+
+    @pytest.mark.parametrize("tag", [True, 2.9, "2", -1])
+    def test_input_file_tag_not_an_int(self, capsys, tmp_path, tag):
+        spec = tmp_path / "poly.json"
+        spec.write_text(json.dumps({"coeffs": [1, 0, 7], "degree_tag": tag}))
+        code, out, err = run(capsys, "f", "--in", str(spec), "--degree", "2")
+        assert code == 2 and out == "" and "degree_tag must be a nonnegative integer" in err
+
+    @pytest.mark.parametrize(
+        "command, expected", [("invw", "1,-2,4"), ("f", "1,2,8"), ("h", "1,-2,8")]
+    )
+    def test_input_file_tag_is_the_default_degree(self, capsys, tmp_path, command, expected):
+        spec = tmp_path / "poly.json"
+        spec.write_text(json.dumps({"coeffs": [1, 0, 7], "degree_tag": 2}))
+        code, out, _ = run(capsys, command, "--in", str(spec))
+        assert code == 0
+        assert out == run(capsys, command, "--poly", "1,0,7", "--degree", "2")[1]
+        assert out.strip() == expected
+
+    @pytest.mark.parametrize("command", ["invw", "f", "h"])
+    def test_input_file_tag_conflicts_with_degree(self, capsys, tmp_path, command):
+        spec = tmp_path / "poly.json"
+        spec.write_text(json.dumps({"coeffs": [1, 0, 7], "degree_tag": 2}))
+        code, out, err = run(capsys, command, "--in", str(spec), "--degree", "5")
+        assert code == 2 and out == "" and "conflicts with the file's degree_tag 2" in err
+
+    def test_missing_degree_exits_2(self, capsys):
+        code, out, err = run(capsys, "f", "--poly", "1,0,7")
+        assert code == 2 and out == "" and "missing reference degree" in err
+
 
 class TestCheckCommand:
     def test_logconcave_failure(self, capsys):

@@ -97,6 +97,12 @@ class TestCounterexampleReport:
             numerator = h_from_f(product_f(k), 3 * k)
             assert all(c >= 0 for c in numerator.coeffs)
 
+    @pytest.mark.parametrize("k, real, needed", [(8, 21, 23), (11, 30, 32), (12, 33, 35)])
+    def test_numerator_root_count_witness(self, k, real, needed):
+        report = is_real_rooted(h_from_f(product_f(k), 3 * k))
+        assert not report.holds
+        assert report.witness == {"distinct_real_roots": real, "distinct_roots_needed": needed}
+
     def test_invalid_kmax(self):
         with pytest.raises(ValueError):
             counterexample_report(0)

@@ -48,6 +48,20 @@ class TestSturm:
         assert count_real_roots(p, Fraction(-2), Fraction(-1)) == 1
         assert count_real_roots(p, Fraction(-3), Fraction(-2)) == 1
 
+    def test_interval_endpoints_at_a_multiple_root(self):
+        p = linear_product(1, 1, 1, -2) * P(1, 0, 1)
+        assert count_real_roots(p, Fraction(1), Fraction(3)) == 0
+        assert count_real_roots(p, Fraction(0), Fraction(1)) == 1
+        assert count_real_roots(p, Fraction(-2), Fraction(1)) == 1
+        assert count_real_roots(p, Fraction(-3), Fraction(1)) == 2
+
+    def test_chain_of_non_square_free_ends_in_the_gcd(self):
+        p = linear_product(1, 1, -2) * P(1, 0, 1)
+        chain = sturm_chain(p)
+        assert chain[0] == p and chain[-1].monic() == P(-1, 1)
+        for q in chain:
+            assert all(c.denominator == 1 for c in q.coeffs)
+
     def test_chain_of_zero_raises(self):
         with pytest.raises(ValueError):
             sturm_chain(P())

@@ -1,0 +1,79 @@
+"""The integer root kernel against sympy as an independent oracle.
+
+Inputs are products of repeated small rational factors, so multiple roots,
+rational roots and complex pairs all occur.  sympy is used only here, never
+by the package.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hadpoly.poly import Poly, gcd
+from hadpoly.roots import count_real_roots, isolate_roots, square_free_part, yun_decomposition
+
+sympy = pytest.importorskip("sympy")
+X = sympy.Symbol("x")
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+#: x - r, or x^2 + b x + c (real-rooted or not), each with a multiplicity
+factor = st.tuples(
+    st.one_of(
+        small.map(lambda r: (-r, Fraction(1))),
+        st.tuples(small, small).map(lambda bc: (bc[1], bc[0], Fraction(1))),
+    ),
+    st.integers(min_value=1, max_value=3),
+)
+products = st.tuples(
+    st.lists(factor, min_size=1, max_size=4),
+    small.filter(lambda c: c != 0),
+).map(lambda fs: _product(*fs))
+
+
+def _product(factors, scale):
+    p = Poly([scale])
+    for coeffs, mult in factors:
+        p = p * Poly(coeffs) ** mult
+    return p
+
+
+def to_sympy(p: Poly):
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    return sympy.Poly(coeffs, X, domain="QQ")
+
+
+def from_sympy(q) -> Poly:
+    return Poly([Fraction(int(c.p), int(c.q)) for c in reversed(q.all_coeffs())])
+
+
+@given(products, small, small)
+@settings(max_examples=150, deadline=None)
+def test_real_root_counts_match_sympy(p, a, b):
+    sp = to_sympy(p)
+    assert count_real_roots(p) == sp.count_roots()
+    lo, hi = min(a, b), max(a, b)
+    # sympy counts on [lo, hi], the Sturm count on (lo, hi]
+    at_lo = 1 if p.evaluate(lo) == 0 else 0
+    expected = sp.count_roots(lo, hi) - at_lo if lo < hi else 0
+    assert count_real_roots(p, lo, hi) == expected
+    assert count_real_roots(p) == isolate_roots(p).count_distinct
+
+
+@given(products)
+@settings(max_examples=150, deadline=None)
+def test_square_free_factorization_matches_sympy(p):
+    _, sqf = to_sympy(p).sqf_list()
+    expected = {m: from_sympy(q) for q, m in sqf if q.degree() > 0}
+    assert dict((m, q) for q, m in yun_decomposition(p)) == expected
+    part = Poly.one()
+    for q in expected.values():
+        part = part * q
+    assert square_free_part(p) == part
+
+
+@given(products, products)
+@settings(max_examples=150, deadline=None)
+def test_gcd_matches_sympy(p, q):
+    assert gcd(p, q) == from_sympy(sympy.gcd(to_sympy(p), to_sympy(q)).monic())
