@@ -5,8 +5,8 @@ order ("1,0,7" is 1 + 7x^2); entries may be integers or "num/den" rationals.
 Results print in the same format by default, as a JSON object with
 ``--json``, or human-readable with ``--pretty``.  ``--in FILE`` reads a JSON
 object ``{"coeffs": [...], "degree_tag": n}`` instead of ``--poly``; for
-``invw``, ``f`` and ``h`` the tag is the default ``--degree`` and must agree
-with an explicit one.
+``invw``, ``f``, ``h``, ``symdec`` and ``check symmetric`` the tag is the
+default ``--degree`` and must agree with an explicit one.
 
 Exit codes: 0 a computation succeeded / a checked property holds / a verify
 suite met its expectation; 1 a checked property fails or a suite found a
@@ -87,11 +87,15 @@ def _input_poly(args) -> Poly:
     return _read_input(args)[0]
 
 
-def _input_with_degree(args) -> tuple[Poly, int]:
-    """The input polynomial and its reference degree: ``--degree`` or the file's tag."""
+def _input_with_degree(args, required: bool = True) -> tuple[Poly, int | None]:
+    """The input polynomial and its reference degree: ``--degree`` or the file's tag.
+
+    With neither, the degree is ``None`` if it is optional and an error if
+    it is ``required``.
+    """
     poly, tag = _read_input(args)
     if args.degree is None:
-        if tag is None:
+        if tag is None and required:
             raise ValueError("missing reference degree: pass --degree or a degree_tag")
         return poly, tag
     if tag is not None and tag != args.degree:
@@ -165,8 +169,8 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_symdec(args) -> int:
-    h = _input_poly(args)
-    dec = decomp.i_decompose(h, args.degree)
+    h, degree = _input_with_degree(args)
+    dec = decomp.i_decompose(h, degree)
     if args.json:
         print(
             json.dumps(
@@ -205,7 +209,7 @@ def cmd_check(args) -> int:
             raise ValueError("check interlacing needs --b and --a")
         report = analysis.interlaces(parse_poly(args.b), parse_poly(args.a))
     else:
-        p = _input_poly(args)
+        p, degree = _input_with_degree(args, required=False)
         if prop == "nonneg":
             report = _check_nonneg(p)
         elif prop == "internal-zeros":
@@ -225,7 +229,7 @@ def cmd_check(args) -> int:
                 raise ValueError("check gammapos needs --center")
             report = analysis.is_gamma_positive(p, args.center)
         elif prop == "symmetric":
-            cert = analysis.symmetry_certificate(p, args.degree)
+            cert = analysis.symmetry_certificate(p, degree)
             if cert is None:
                 report = analysis.PropertyReport.failed(
                     {"reason": "no axis"}, "polynomial differs from its reversal"
@@ -342,7 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("symdec")
     _add_poly_input(s)
-    s.add_argument("--degree", type=int, required=True)
+    s.add_argument(
+        "--degree", type=int, help="reference degree (default: the --in file's degree_tag)"
+    )
     _add_output_flags(s)
     s.set_defaults(fn=cmd_symdec)
 
@@ -364,7 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_poly_input(s)
     s.add_argument("--order", type=int, help="order m for the ulc check")
     s.add_argument("--center", type=int, help="axis s for the gammapos check")
-    s.add_argument("--degree", type=int, help="reference degree for symmetric")
+    s.add_argument(
+        "--degree",
+        type=int,
+        help="reference degree for symmetric (default: the --in file's degree_tag)",
+    )
     s.add_argument("--a", help="interlaced polynomial (interlacing check)")
     s.add_argument("--b", help="interlacing polynomial (interlacing check)")
     s.add_argument("--json", action="store_true")

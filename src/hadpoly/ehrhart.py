@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .analysis import PropertyReport, is_log_concave, is_real_rooted
-from .operators import diamond_power, h_from_f
+from .operators import diamond, diamond_power, h_from_f
 from .poly import Poly
 
 
@@ -67,12 +67,16 @@ def counterexample_report(k_max: int) -> PropertyReport:
     coefficients, that f_(k,1)^2 < f_(k,0) f_(k,2), that the f-polynomial is
     not log-concave, and that the underlying degree-3k numerator is not
     real-rooted.  Holds iff every k passes; the witness names the first
-    failing stage otherwise.
+    failing stage otherwise.  The powers are folded one diamond product per
+    k, as ``product_f`` folds them.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    base = reeve().f_poly
+    f = base
     for k in range(1, k_max + 1):
-        f = product_f(k)
+        if k > 1:
+            f = diamond(f, base)
         lows = tuple(f.coefficient(i) for i in range(3))
         expected = closed_form(k)
         if lows != expected:

@@ -7,8 +7,10 @@ operator (binomial basis C(x,j) -> x^j), conversions between a numerator h
 and its f-polynomial f = sum_i h_i x^i (x+1)^(d-i), and three independent
 realizations of the Hadamard product of two tagged numerators:
 
-* direct    -- multiply the interpolating polynomials and re-extract the
-               numerator (the production route),
+* direct    -- the coefficientwise product of the two series
+               h/(1-x)^(d+1), over the integers: expand each to its first
+               D+1 coefficients (D = d1+d2), multiply them pointwise and
+               multiply the result by (1-x)^(D+1) (the production route),
 * bullet    -- the bilinear product on homogenized coefficient vectors given
                by an explicit binomial formula on monomials,
 * diamond   -- transport to f-polynomials, where the Hadamard product becomes
@@ -22,8 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
-from .poly import Poly, TaggedPoly, comb0
+from .poly import Poly, TaggedPoly, _clear_denominators, comb0
 
 
 @dataclass(frozen=True)
@@ -66,21 +69,32 @@ def binom_x_plus(a: int, d: int) -> Poly:
     return acc.scale(Fraction(1, math.factorial(d)))
 
 
+def _series_values(v: list, d: int, count: int) -> list:
+    """Coefficients 0..count-1 of v(x) / (1-x)^(d+1), by d+1 running prefix sums."""
+    values = v + [0] * (count - len(v))
+    for _ in range(d + 1):
+        values = list(accumulate(values))
+    return values
+
+
+def _difference(values: list, times: int) -> list:
+    """Coefficients 0..len(values)-1 of values(x) * (1-x)^times, by ``times``
+    backward differences."""
+    for _ in range(times):
+        values = [b - a for a, b in zip([0] + values, values)]
+    return values
+
+
 def numerator_at(p: Poly, d: int) -> Poly:
     """Coefficients of p in the basis {C(x + d - i, d)}: the numerator of
     sum_j p(j) x^j over (1-x)^(d+1).
 
-    Computed as the finite convolution of the value sequence p(0..d) with the
-    expansion of (1-x)^(d+1); requires deg p <= d.
+    Computed as the product of the value sequence p(0..d) with (1-x)^(d+1),
+    truncated to degree d; requires deg p <= d.
     """
     if not p.is_zero and p.degree > d:
         raise ValueError(f"degree overflow: deg p = {p.degree} > d = {d}")
-    values = [p.evaluate(j) for j in range(d + 1)]
-    signed = [Fraction((-1) ** k * math.comb(d + 1, k)) for k in range(d + 2)]
-    coeffs = []
-    for i in range(d + 1):
-        coeffs.append(sum(signed[k] * values[i - k] for k in range(i + 1)))
-    return Poly(coeffs)
+    return Poly(_difference([p.evaluate(j) for j in range(d + 1)], d + 1))
 
 
 def w_transform(p: Poly) -> TaggedPoly:
@@ -217,14 +231,22 @@ def hadamard(t1: TaggedPoly, t2: TaggedPoly, route: str = "direct") -> TaggedPol
     """Hadamard product of tagged numerators: (h1, d1) x (h2, d2) -> (h, d1+d2).
 
     The result is the numerator of sum_j p1(j) p2(j) x^j over
-    (1-x)^(d1+d2+1), where p_i = w_inverse(h_i, d_i).  The production path is
-    ``route="direct"``; ``"bullet"`` and ``"diamond"`` are independent
-    routes kept for cross-verification.
+    (1-x)^(d1+d2+1), where p_i = w_inverse(h_i, d_i) has the series
+    h_i/(1-x)^(d_i+1).  The production path is ``route="direct"``: the
+    coefficientwise product of the two series, over the integers.  Since
+    p1 p2 has degree at most D = d1+d2, its first D+1 values fix the
+    numerator, which is their product with (1-x)^(D+1) truncated to degree
+    D.  ``"bullet"`` and ``"diamond"`` are independent routes kept for
+    cross-verification.
     """
     d1, d2 = t1.ref_degree, t2.ref_degree
     if route == "direct":
-        p = w_inverse(t1.poly, d1) * w_inverse(t2.poly, d2)
-        return TaggedPoly(numerator_at(p, d1 + d2), d1 + d2)
+        top = d1 + d2
+        (v1, den1), (v2, den2) = _clear_denominators(t1.poly), _clear_denominators(t2.poly)
+        s1, s2 = _series_values(v1, d1, top + 1), _series_values(v2, d2, top + 1)
+        coeffs = _difference([a * b for a, b in zip(s1, s2)], top + 1)
+        den = den1 * den2
+        return TaggedPoly(Poly(Fraction(c, den) for c in coeffs), top)
     if route == "bullet":
         rep = bullet(homogenize(t1.poly, d1), homogenize(t2.poly, d2))
         return dehomogenize(rep)

@@ -296,16 +296,22 @@ def reflect(f: Poly, d: int) -> Poly:
 # these primitive multiples rather than on ``Fraction`` coefficients.
 
 
+def _clear_denominators(p: Poly) -> tuple[list[int], int]:
+    """Integer coefficients ``v`` and the least common denominator ``den`` of
+    ``p``, so that ``p = v / den``."""
+    den = 1
+    for c in p.coeffs:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
+
+
 def _int_clear(p: Poly) -> tuple[int, ...]:
     """Integer coefficients of a positive rational multiple of ``p``.
 
     Clears denominators and divides out the content; all sign queries on the
     result agree with those on ``p``.
     """
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+    return _primitive(_clear_denominators(p)[0])
 
 
 def _strip(v: list[int]) -> list[int]:

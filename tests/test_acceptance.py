@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one printed
 pass/fail line per criterion alongside the pytest verdicts.
 """
 
+import math
 import time
 from contextlib import contextmanager
 
@@ -157,6 +158,21 @@ def test_hadamard_routes_agree():
             direct = hadamard(t1, t2, route="direct")
             assert hadamard(t1, t2, route="bullet") == direct
             assert hadamard(t1, t2, route="diamond") == direct
+
+
+def test_hadamard_at_degree_80_with_large_heights():
+    rng = SplitMix64(80)
+    h1 = Poly([rng.rational(999999, 999999) for _ in range(81)])
+    h2 = Poly([-rng.rational(999999, 999999) for _ in range(81)])
+    with criterion("production hadamard at d = (80, 80), height 999999", 2.0):
+        out = hadamard(TaggedPoly(h1, 80), TaggedPoly(h2, 80))
+    assert out.ref_degree == 160
+
+    def series_at(h, d, j):
+        return sum(c * math.comb(j - i + d, d) for i, c in enumerate(h.coeffs[: j + 1]))
+
+    for j in (0, 1, 2, 160):
+        assert series_at(out.poly, 160, j) == series_at(h1, 80, j) * series_at(h2, 80, j)
 
 
 def test_round_trips_and_involutions():

@@ -144,6 +144,46 @@ class TestOperatorCommands:
         code, out, err = run(capsys, "f", "--poly", "1,0,7")
         assert code == 2 and out == "" and "missing reference degree" in err
 
+    @pytest.mark.parametrize(
+        "command, coeffs, tag, expected",
+        [
+            (("symdec",), [1, 0, 7], 2, "a: 1,-6,1\nb: 6,6"),
+            (("check", "symmetric"), [1, 0, 0, 1], 6, "holds: axis 3, defect 3"),
+        ],
+        ids=["symdec", "check-symmetric"],
+    )
+    def test_input_file_tag_is_the_reference_degree(
+        self, capsys, tmp_path, command, coeffs, tag, expected
+    ):
+        spec = tmp_path / "poly.json"
+        spec.write_text(json.dumps({"coeffs": coeffs, "degree_tag": tag}))
+        code, out, _ = run(capsys, *command, "--in", str(spec))
+        assert code == 0
+        poly = ",".join(map(str, coeffs))
+        assert out == run(capsys, *command, "--poly", poly, "--degree", str(tag))[1]
+        assert out.strip() == expected
+
+    @pytest.mark.parametrize(
+        "command", [("symdec",), ("check", "symmetric")], ids=["symdec", "check-symmetric"]
+    )
+    def test_input_file_tag_conflicts_with_reference_degree(self, capsys, tmp_path, command):
+        spec = tmp_path / "poly.json"
+        spec.write_text(json.dumps({"coeffs": [1, 0, 7], "degree_tag": 2}))
+        code, out, err = run(capsys, *command, "--in", str(spec), "--degree", "5")
+        assert code == 2 and out == "" and "conflicts with the file's degree_tag 2" in err
+
+    def test_symdec_missing_degree_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "symdec", "--poly", "1,0,7")
+        assert code == 2 and out == "" and "missing reference degree" in err
+        spec = tmp_path / "poly.json"
+        spec.write_text(json.dumps({"coeffs": [1, 0, 7]}))
+        code, out, err = run(capsys, "symdec", "--in", str(spec))
+        assert code == 2 and out == "" and "missing reference degree" in err
+
+    def test_check_symmetric_degree_stays_optional(self, capsys):
+        code, out, _ = run(capsys, "check", "symmetric", "--poly", "1,0,0,1")
+        assert code == 0 and out.strip() == "holds: axis 3"
+
 
 class TestCheckCommand:
     def test_logconcave_failure(self, capsys):

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadpoly.operators import (
     HomogRep,
@@ -75,6 +77,21 @@ def series_from_numerator(h, d, count):
         sum(h.coefficient(i) * comb0(j - i + d, d) for i in range(d + 1))
         for j in range(count)
     ]
+
+
+#: rationals of small and of large height, of either sign
+rationals = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=10**9),
+)
+
+
+@st.composite
+def tagged_factor(draw, max_tag=12):
+    """A numerator tagged d <= max_tag: zero, of degree below d, or of degree d."""
+    d = draw(st.integers(min_value=0, max_value=max_tag))
+    coeffs = draw(st.lists(rationals, min_size=0, max_size=d + 1))
+    return TaggedPoly(Poly(coeffs), d)
 
 
 class TestWTransform:
@@ -258,6 +275,25 @@ class TestHadamard:
         for route in ("direct", "bullet", "diamond"):
             out = hadamard(z, t, route=route)
             assert out.poly.is_zero and out.ref_degree == 7
+
+    @settings(max_examples=60, deadline=None)
+    @given(tagged_factor(), tagged_factor())
+    def test_direct_route_matches_bullet_and_diamond(self, t1, t2):
+        direct = hadamard(t1, t2)
+        assert direct.ref_degree == t1.ref_degree + t2.ref_degree
+        assert hadamard(t1, t2, route="bullet") == direct
+        assert hadamard(t1, t2, route="diamond") == direct
+
+    def test_direct_route_matches_series_oracle_at_forty_by_twenty(self):
+        rng = SplitMix64(37)
+        h1 = Poly([rng.rational(999999, 999999) for _ in range(41)])
+        h2 = Poly([-rng.rational(999999, 999999) for _ in range(21)])
+        out = hadamard(TaggedPoly(h1, 40), TaggedPoly(h2, 20))
+        n = 64
+        s1 = series_from_numerator(h1, 40, n)
+        s2 = series_from_numerator(h2, 20, n)
+        assert out.ref_degree == 60
+        assert series_from_numerator(out.poly, 60, n) == [a * b for a, b in zip(s1, s2)]
 
 
 class TestBullet:
