@@ -4,8 +4,10 @@ Every check returns a ``PropertyReport`` whose ``witness`` explains a failure
 in machine-readable form (an index, an index pair, or a root bound), or
 raises ``ValueError`` when a precondition is violated.  No floating point is
 used anywhere.  Real-rootedness is one integer Sturm chain of the polynomial
-itself, with no square-free part; interlacing compares exactly isolated
-roots, and decides each input's real-rootedness once per call.
+itself, with no square-free part.  Interlacing decides each input's
+real-rootedness once per call, then the order of the roots by one integer
+remainder chain of the pair (a Cauchy index); roots are isolated and
+compared only to build the witness of a failure.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from .poly import Poly, comb0, reverse
 from .roots import (
     RootIsolation,
+    cauchy_index,
     compare_roots,
     distinct_root_counts,
     isolate_roots,
@@ -176,6 +179,10 @@ def interlaces(b: Poly, a: Poly) -> PropertyReport:
 
     which forces deg b in {deg a - 1, deg a}.  The zero polynomial interlaces
     and is interlaced by everything.  Raises on non-real-rooted input.
+
+    Decided without roots by a Cauchy index (see ``_residues_positive``);
+    only a failure isolates and compares roots, for a witness naming the
+    first out-of-order pair.
     """
     if a.is_zero or b.is_zero:
         return PropertyReport.passed("zero polynomial convention")
@@ -195,6 +202,33 @@ def _real_rooted_interlace(b: Poly, a: Poly) -> PropertyReport:
             {"deg_a": deg_a, "deg_b": deg_b},
             f"degree mismatch: deg b = {deg_b} not in {{{deg_a - 1}, {deg_a}}}",
         )
+    if _residues_positive(b, a):
+        return PropertyReport.passed()
+    report = _root_order(b, a)  # only to find the witness
+    if report.holds:
+        raise RuntimeError("internal error: Cauchy index and root order disagree")
+    return report
+
+
+def _residues_positive(b: Poly, a: Poly) -> bool:
+    """Does b interlace a, for real-rooted a of degree >= 1 and deg b in {deg a - 1, deg a}?
+
+    With both leading coefficients positive, b interlaces a iff every
+    residue of b/a is positive (Hermite-Kakeya-Obreschkoff), i.e. iff the
+    Cauchy index of b/a is deg a - deg gcd(a, b): every pole of the reduced
+    fraction is then real and simple with a positive residue, and the
+    common real-rooted factor gcd(a, b) does not change interlacing.
+    """
+    same_sign = (a.leading_coefficient > 0) == (b.leading_coefficient > 0)
+    index, poles = cauchy_index(b if same_sign else -b, a)
+    return index == poles
+
+
+def _root_order(b: Poly, a: Poly) -> PropertyReport:
+    """Interlacing decided by isolating and comparing the roots of ``b`` and ``a``.
+
+    A failure's witness is the first out-of-order root pair.
+    """
     s = _descending_roots(a)
     t = _descending_roots(b)
     # t_i <= s_i and s_(i+1) <= t_i, indices starting at 1
@@ -282,7 +316,8 @@ def gamma_expand(h: Poly, s: int) -> Poly:
     """Coordinates of a symmetric polynomial in the basis x^i (1+x)^(s-2i).
 
     Requires reverse(h, s) == h; the result has degree at most floor(s/2).
-    Computed by subtracting gamma_i x^i (1+x)^(s-2i) from the lowest index up.
+    Computed by subtracting gamma_i x^i (1+x)^(s-2i) from the lowest index up,
+    in place on the coefficient list.
     """
     if s < 0:
         raise ValueError("axis must be nonnegative")
@@ -290,16 +325,23 @@ def gamma_expand(h: Poly, s: int) -> Poly:
         return Poly()
     if h.degree > s or reverse(h, s) != h:
         raise ValueError(f"asymmetric input: reverse at degree {s} differs")
-    rem = h
+    rem = list(h.coeffs) + [0] * (s - h.degree)
     coeffs = []
     for i in range(s // 2 + 1):
-        g = rem.coefficient(i)
+        g = rem[i]
         coeffs.append(g)
         if g != 0:
-            rem = rem - Poly.monomial(i, g) * Poly([1, 1]) ** (s - 2 * i)
-    if not rem.is_zero:
+            _add_gamma_term(rem, -g, i, s)
+    if any(rem):
         raise RuntimeError("internal error: gamma expansion left a remainder")
     return Poly(coeffs)
+
+
+def _add_gamma_term(acc: list, c, i: int, s: int) -> None:
+    """Add c x^i (1+x)^(s-2i) to the coefficient list ``acc`` in place."""
+    n = s - 2 * i
+    for j in range(n + 1):
+        acc[i + j] += c * comb0(n, j)
 
 
 def gamma_contract(g: Poly, s: int) -> Poly:
@@ -310,11 +352,11 @@ def gamma_contract(g: Poly, s: int) -> Poly:
         raise ValueError(
             f"degree overflow: deg = {g.degree} exceeds floor(s/2) = {s // 2}"
         )
-    acc = Poly()
+    acc = [0] * (s + 1)
     for i, c in enumerate(g.coeffs):
         if c != 0:
-            acc = acc + Poly.monomial(i, c) * Poly([1, 1]) ** (s - 2 * i)
-    return acc
+            _add_gamma_term(acc, c, i, s)
+    return Poly(acc)
 
 
 def is_gamma_positive(h: Poly, s: int) -> PropertyReport:

@@ -394,9 +394,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: options whose value is a coefficient list, which may start with "-"
+_POLY_OPTIONS = ("--poly", "--a", "--b")
+
+
+def _attach_poly_values(argv: list[str]) -> list[str]:
+    """Join ``--poly -1,0,1`` into ``--poly=-1,0,1`` (likewise ``--a``, ``--b``).
+
+    argparse would read a value starting with "-" as an option.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _POLY_OPTIONS and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_poly_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except GeneratorExhausted as exc:

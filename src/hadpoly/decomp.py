@@ -126,7 +126,11 @@ def decomposition_is_nonnegative(dec: SymDecomp) -> PropertyReport:
 
 
 def decomposition_is_interlacing(dec: SymDecomp) -> PropertyReport:
-    """Both halves are real-rooted and the roots of b interlace those of a."""
+    """Both halves are real-rooted and the roots of b interlace those of a.
+
+    After the real-rootedness checks, verdict and witness are those of
+    ``analysis.interlaces``.
+    """
     for name, p in (("a", dec.a), ("b", dec.b)):
         if not p.is_zero and not is_real_rooted(p).holds:
             return PropertyReport.failed(

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import is_log_concave, is_ulc
+from .analysis import gamma_contract, is_log_concave, is_ulc
 from .decomp import SymDecomp, decomposition_is_interlacing, decomposition_is_nonnegative
 from .poly import Poly, TaggedPoly
 from .rng import SplitMix64
@@ -93,11 +93,8 @@ def gen_symmetric(
     """
     if s < 0 or defect < 0:
         raise ValueError("axis and defect must be nonnegative")
-    terms = Poly()
-    for i in range(s // 2 + 1):
-        g = rng.rational(max_coeff, max_coeff)
-        if g != 0:
-            terms = terms + Poly.monomial(i, g) * Poly([1, 1]) ** (s - 2 * i)
+    gamma = [rng.rational(max_coeff, max_coeff) for _ in range(s // 2 + 1)]
+    terms = gamma_contract(Poly(gamma), s)
     if terms.is_zero:
         terms = (Poly([1, 1]) ** s).scale(rng.positive_rational(max_coeff, max_coeff))
     return TaggedPoly(terms, s + defect)

@@ -5,7 +5,8 @@ vectors (primitive integer multiples of the polynomials, see ``poly``):
 
 * Sturm chains are primitive pseudo-remainder sequences.  One chain of p
   itself, square-free or not, counts its distinct real roots on intervals
-  and on the whole line, and its last element is gcd(p, p').
+  and on the whole line, and its last element is gcd(p, p').  A chain
+  starting a, b gives the Cauchy index of b/a, which decides interlacing.
 * Square-free (Yun) decomposition recovers multiplicities.
 * Isolation bisects on sign-variation counts of the interval-rescaled
   polynomial (Descartes' rule on (0, 1)-remapped intervals), starting from
@@ -37,18 +38,20 @@ from .poly import (
 DEFAULT_MAX_WIDTH = Fraction(1, 8)
 
 
-def _int_sturm_chain(v: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _int_sturm_chain(
+    v: tuple[int, ...], w: tuple[int, ...] | None = None
+) -> list[tuple[int, ...]]:
     """Sturm chain of the integer vector ``v``, as integer vectors.
 
     Element i is a positive multiple of the i-th element of the Euclidean
-    chain v, v', -rem(v, v'), ...: the multipliers are those of the pseudo-
-    remainder and the contents divided out.  ``v`` need not be square-free;
-    the last element is then a multiple of gcd(v, v').  A constant ``v`` is
-    its own chain.
+    chain v, w, -rem(v, w), ..., where ``w`` (nonzero) defaults to v': the
+    multipliers are those of the pseudo-remainder and the contents divided
+    out.  The last element is a multiple of gcd(v, w), so ``v`` need not be
+    square-free.  A constant ``v`` is its own chain.
     """
     if len(v) == 1:
         return [v]
-    chain = [v, _primitive(list(_int_derivative(v)))]
+    chain = [v, _primitive(list(_int_derivative(v) if w is None else w))]
     while True:
         r = _primitive(_prem(chain[-2], chain[-1]))
         if not r:
@@ -112,11 +115,22 @@ def _variations_at_infinity(chain: list[tuple[int, ...]], positive: bool) -> int
 def count_real_roots(
     p: Poly, lo: Fraction | None = None, hi: Fraction | None = None
 ) -> int:
-    """Distinct real roots of ``p`` in (lo, hi], with ``None`` meaning +-infinity."""
+    """Distinct real roots of ``p`` in (lo, hi], with ``None`` meaning +-infinity.
+
+    Raises on a reversed interval (lo > hi); (lo, lo] is empty.
+    """
+    if lo is not None and hi is not None and lo > hi:
+        raise ValueError(f"reversed interval: lo = {lo} > hi = {hi}")
     chain = _chain_of(p)
     v_lo = _variations_at_infinity(chain, False) if lo is None else _variations_right_of(chain, lo)
     v_hi = _variations_at_infinity(chain, True) if hi is None else _variations_right_of(chain, hi)
     return v_lo - v_hi
+
+
+def _index_and_reduced_degree(chain: list[tuple[int, ...]]) -> tuple[int, int]:
+    """(V(-oo) - V(+oo), deg of the first element - deg of the last) of a chain."""
+    index = _variations_at_infinity(chain, False) - _variations_at_infinity(chain, True)
+    return index, len(chain[0]) - len(chain[-1])
 
 
 def distinct_root_counts(p: Poly) -> tuple[int, int]:
@@ -125,9 +139,20 @@ def distinct_root_counts(p: Poly) -> tuple[int, int]:
     The second count is deg p - deg gcd(p, p'), read off the chain's last
     element; no square-free part is computed.
     """
-    chain = _chain_of(p)
-    real = _variations_at_infinity(chain, False) - _variations_at_infinity(chain, True)
-    return real, len(chain[0]) - len(chain[-1])
+    return _index_and_reduced_degree(_chain_of(p))
+
+
+def cauchy_index(b: Poly, a: Poly) -> tuple[int, int]:
+    """(Cauchy index of b/a over the line, deg a - deg gcd(a, b)) for nonzero a, b.
+
+    The index counts the poles of b/a where it jumps from -oo to +oo minus
+    those where it jumps from +oo to -oo; it is V(-oo) - V(+oo) of the one
+    remainder chain a, b, -rem(a, b), ..., whose last element is gcd(a, b).
+    The second count is the number of poles of b/a with multiplicity.
+    """
+    if a.is_zero or b.is_zero:
+        raise ValueError("Cauchy index needs nonzero polynomials")
+    return _index_and_reduced_degree(_int_sturm_chain(_int_clear(a), _int_clear(b)))
 
 
 def square_free_part(p: Poly) -> Poly:
@@ -474,12 +499,8 @@ def isolate_roots(p: Poly, max_width: Fraction = DEFAULT_MAX_WIDTH) -> RootIsola
         raise ValueError("cannot isolate roots of the zero polynomial")
     if p.degree == 0:
         raise ValueError("cannot isolate roots of a constant polynomial")
-    located: list[tuple[RealRoot, int]] = []
-    for factor, mult in yun_decomposition(p):
-        for root in _isolate_square_free(factor):
-            located.append((root, mult))
     # compare_roots refines as a side effect until every pair is separated
-    located.sort(key=_RootKey)
+    located = real_roots_with_multiplicity(p)
     for root, _ in located:
         root.refine_below(max_width)
     for (r1, _), (r2, _) in zip(located, located[1:]):

@@ -127,6 +127,12 @@ def test_symmetric_decomposition_properties_preserved():
         _run_suite("symdec-interlacing")
 
 
+def test_symdec_interlacing_suite_at_default_trials():
+    with criterion("interlacing decompositions preserved over 200 trials", 3.0):
+        result = SUITES["symdec-interlacing"](TrialConfig(seed=1, trials=200))
+        assert result.ok, result.render()
+
+
 def test_contiguous_support_preserved():
     with criterion("contiguous support preserved over 200 trials", 30.0):
         _run_suite("no-internal-zeros")

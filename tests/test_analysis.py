@@ -1,8 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadpoly.analysis import (
+    _residues_positive,
+    _root_order,
     check_functional_eq,
     gamma_contract,
     gamma_expand,
@@ -202,6 +206,47 @@ class TestInterlaces:
             a = random_real_rooted(rng, d + 1)
             b = random_real_rooted(rng, d)
             assert not interlaces(a, b).holds
+
+
+#: a small shared pool of real-rooted factors: x - r for a few rationals r,
+#: and x^2 - 2 and x^2 - x - 1, whose roots are irrational
+ROOT_POOL = [P(-r, 1) for r in (-2, -1, Fraction(-1, 2), 0, Fraction(1, 3), 1, 2)] + [
+    P(-2, 0, 1),
+    P(-1, -1, 1),
+]
+
+
+def draw_real_rooted(data, degree):
+    """A product of pool factors, multiplicities up to 3, of the given degree."""
+    p = Poly([data.draw(st.sampled_from([-3, -1, Fraction(1, 2), 2]))])
+    while p.degree < degree:
+        room = degree - p.degree
+        factor = data.draw(st.sampled_from([f for f in ROOT_POOL if f.degree <= room]))
+        mult = data.draw(st.integers(1, min(3, room // factor.degree)))
+        p = p * factor**mult
+    return p
+
+
+class TestCauchyIndexAgainstRootOrder:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_index_verdict_equals_root_comparison(self, data):
+        deg_a = data.draw(st.integers(1, 6))
+        a = draw_real_rooted(data, deg_a)
+        b = draw_real_rooted(data, deg_a - data.draw(st.integers(0, 1)))
+        expected = _root_order(b, a).holds
+        assert _residues_positive(b, a) == expected
+        assert interlaces(b, a).holds == expected
+
+    def test_failure_witness_names_the_first_out_of_order_pair(self):
+        rep = interlaces(P(0, 1), P(1, 2, 1))
+        assert rep.witness == {"index": 1, "root_of_b": "0", "root_of_a": "-1"}
+        assert rep.detail == "t_1 > s_1"
+        rep = interlaces(P(-2, 0, 1), P(-1, 0, 1))
+        assert rep.witness == {"index": 1, "root_of_b": "(1, 2)", "root_of_a": "1"}
+        rep = interlaces(P(0, 1), P(3, -4, 1))
+        assert rep.witness == {"index": 1, "root_of_a": "1", "root_of_b": "0"}
+        assert rep.detail == "s_2 > t_1"
 
 
 class TestSymmetryCertificate:

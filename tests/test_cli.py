@@ -253,6 +253,33 @@ class TestCheckCommand:
         assert payload["witness"] == {"index": 1}
 
 
+class TestNegativeLeadingValues:
+    """Coefficient lists starting with "-" are values, not options."""
+
+    @pytest.mark.parametrize(
+        "argv, code, out",
+        [
+            (["check", "realrooted", "--poly", "-1,0,1"], 0, "holds"),
+            (["check", "realrooted", "--poly", "-1,0,-1"], 1, "fails: only 0 of 2"),
+            (["check", "realrooted", "--poly=-1,0,1"], 0, "holds"),
+            (["hadamard", "--a", "-1,2", "--da", "1", "--b", "1", "--db", "0"], 0, "-1,2"),
+            (["hadamard", "--a", "1,2", "--da", "1", "--b", "-1", "--db", "0"], 0, "-1,-2"),
+            (["diamond", "--a", "-1,1", "--b", "-1"], 0, "1,-1"),
+            (["check", "interlacing", "--b", "-1,1", "--a", "-2,0,1"], 0, "holds"),
+            (["f", "--poly", "-1/2,1", "--degree", "1"], 0, "-1/2,1/2"),
+        ],
+    )
+    def test_value_read(self, capsys, argv, code, out):
+        got_code, got_out, _ = run(capsys, *argv)
+        assert got_code == code
+        assert got_out.startswith(out)
+
+    def test_missing_value_still_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "realrooted", "--poly", "--json"])
+        assert exc.value.code == 2
+
+
 class TestVerifyCommand:
     def test_small_wagner(self, capsys):
         code, out, _ = run(

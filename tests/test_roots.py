@@ -55,6 +55,15 @@ class TestSturm:
         assert count_real_roots(p, Fraction(-2), Fraction(1)) == 1
         assert count_real_roots(p, Fraction(-3), Fraction(1)) == 2
 
+    def test_reversed_interval_rejected(self):
+        with pytest.raises(ValueError):
+            count_real_roots(P(-1, 0, 1), Fraction(2), Fraction(-2))
+
+    def test_empty_interval_counts_zero(self):
+        p = linear_product(1, -1)
+        assert count_real_roots(p, Fraction(1), Fraction(1)) == 0
+        assert count_real_roots(p, Fraction(0), Fraction(0)) == 0
+
     def test_chain_of_non_square_free_ends_in_the_gcd(self):
         p = linear_product(1, 1, -2) * P(1, 0, 1)
         chain = sturm_chain(p)
