@@ -29,11 +29,13 @@ __all__ = [
     "SymmetryCertificate",
     "RootIsolation",
     "isolate_roots",
+    "is_nonnegative",
     "has_internal_zeros",
     "is_log_concave",
     "is_unimodal",
     "is_ulc",
     "is_real_rooted",
+    "newton_violation",
     "interlaces",
     "symmetry_certificate",
     "check_functional_eq",
@@ -63,10 +65,21 @@ class PropertyReport:
         return PropertyReport(False, witness, detail)
 
 
-def _require_nonnegative(h: Poly) -> None:
-    for i, c in enumerate(h.coeffs):
+def is_nonnegative(p: Poly) -> PropertyReport:
+    """Every coefficient is nonnegative; the witness names the first negative one."""
+    for i, c in enumerate(p.coeffs):
         if c < 0:
-            raise ValueError(f"negative coefficient {c} at index {i}")
+            return PropertyReport.failed(
+                {"index": i, "value": str(c)}, f"coefficient {i} is {c}"
+            )
+    return PropertyReport.passed()
+
+
+def _require_nonnegative(h: Poly) -> None:
+    report = is_nonnegative(h)
+    if not report.holds:
+        w = report.witness
+        raise ValueError(f"negative coefficient {w['value']} at index {w['index']}")
 
 
 def has_internal_zeros(h: Poly) -> PropertyReport:
@@ -161,6 +174,25 @@ def is_real_rooted(p: Poly) -> PropertyReport:
         {"distinct_real_roots": found, "distinct_roots_needed": needed},
         f"only {found} of {needed} distinct roots are real",
     )
+
+
+def newton_violation(p: Poly) -> int | None:
+    """The first index i at which Newton's inequality fails, or ``None``.
+
+    Every real-rooted polynomial of degree n satisfies
+
+        c_i^2 * i * (n - i) >= c_(i-1) * c_(i+1) * (i + 1) * (n - i + 1)
+
+    for 0 < i < n (Hardy, Littlewood & Polya, *Inequalities*, 2.22), so one
+    failing index is an exact certificate that ``p`` is not real-rooted.
+    ``None`` decides nothing.
+    """
+    cs = p.coeffs
+    n = len(cs) - 1
+    for i in range(1, n):
+        if cs[i] * cs[i] * i * (n - i) < cs[i - 1] * cs[i + 1] * (i + 1) * (n - i + 1):
+            return i
+    return None
 
 
 def _root_bound_str(root) -> str:

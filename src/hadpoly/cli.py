@@ -193,54 +193,54 @@ def cmd_symdec(args) -> int:
 # -- property checks ------------------------------------------------------------
 
 
-def _check_nonneg(p: Poly) -> analysis.PropertyReport:
-    for i, c in enumerate(p.coeffs):
-        if c < 0:
-            return analysis.PropertyReport.failed(
-                {"index": i, "value": str(c)}, f"coefficient {i} is {c}"
-            )
-    return analysis.PropertyReport.passed()
+def _poly(args) -> Poly:
+    """The input polynomial of a single-polynomial check."""
+    return _input_with_degree(args, required=False)[0]
+
+
+def _needed(args, option: str):
+    """The value of ``--option``, without which ``check args.property`` cannot run."""
+    value = getattr(args, option)
+    if value is None:
+        raise ValueError(f"check {args.property} needs --{option}")
+    return value
+
+
+def _check_symmetric(args) -> analysis.PropertyReport:
+    p, degree = _input_with_degree(args, required=False)
+    cert = analysis.symmetry_certificate(p, degree)
+    if cert is None:
+        return analysis.PropertyReport.failed(
+            {"reason": "no axis"}, "polynomial differs from its reversal"
+        )
+    detail = f"axis {cert.center_numerator}"
+    if cert.defect is not None:
+        detail += f", defect {cert.defect}"
+    return analysis.PropertyReport.passed(detail)
+
+
+def _check_interlacing(args) -> analysis.PropertyReport:
+    if args.a is None or args.b is None:
+        raise ValueError("check interlacing needs --b and --a")
+    return analysis.interlaces(parse_poly(args.b), parse_poly(args.a))
+
+
+#: ``check`` property -> its report on the parsed arguments
+_CHECKS = {
+    "nonneg": lambda args: analysis.is_nonnegative(_poly(args)),
+    "internal-zeros": lambda args: analysis.has_internal_zeros(_poly(args)),
+    "unimodal": lambda args: analysis.is_unimodal(_poly(args)),
+    "logconcave": lambda args: analysis.is_log_concave(_poly(args)),
+    "ulc": lambda args: analysis.is_ulc(_poly(args), _needed(args, "order")),
+    "realrooted": lambda args: analysis.is_real_rooted(_poly(args)),
+    "gammapos": lambda args: analysis.is_gamma_positive(_poly(args), _needed(args, "center")),
+    "symmetric": _check_symmetric,
+    "interlacing": _check_interlacing,
+}
 
 
 def cmd_check(args) -> int:
-    prop = args.property
-    if prop == "interlacing":
-        if args.a is None or args.b is None:
-            raise ValueError("check interlacing needs --b and --a")
-        report = analysis.interlaces(parse_poly(args.b), parse_poly(args.a))
-    else:
-        p, degree = _input_with_degree(args, required=False)
-        if prop == "nonneg":
-            report = _check_nonneg(p)
-        elif prop == "internal-zeros":
-            report = analysis.has_internal_zeros(p)
-        elif prop == "unimodal":
-            report = analysis.is_unimodal(p)
-        elif prop == "logconcave":
-            report = analysis.is_log_concave(p)
-        elif prop == "ulc":
-            if args.order is None:
-                raise ValueError("check ulc needs --order")
-            report = analysis.is_ulc(p, args.order)
-        elif prop == "realrooted":
-            report = analysis.is_real_rooted(p)
-        elif prop == "gammapos":
-            if args.center is None:
-                raise ValueError("check gammapos needs --center")
-            report = analysis.is_gamma_positive(p, args.center)
-        elif prop == "symmetric":
-            cert = analysis.symmetry_certificate(p, degree)
-            if cert is None:
-                report = analysis.PropertyReport.failed(
-                    {"reason": "no axis"}, "polynomial differs from its reversal"
-                )
-            else:
-                detail = f"axis {cert.center_numerator}"
-                if cert.defect is not None:
-                    detail += f", defect {cert.defect}"
-                report = analysis.PropertyReport.passed(detail)
-        else:  # pragma: no cover - argparse restricts choices
-            raise ValueError(f"unknown property {prop!r}")
+    report = _CHECKS[args.property](args)
     if args.json:
         print(
             json.dumps(
@@ -353,20 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_symdec)
 
     s = sub.add_parser("check")
-    s.add_argument(
-        "property",
-        choices=[
-            "nonneg",
-            "internal-zeros",
-            "unimodal",
-            "logconcave",
-            "ulc",
-            "realrooted",
-            "gammapos",
-            "symmetric",
-            "interlacing",
-        ],
-    )
+    s.add_argument("property", choices=list(_CHECKS))
     _add_poly_input(s)
     s.add_argument("--order", type=int, help="order m for the ulc check")
     s.add_argument("--center", type=int, help="axis s for the gammapos check")

@@ -16,6 +16,7 @@ from .analysis import (
     PropertyReport,
     _real_rooted_interlace,
     is_gamma_positive,
+    is_nonnegative,
     is_real_rooted,
 )
 from .operators import diamond
@@ -116,12 +117,12 @@ def defect1_ell(b1: Poly, d1: int, b2: Poly, d2: int) -> Poly:
 def decomposition_is_nonnegative(dec: SymDecomp) -> PropertyReport:
     """Both halves have only nonnegative coefficients."""
     for name, p in (("a", dec.a), ("b", dec.b)):
-        for i, c in enumerate(p.coeffs):
-            if c < 0:
-                return PropertyReport.failed(
-                    {"part": name, "index": i, "value": str(c)},
-                    f"coefficient {i} of {name} is {c}",
-                )
+        report = is_nonnegative(p)
+        if not report.holds:
+            w = report.witness
+            return PropertyReport.failed(
+                {"part": name, **w}, f"coefficient {w['index']} of {name} is {w['value']}"
+            )
     return PropertyReport.passed()
 
 

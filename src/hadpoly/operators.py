@@ -128,40 +128,47 @@ def subdivision(p: Poly) -> Poly:
     """
     if p.is_zero:
         return Poly()
-    values = [p.evaluate(j) for j in range(p.degree + 1)]
+    return Poly(_forward_differences([p.evaluate(j) for j in range(p.degree + 1)]))
+
+
+def _forward_differences(values: list) -> list:
+    """(Delta^i v)(0) for i = 0..len(values)-1, where v(j) = values[j]."""
     coeffs = []
     while values:
         coeffs.append(values[0])
         values = [b - a for a, b in zip(values, values[1:])]
-    return Poly(coeffs)
+    return coeffs
 
 
 def f_from_h(h: Poly, d: int) -> Poly:
-    """The f-polynomial sum_i h_i x^i (x+1)^(d-i) = (1+x)^d h(x/(1+x))."""
+    """The f-polynomial sum_i h_i x^i (x+1)^(d-i) = (1+x)^d h(x/(1+x)).
+
+    Coefficient m is sum_i h_i C(d-i, m-i).
+    """
     if not h.is_zero and h.degree > d:
         raise ValueError(f"degree overflow: deg h = {h.degree} > d = {d}")
-    acc = Poly()
-    pow_x1 = [Poly.one()]
-    for _ in range(d):
-        pow_x1.append(pow_x1[-1] * Poly([1, 1]))
-    for i, c in enumerate(h.coeffs):
-        if c != 0:
-            acc = acc + Poly.monomial(i, c) * pow_x1[d - i]
-    return acc
+    return _binomial_basis_change(h, d, 1)
 
 
 def h_from_f(f: Poly, d: int) -> Poly:
-    """Coordinates of f in the basis {x^i (x+1)^(d-i)}: (1-x)^d f(x/(1-x))."""
+    """Coordinates of f in the basis {x^i (x+1)^(d-i)}: (1-x)^d f(x/(1-x)).
+
+    Coefficient m is sum_i f_i (-1)^(m-i) C(d-i, m-i).
+    """
     if not f.is_zero and f.degree > d:
         raise ValueError(f"degree overflow: deg f = {f.degree} > d = {d}")
-    acc = Poly()
-    pow_1mx = [Poly.one()]
-    for _ in range(d):
-        pow_1mx.append(pow_1mx[-1] * Poly([1, -1]))
-    for i, c in enumerate(f.coeffs):
+    return _binomial_basis_change(f, d, -1)
+
+
+def _binomial_basis_change(p: Poly, d: int, sign: int) -> Poly:
+    """sum_i p_i x^i (1 + sign*x)^(d-i) by binomial sums over the integers."""
+    v, den = _clear_denominators(p)
+    out = [0] * (d + 1)
+    for i, c in enumerate(v):
         if c != 0:
-            acc = acc + Poly.monomial(i, c) * pow_1mx[d - i]
-    return acc
+            for j in range(d - i + 1):
+                out[i + j] += c * sign**j * math.comb(d - i, j)
+    return Poly(Fraction(c, den) for c in out)
 
 
 def bullet_monomial(k: int, a: int, l: int, b: int) -> HomogRep:

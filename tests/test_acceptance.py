@@ -224,3 +224,9 @@ def test_counterexample_suite_at_depth_12():
     with criterion("counterexample verification command confirms at depth 12", 15.0):
         result = verify_reeve(12)
         assert result.ok
+
+
+def test_counterexample_suite_at_depth_60():
+    with criterion("counterexample verification command confirms at depth 60", 5.0):
+        result = verify_reeve(60)
+        assert result.ok

@@ -14,9 +14,11 @@ from hadpoly.analysis import (
     interlaces,
     is_gamma_positive,
     is_log_concave,
+    is_nonnegative,
     is_real_rooted,
     is_ulc,
     is_unimodal,
+    newton_violation,
     symmetry_certificate,
 )
 from hadpoly.operators import w_inverse
@@ -42,6 +44,22 @@ def linear_product(*roots):
 
 def random_real_rooted(rng, degree):
     return linear_product(*[rng.rational(9, 9) for _ in range(degree)])
+
+
+class TestNonnegative:
+    def test_holds(self):
+        assert is_nonnegative(P(1, 0, 7)).holds
+        assert is_nonnegative(Poly()).holds
+
+    def test_witness_names_the_first_negative_coefficient(self):
+        rep = is_nonnegative(P(1, Fraction(-1, 2), -3))
+        assert not rep.holds
+        assert rep.witness == {"index": 1, "value": "-1/2"}
+        assert rep.detail == "coefficient 1 is -1/2"
+
+    def test_checks_that_require_it_raise_its_message(self):
+        with pytest.raises(ValueError, match="^negative coefficient -2/3 at index 2$"):
+            is_log_concave(P(1, 1, Fraction(-2, 3), -1))
 
 
 class TestInternalZeros:
@@ -157,6 +175,52 @@ class TestRealRooted:
 
     def test_repeated_roots(self):
         assert is_real_rooted(P(1, 1) ** 4 * P(3, 1)).holds
+
+
+#: a rational root num/den as the integer factor den x - num, with a multiplicity
+root_factors = st.lists(
+    st.tuples(st.integers(-6, 6), st.integers(1, 4), st.integers(1, 3)), max_size=6
+)
+
+
+class TestNewtonViolation:
+    @settings(max_examples=400, deadline=None)
+    @given(root_factors, st.integers(0, 3), st.sampled_from([1, -1, 3, -7]))
+    def test_never_fires_on_real_rooted_polynomials(self, factors, zero_roots, lead):
+        p = Poly.monomial(zero_roots, lead)
+        for num, den, mult in factors:
+            p = p * Poly([-num, den]) ** mult
+        assert all(c.denominator == 1 for c in p.coeffs)
+        assert newton_violation(p) is None
+
+    def test_reeve_numerator_fails_at_index_one(self):
+        # 0^2 * 1 * 1 < 1 * 7 * 2 * 2
+        assert newton_violation(P(1, 0, 7)) == 1
+
+    def test_on_quadratics_it_is_the_discriminant(self):
+        # n = 2, i = 1: c_1^2 >= 4 c_0 c_2, so it fires iff the roots are complex
+        for c0 in range(-4, 5):
+            for c1 in range(-9, 10):
+                for c2 in (-3, -1, 1, 2, 5):
+                    fired = newton_violation(P(c0, c1, c2)) is not None
+                    assert fired == (c1 * c1 < 4 * c0 * c2)
+        assert newton_violation(P(100, 200, 101)) == 1
+
+    def test_trailing_zeros_do_not_count_toward_the_degree(self):
+        # n = 2: 2^2 * 1 * 1 = 4 >= 1 * 1 * 2 * 2, so (1 + x)^2 passes
+        assert newton_violation(P(1, 2, 1, 0, 0)) is None
+
+    def test_constants_and_linear_polynomials_have_no_index(self):
+        for p in (P(5), P(-1, 3)):
+            assert newton_violation(p) is None
+
+    def test_no_certificate_leaves_the_decision_to_sturm(self):
+        # one real root, yet 4^2*1*2 >= 1*5*2*3 and 5^2*2*1 >= 4*1*3*2
+        p = P(1, 4, 5, 1)
+        assert newton_violation(p) is None
+        rep = is_real_rooted(p)
+        assert not rep.holds
+        assert rep.witness == {"distinct_real_roots": 1, "distinct_roots_needed": 3}
 
 
 class TestInterlaces:

@@ -243,6 +243,30 @@ class TestCheckCommand:
         code, _, err = run(capsys, "check", "ulc", "--poly", "1,2,1")
         assert code == 2 and "--order" in err
 
+    @pytest.mark.parametrize(
+        "prop, message",
+        [
+            ("ulc", "check ulc needs --order"),
+            ("gammapos", "check gammapos needs --center"),
+            ("interlacing", "check interlacing needs --b and --a"),
+        ],
+    )
+    def test_missing_option_message(self, capsys, prop, message):
+        code, out, err = run(capsys, "check", prop, "--poly", "1,2,1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "prop", ["nonneg", "internal-zeros", "unimodal", "logconcave", "ulc", "realrooted", "gammapos"]
+    )
+    def test_single_polynomial_checks_read_the_input_file(self, capsys, tmp_path, prop):
+        spec = tmp_path / "poly.json"
+        spec.write_text(json.dumps({"coeffs": [1, 2, 1], "degree_tag": 2}))
+        flags = ("--order", "2", "--center", "2")
+        code, out, _ = run(capsys, "check", prop, "--in", str(spec), *flags)
+        assert code == 0 and out.startswith("holds")
+        code, out, err = run(capsys, "check", prop, "--in", str(spec), "--degree", "5", *flags)
+        assert code == 2 and out == "" and "conflicts with the file's degree_tag 2" in err
+
     def test_json_report(self, capsys):
         code, out, _ = run(
             capsys, "check", "logconcave", "--poly", "1,3,10,8", "--json"
@@ -292,6 +316,11 @@ class TestVerifyCommand:
     def test_reeve(self, capsys):
         code, out, _ = run(capsys, "verify", "reeve", "--kmax", "3")
         assert code == 0 and "PASS" in out
+
+    def test_reeve_at_power_100(self, capsys):
+        code, out, _ = run(capsys, "verify", "reeve", "--kmax", "100")
+        assert code == 0
+        assert "PASS: counterexample confirmed for every power up to 100\n" in out
 
     def test_deterministic_output(self, capsys):
         args = ("verify", "no-internal-zeros", "--trials", "10", "--seed", "7")

@@ -47,7 +47,10 @@ class TestIDecompose:
         dec = i_decompose(P(1, -1, 1, 1), 3)
         assert dec.a == P(1, -1, -1, 1)
         assert dec.b == P(0, 2)
-        assert not decomposition_is_nonnegative(dec).holds
+        rep = decomposition_is_nonnegative(dec)
+        assert not rep.holds
+        assert list(rep.witness.items()) == [("part", "a"), ("index", 1), ("value", "-1")]
+        assert rep.detail == "coefficient 1 of a is -1"
 
     def test_reconstruction_random(self):
         rng = SplitMix64(107)

@@ -1,7 +1,8 @@
 import pytest
 
-from hadpoly.analysis import has_internal_zeros, is_log_concave, is_real_rooted
-from hadpoly.ehrhart import closed_form, counterexample_report, product_f, reeve
+from hadpoly import ehrhart
+from hadpoly.analysis import PropertyReport, has_internal_zeros, is_log_concave, is_real_rooted
+from hadpoly.ehrhart import closed_form, counterexample_report, powers, product_f, reeve
 from hadpoly.operators import f_from_h, h_from_f, hadamard
 from hadpoly.poly import Poly, TaggedPoly
 from hadpoly.rng import SplitMix64
@@ -56,6 +57,23 @@ class TestProductF:
             assert f_from_h(acc.poly, 3 * k) == product_f(k)
 
 
+class TestValueSpacePowers:
+    def test_equal_the_diamond_powers_up_to_12(self):
+        # the Sturm verdict on each numerator is the independent check of
+        # the Newton certificate that counterexample_report relies on
+        ks = []
+        for k, f, numerator in powers(12):
+            ks.append(k)
+            assert f == product_f(k)
+            assert numerator == h_from_f(product_f(k), 3 * k)
+            assert not is_real_rooted(numerator).holds
+        assert ks == list(range(1, 13))
+
+    def test_invalid_kmax(self):
+        with pytest.raises(ValueError):
+            next(powers(0))
+
+
 class TestClosedForm:
     def test_first(self):
         assert closed_form(1) == (1, 3, 10)
@@ -106,6 +124,18 @@ class TestCounterexampleReport:
     def test_invalid_kmax(self):
         with pytest.raises(ValueError):
             counterexample_report(0)
+
+    def test_sturm_fallback_decides_without_a_certificate(self, monkeypatch):
+        monkeypatch.setattr(ehrhart, "newton_violation", lambda p: None)
+        assert counterexample_report(12).holds
+
+    def test_real_rooted_numerator_fails_the_last_stage(self, monkeypatch):
+        monkeypatch.setattr(ehrhart, "newton_violation", lambda p: None)
+        monkeypatch.setattr(ehrhart, "is_real_rooted", lambda p: PropertyReport.passed())
+        report = counterexample_report(3)
+        assert not report.holds
+        assert report.witness == {"k": 1, "stage": "real-rootedness"}
+        assert report.detail == "numerator of power 1 is unexpectedly real-rooted"
 
 
 class TestLogConcavityTransport:

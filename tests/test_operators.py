@@ -194,6 +194,18 @@ class TestBasisChanges:
     def test_h_from_f_binomial_power(self):
         assert h_from_f(P(1, 1) ** 5, 5) == Poly.one()
 
+    def test_h_from_f_satisfies_its_defining_identity(self):
+        # both sides have degree <= 9, so agreement at 11 points is the identity
+        points = [Fraction(j, 3) - 2 for j in range(11)]
+        rng = SplitMix64(31)
+        for _ in range(40):
+            d = rng.randint(0, 9)
+            f = Poly([rng.rational(9, 9) for _ in range(rng.randint(0, d) + 1)])
+            h = h_from_f(f, d)
+            for x in points:
+                rebuilt = sum(c * x**i * (x + 1) ** (d - i) for i, c in enumerate(h.coeffs))
+                assert rebuilt == f.evaluate(x)
+
     def test_round_trip(self):
         rng = SplitMix64(19)
         for _ in range(40):

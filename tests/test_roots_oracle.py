@@ -8,8 +8,10 @@ by the package.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from hadpoly.analysis import newton_violation
 
 from hadpoly.poly import Poly, gcd
 from hadpoly.roots import count_real_roots, isolate_roots, square_free_part, yun_decomposition
@@ -77,3 +79,18 @@ def test_square_free_factorization_matches_sympy(p):
 @settings(max_examples=150, deadline=None)
 def test_gcd_matches_sympy(p, q):
     assert gcd(p, q) == from_sympy(sympy.gcd(to_sympy(p), to_sympy(q)).monic())
+
+
+#: integer polynomials of degree 2 to 8
+integer_polys = st.lists(st.integers(-9, 9), min_size=3, max_size=9).map(Poly).filter(
+    lambda p: not p.is_zero and p.degree >= 2
+)
+
+
+@given(st.one_of(integer_polys, products))
+@settings(max_examples=150, deadline=None)
+def test_newton_violation_certifies_a_missing_real_root(p):
+    assume(newton_violation(p) is not None)
+    _, sqf = to_sympy(p).sqf_list()
+    real_with_multiplicity = sum(m * q.count_roots() for q, m in sqf)
+    assert real_with_multiplicity < p.degree
