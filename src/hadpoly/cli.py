@@ -257,30 +257,30 @@ def cmd_check(args) -> int:
 # -- verification suites ---------------------------------------------------------
 
 
+def _trial_config(args) -> TrialConfig:
+    """The ``TrialConfig`` of the trial flags; built for every target, so bad flags exit 2."""
+    return TrialConfig(
+        seed=args.seed,
+        trials=args.trials,
+        max_degree=args.max_degree,
+        max_coefficient=args.max_coefficient,
+    )
+
+
 def cmd_verify(args) -> int:
+    config = _trial_config(args)
     if args.theorem == "reeve":
-        result = verify_reeve(args.kmax)
+        result = verify_reeve(8 if args.kmax is None else args.kmax)
+    elif args.kmax is not None:
+        raise ValueError(f"--kmax applies only to reeve, not to {args.theorem}")
     else:
-        config = TrialConfig(
-            seed=args.seed,
-            trials=args.trials,
-            max_degree=args.max_degree,
-            max_coefficient=args.max_coefficient,
-        )
         result = SUITES[args.theorem](config)
     print(result.render())
     return 0 if result.ok else 1
 
 
 def cmd_scan(args) -> int:
-    config = TrialConfig(
-        seed=args.seed,
-        trials=args.trials,
-        max_degree=args.max_degree,
-        max_coefficient=args.max_coefficient,
-    )
-    result = scan_logconcave_pair(config)
-    print(result.render())
+    print(scan_logconcave_pair(_trial_config(args)).render())
     return 0
 
 
@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("verify")
     s.add_argument("theorem", choices=sorted(SUITES) + ["reeve"])
     _add_trial_flags(s)
-    s.add_argument("--kmax", type=int, default=8, help="highest power (reeve only)")
+    s.add_argument("--kmax", type=int, help="highest power (reeve only)")
     s.set_defaults(fn=cmd_verify)
 
     s = sub.add_parser("scan")

@@ -31,7 +31,6 @@ from .poly import (
     _int_sub,
     _prem,
     _primitive,
-    gcd,
 )
 
 #: default maximum width of a reported isolating interval
@@ -193,13 +192,9 @@ def yun_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     return factors
 
 
-def cauchy_bound(p: Poly) -> Fraction:
-    """All real roots of ``p`` lie strictly inside (-B, B), B = 1 + max|a_i|/|a_n|."""
-    if p.is_zero or p.degree == 0:
-        raise ValueError("root bound requires a nonconstant polynomial")
-    lead = abs(p.leading_coefficient)
-    rest = [abs(c) for c in p.coeffs[:-1]]
-    return 1 + (max(rest) / lead if rest else Fraction(0))
+def _cauchy_bound(v: tuple[int, ...]) -> Fraction:
+    """All real roots of nonconstant ``v`` lie strictly inside (-B, B), B = 1 + max|a_i|/|a_n|."""
+    return 1 + Fraction(max(map(abs, v[:-1])), abs(v[-1]))
 
 
 def _power_of_two_at_least(x: Fraction) -> Fraction:
@@ -229,20 +224,24 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _rational_roots_capped(q: Poly) -> list[Fraction]:
-    """All rational roots of square-free ``q``, found via candidate divisors.
+def _linear_factor(r: Fraction) -> tuple[int, ...]:
+    """The primitive integer vector of x - r."""
+    return (-r.numerator, r.denominator)
+
+
+def _rational_roots_capped(ints: tuple[int, ...]) -> list[Fraction]:
+    """All rational roots of the square-free primitive ``ints``, via candidate divisors.
 
     A root at zero is always detected; the divisor sweep for the remaining
-    candidates runs only while the integer-cleared constant and leading
-    coefficients stay small.
+    candidates runs only while the constant and leading coefficients stay
+    small.
     """
     found = []
-    if q.coefficient(0) == 0:
+    if ints[0] == 0:
         found.append(Fraction(0))
-        q = q.exact_div(Poly([0, 1]))
-    if q.degree is None or q.degree < 1:
+        ints = _int_exact_div(ints, _linear_factor(Fraction(0)))
+    if len(ints) < 2:
         return found
-    ints = _int_clear(q)
     a0, an = abs(ints[0]), abs(ints[-1])
     if a0 > _SWEEP_COEFF_CAP or an > _SWEEP_COEFF_CAP:
         return found
@@ -315,33 +314,29 @@ def _descartes_variations(int_coeffs: tuple[int, ...], lo: Fraction, hi: Fractio
 class RealRoot:
     """A single real root, either an exact rational or isolated in an open interval.
 
-    For interval roots, ``poly`` is square-free, nonzero at both endpoints,
-    and has exactly one root in (lo, hi); the endpoint signs therefore differ
-    and bisection refines the enclosure indefinitely.  Sign queries run on a
-    cached integer-cleared coefficient vector.
+    For interval roots, the integer vector ``ints`` is square-free, nonzero
+    at both endpoints, and has exactly one root in (lo, hi); the endpoint
+    signs therefore differ and bisection refines the enclosure indefinitely.
     """
 
-    __slots__ = ("poly", "lo", "hi", "_ints", "_sign_lo")
+    __slots__ = ("ints", "lo", "hi", "_sign_lo")
 
-    def __init__(self, poly: Poly | None, lo: Fraction, hi: Fraction):
-        self.poly = poly
+    def __init__(self, ints: tuple[int, ...] | None, lo: Fraction, hi: Fraction):
         self.lo = lo
         self.hi = hi
-        self._ints = _int_clear(poly) if poly is not None else None
-        self._sign_lo = _sign_at(self._ints, lo) if poly is not None else 0
+        self._set_ints(ints)
 
     @staticmethod
     def exact(value: Fraction) -> "RealRoot":
         return RealRoot(None, value, value)
 
-    def _set_poly(self, poly: Poly, ints: tuple[int, ...]) -> None:
-        self.poly = poly
-        self._ints = ints
-        self._sign_lo = _sign_at(ints, self.lo)
+    def _set_ints(self, ints: tuple[int, ...] | None) -> None:
+        self.ints = ints
+        self._sign_lo = 0 if ints is None else _sign_at(ints, self.lo)
 
     @property
     def is_exact(self) -> bool:
-        return self.poly is None
+        return self.ints is None
 
     @property
     def value(self) -> Fraction:
@@ -354,12 +349,10 @@ class RealRoot:
         if self.is_exact:
             return
         mid = (self.lo + self.hi) / 2
-        s = _sign_at(self._ints, mid)
+        s = _sign_at(self.ints, mid)
         if s == 0:
-            self.poly = None
-            self._ints = None
             self.lo = self.hi = mid
-            self._sign_lo = 0
+            self._set_ints(None)
         elif s == self._sign_lo:
             self.lo = mid
         else:
@@ -380,18 +373,19 @@ def _roots_equal(r1: RealRoot, r2: RealRoot) -> bool:
     if r1.is_exact and r2.is_exact:
         return r1.lo == r2.lo
     if r1.is_exact:
-        return r2.poly.evaluate(r1.lo) == 0 and r2.lo < r1.lo < r2.hi
+        return _sign_at(r2.ints, r1.lo) == 0 and r2.lo < r1.lo < r2.hi
     if r2.is_exact:
-        return r1.poly.evaluate(r2.lo) == 0 and r1.lo < r2.lo < r1.hi
+        return _sign_at(r1.ints, r2.lo) == 0 and r1.lo < r2.lo < r1.hi
     lo = max(r1.lo, r2.lo)
     hi = min(r1.hi, r2.hi)
     if lo >= hi:
         return False
-    g = gcd(r1.poly, r2.poly)
-    if g.degree == 0:
+    g = _int_gcd(r1.ints, r2.ints)
+    if len(g) == 1:
         return False
     # A common root inside both isolating intervals is the root of each.
-    return count_real_roots(g, lo, hi) > 0
+    chain = _int_sturm_chain(g)
+    return _variations_right_of(chain, lo) > _variations_right_of(chain, hi)
 
 
 def compare_roots(r1: RealRoot, r2: RealRoot) -> int:
@@ -453,36 +447,34 @@ def _isolate_square_free(q: Poly) -> list[RealRoot]:
     """Isolating intervals/exact values for all real roots of square-free q."""
     if q.degree == 0:
         return []
-    roots: list[RealRoot] = [RealRoot.exact(r) for r in _rational_roots_capped(q)]
-    work = q
+    work = _int_clear(q)
+    roots: list[RealRoot] = [RealRoot.exact(r) for r in _rational_roots_capped(work)]
     for r in roots:
-        work = work.exact_div(Poly([-r.lo, 1]))
-    if work.degree == 0:
+        work = _int_exact_div(work, _linear_factor(r.lo))
+    if len(work) == 1:
         return roots
-    bound = _power_of_two_at_least(cauchy_bound(work))
-    work_ints = _int_clear(work)
+    bound = _power_of_two_at_least(_cauchy_bound(work))
     # Exact rational roots found at bisection points are divided out of the
     # working polynomial; remaining roots are unaffected.
     stack: list[tuple[Fraction, Fraction]] = [(-bound, bound)]
     while stack:
         lo, hi = stack.pop()
-        if work.degree == 0:
+        if len(work) == 1:
             continue
-        v = _descartes_variations(work_ints, lo, hi)
+        v = _descartes_variations(work, lo, hi)
         if v == 0:
             continue
         if v == 1:
             roots.append(RealRoot(work, lo, hi))
             continue
         mid = (lo + hi) / 2
-        if _sign_at(work_ints, mid) == 0:
+        if _sign_at(work, mid) == 0:
             roots.append(RealRoot.exact(mid))
-            work = work.exact_div(Poly([-mid, 1]))
-            work_ints = _int_clear(work)
+            work = _int_exact_div(work, _linear_factor(mid))
             for r in roots:
                 if not r.is_exact:
                     # deflation removed a root outside (r.lo, r.hi)
-                    r._set_poly(work, work_ints)
+                    r._set_ints(work)
         stack.append((lo, mid))
         stack.append((mid, hi))
     return roots

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hadpoly import generators
 from hadpoly.cli import main, parse_poly, poly_to_csv
 from hadpoly.poly import Poly
 
@@ -337,6 +338,38 @@ class TestVerifyCommand:
             main(["verify", "nonsense"])
         assert exc.value.code == 2
 
+    def test_reeve_defaults_to_power_8(self, capsys):
+        code, out, _ = run(capsys, "verify", "reeve")
+        assert code == 0
+        assert out.startswith("suite: reeve\nk-max=8\n")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--trials", "0"), "trials must be positive"),
+            (("--seed", "-5"), "seed must fit in 64 bits"),
+            (("--max-degree", "0"), "max_degree must be positive"),
+            (("--max-coefficient", "0"), "max_coefficient must be positive"),
+        ],
+    )
+    def test_reeve_validates_trial_flags(self, capsys, flags, message):
+        code, out, err = run(capsys, "verify", "reeve", "--kmax", "3", *flags)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("kmax", ["5", "0"])
+    def test_kmax_outside_reeve_exits_2(self, capsys, kmax):
+        code, out, err = run(capsys, "verify", "wagner", "--kmax", kmax)
+        assert (code, out) == (2, "")
+        assert err == "error: --kmax applies only to reeve, not to wagner\n"
+
+    def test_exhausted_generator_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(generators, "REJECTION_BUDGET", 0)
+        code, out, err = run(capsys, "verify", "ulc-preservation", "--trials", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: instance generation exhausted: no ULC instance")
+        assert err.endswith("(suite ulc-preservation, seed 1, trial 0)\n")
+
 
 class TestScanCommand:
     def test_scan_runs(self, capsys):
@@ -345,3 +378,7 @@ class TestScanCommand:
         )
         assert code == 0
         assert "scan-logconcave-pair" in out
+
+    def test_bad_config_exits_2(self, capsys):
+        code, out, err = run(capsys, "scan", "logconcave-pair", "--trials", "0")
+        assert (code, out, err) == (2, "", "error: trials must be positive\n")
