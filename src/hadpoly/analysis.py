@@ -134,8 +134,10 @@ def is_unimodal(h: Poly) -> PropertyReport:
 def is_ulc(h: Poly, m: int) -> PropertyReport:
     """Membership in ULC(m): a_j / C(m, j) log-concave and no internal zeros.
 
-    Requires m >= deg h and nonnegative coefficients.
+    Requires m >= deg h, m >= 0 and nonnegative coefficients.
     """
+    if m < 0:
+        raise ValueError(f"order must be nonnegative, got {m}")
     _require_nonnegative(h)
     if not h.is_zero and h.degree > m:
         raise ValueError(f"order {m} is smaller than the degree {h.degree}")

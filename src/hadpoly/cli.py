@@ -26,14 +26,23 @@ from .harness import SUITES, scan_logconcave_pair, verify_reeve
 from .poly import Poly, TaggedPoly, format_poly
 
 
+def _parse_coefficient(text: str) -> Fraction:
+    """One coefficient: an integer, a decimal or "num/den"."""
+    text = text.strip()
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
+
+
 def parse_poly(text: str) -> Poly:
     """Parse comma-separated ascending coefficients ("1,3/2,0,7")."""
     text = text.strip()
     if not text:
         return Poly()
     try:
-        return Poly([Fraction(part.strip()) for part in text.split(",")])
-    except (ValueError, ZeroDivisionError) as exc:
+        return Poly([_parse_coefficient(part) for part in text.split(",")])
+    except ValueError as exc:
         raise ValueError(f"cannot parse polynomial {text!r}: {exc}") from exc
 
 
@@ -55,7 +64,10 @@ def _load_input_file(path: str) -> tuple[Poly, int | None]:
         raise ValueError(f"{path}: expected a JSON object with a 'coeffs' field")
     if not isinstance(data["coeffs"], list):
         raise ValueError(f"{path}: 'coeffs' must be a JSON list")
-    poly = Poly([Fraction(str(c)) for c in data["coeffs"]])
+    try:
+        poly = Poly([_parse_coefficient(str(c)) for c in data["coeffs"]])
+    except ValueError as exc:
+        raise ValueError(f"{path}: cannot parse 'coeffs': {exc}") from exc
     tag = data.get("degree_tag")
     if tag is not None:
         if isinstance(tag, bool) or not isinstance(tag, int) or tag < 0:

@@ -96,7 +96,7 @@ def gen_symmetric(
     gamma = [rng.rational(max_coeff, max_coeff) for _ in range(s // 2 + 1)]
     terms = gamma_contract(Poly(gamma), s)
     if terms.is_zero:
-        terms = (Poly([1, 1]) ** s).scale(rng.positive_rational(max_coeff, max_coeff))
+        terms = gamma_contract(Poly([rng.positive_rational(max_coeff, max_coeff)]), s)
     return TaggedPoly(terms, s + defect)
 
 
@@ -171,14 +171,9 @@ def gen_logconcave(rng: SplitMix64, degree: int, max_coeff: int) -> TaggedPoly:
     rationals; the exact checker filters.
     """
     for _ in range(REJECTION_BUDGET):
-        u = rng.randint(0, degree)
-        coeffs = [Fraction(0)] * u + [
-            rng.positive_rational(max_coeff, max_coeff)
-            for _ in range(degree - u + 1)
-        ]
-        candidate = Poly(coeffs)
-        if is_log_concave(candidate).holds:
-            return TaggedPoly(candidate, degree)
+        candidate = gen_contiguous_nonneg(rng, degree, max_coeff)
+        if is_log_concave(candidate.poly).holds:
+            return candidate
     raise GeneratorExhausted(
         f"no log-concave instance of degree {degree} within {REJECTION_BUDGET} attempts"
     )

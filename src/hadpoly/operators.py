@@ -11,8 +11,9 @@ realizations of the Hadamard product of two tagged numerators:
                h/(1-x)^(d+1), over the integers: expand each to its first
                D+1 coefficients (D = d1+d2), multiply them pointwise and
                multiply the result by (1-x)^(D+1) (the production route),
-* bullet    -- the bilinear product on homogenized coefficient vectors given
-               by an explicit binomial formula on monomials,
+* bullet    -- the bilinear product that reads a numerator h tagged d as
+               the form sum_i h_i x^i y^(d-i), given by an explicit binomial
+               formula on monomials,
 * diamond   -- transport to f-polynomials, where the Hadamard product becomes
                (f <> g)(x) = sum_j f^(j) g^(j) / (j!)^2 * x^j (x+1)^j.
 
@@ -22,51 +23,10 @@ All three agree exactly; the tests cross-check them against each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
 from .poly import Poly, TaggedPoly, _clear_denominators, comb0
-
-
-@dataclass(frozen=True)
-class HomogRep:
-    """Homogeneous bivariate representation: coeffs[i] multiplies x^i y^(d-i).
-
-    Unlike ``Poly`` the coefficient vector has fixed length degree+1 and may
-    carry trailing zeros.
-    """
-
-    coeffs: tuple[Fraction, ...]
-    degree: int
-
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("homogeneous degree must be nonnegative")
-        if len(self.coeffs) != self.degree + 1:
-            raise ValueError("coefficient vector must have length degree + 1")
-
-
-def homogenize(h: Poly, d: int) -> HomogRep:
-    """y^d h(x/y): pad the coefficients of h (deg h <= d) to length d+1."""
-    if not h.is_zero and h.degree > d:
-        raise ValueError(f"degree overflow: deg h = {h.degree} > d = {d}")
-    return HomogRep(tuple(h.coefficient(i) for i in range(d + 1)), d)
-
-
-def dehomogenize(rep: HomogRep) -> TaggedPoly:
-    """Set y = 1, trimming trailing zeros; the degree becomes the tag."""
-    return TaggedPoly(Poly(rep.coeffs), rep.degree)
-
-
-def binom_x_plus(a: int, d: int) -> Poly:
-    """The polynomial C(x + a, d) = (x+a)(x+a-1)...(x+a-d+1) / d! in x."""
-    if d < 0:
-        raise ValueError("binomial order must be nonnegative")
-    acc = Poly.one()
-    for j in range(d):
-        acc = acc * Poly([a - j, 1])
-    return acc.scale(Fraction(1, math.factorial(d)))
 
 
 def _series_values(v: list, d: int, count: int) -> list:
@@ -106,17 +66,17 @@ def w_transform(p: Poly) -> TaggedPoly:
 
 
 def w_inverse(h: Poly, d: int) -> Poly:
-    """The polynomial p = sum_i h_i C(x + d - i, d), so w_transform(p) = (h, d).
+    """The polynomial p with w_transform(p) = (h, d), in Newton form.
 
-    Synthesizes the binomial basis explicitly; deg p = d whenever the
+    The f-polynomial f = f_from_h(h, d) holds the forward differences
+    f_j = (Delta^j p)(0), so p = sum_j f_j C(x, j); deg p = d whenever the
     coefficients of h do not sum to zero.
     """
-    if not h.is_zero and h.degree > d:
-        raise ValueError(f"degree overflow: deg h = {h.degree} > d = {d}")
     acc = Poly()
-    for i, c in enumerate(h.coeffs):
-        if c != 0:
-            acc = acc + binom_x_plus(d - i, d).scale(c)
+    basis = Poly.one()  # C(x, j), by C(x, j+1) = C(x, j) (x - j) / (j + 1)
+    for j, c in enumerate(f_from_h(h, d).coeffs):
+        acc = acc + basis.scale(c)
+        basis = basis * Poly([Fraction(-j, j + 1), Fraction(1, j + 1)])
     return acc
 
 
@@ -171,39 +131,36 @@ def _binomial_basis_change(p: Poly, d: int, sign: int) -> Poly:
     return Poly(Fraction(c, den) for c in out)
 
 
-def bullet_monomial(k: int, a: int, l: int, b: int) -> HomogRep:
+def bullet_monomial(k: int, a: int, l: int, b: int) -> tuple[int, ...]:
     """Product of the basis monomials x^k y^(a-k) and x^l y^(b-l).
 
-    The coefficient of x^i y^(a+b-i) is C(a-k+l, i-k) * C(b-l+k, i-l), with
-    binomials vanishing outside their range.
+    Entry i is the coefficient of x^i y^(a+b-i), namely
+    C(a-k+l, i-k) * C(b-l+k, i-l), with binomials vanishing outside their
+    range.
     """
     if not (0 <= k <= a):
         raise ValueError(f"range violation: need 0 <= k <= a, got k={k}, a={a}")
     if not (0 <= l <= b):
         raise ValueError(f"range violation: need 0 <= l <= b, got l={l}, b={b}")
-    coeffs = tuple(
-        Fraction(comb0(a - k + l, i - k) * comb0(b - l + k, i - l))
-        for i in range(a + b + 1)
-    )
-    return HomogRep(coeffs, a + b)
+    return tuple(comb0(a - k + l, i - k) * comb0(b - l + k, i - l) for i in range(a + b + 1))
 
 
-def bullet(p: HomogRep, q: HomogRep) -> HomogRep:
-    """Bilinear extension of ``bullet_monomial`` to whole coefficient vectors."""
-    a, b = p.degree, q.degree
+def bullet(t1: TaggedPoly, t2: TaggedPoly) -> TaggedPoly:
+    """Bilinear extension of ``bullet_monomial``: coefficient k of a numerator
+    tagged a multiplies x^k y^(a-k), and y = 1 reads the product back."""
+    a, b = t1.ref_degree, t2.ref_degree
     out = [Fraction(0)] * (a + b + 1)
-    for k, ck in enumerate(p.coeffs):
+    for k, ck in enumerate(t1.poly.coeffs):
         if ck == 0:
             continue
-        for l, cl in enumerate(q.coeffs):
+        for l, cl in enumerate(t2.poly.coeffs):
             if cl == 0:
                 continue
-            term = bullet_monomial(k, a, l, b)
             w = ck * cl
-            for i, t in enumerate(term.coeffs):
+            for i, t in enumerate(bullet_monomial(k, a, l, b)):
                 if t != 0:
                     out[i] += w * t
-    return HomogRep(tuple(out), a + b)
+    return TaggedPoly(Poly(out), a + b)
 
 
 def diamond(f: Poly, g: Poly) -> Poly:
@@ -255,8 +212,7 @@ def hadamard(t1: TaggedPoly, t2: TaggedPoly, route: str = "direct") -> TaggedPol
         den = den1 * den2
         return TaggedPoly(Poly(Fraction(c, den) for c in coeffs), top)
     if route == "bullet":
-        rep = bullet(homogenize(t1.poly, d1), homogenize(t2.poly, d2))
-        return dehomogenize(rep)
+        return bullet(t1, t2)
     if route == "diamond":
         prod = diamond(f_from_h(t1.poly, d1), f_from_h(t2.poly, d2))
         return TaggedPoly(h_from_f(prod, d1 + d2), d1 + d2)

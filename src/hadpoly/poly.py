@@ -43,10 +43,6 @@ class Poly:
         self._coeffs: tuple[Fraction, ...] = tuple(cs)
 
     @staticmethod
-    def zero() -> "Poly":
-        return Poly()
-
-    @staticmethod
     def one() -> "Poly":
         return Poly([1])
 
@@ -214,13 +210,6 @@ class Poly:
             for j, c in enumerate(other._coeffs):
                 rem[i - d + j] -= q * c
         return Poly(quo), Poly(rem)
-
-    def exact_div(self, other: "Poly") -> "Poly":
-        """Division known to be exact; raises ``ValueError`` on a remainder."""
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise ValueError("division is not exact")
-        return q
 
     def monic(self) -> "Poly":
         if self.is_zero:
@@ -410,7 +399,7 @@ class TaggedPoly:
 
     The tag is the degree of the interpolating polynomial whose generating
     function the `poly` is the numerator of; it drives every degree-dependent
-    operator (reversal, reflection, basis changes, homogenization).
+    operator (reversal, reflection, basis changes, Hadamard products).
     """
 
     __slots__ = ("poly", "ref_degree")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .poly import (
     Poly,
@@ -307,8 +308,7 @@ def _descartes_variations(int_coeffs: tuple[int, ...], lo: Fraction, hi: Fractio
                     nxt[j] += c * big_a
                     nxt[j + 1] += c * big_b
             base_pow = nxt
-    signs = [(v > 0) - (v < 0) for v in acc if v]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return _variations([(v > 0) - (v < 0) for v in acc if v])
 
 
 class RealRoot:
@@ -485,8 +485,10 @@ def isolate_roots(p: Poly, max_width: Fraction = DEFAULT_MAX_WIDTH) -> RootIsola
 
     Square-free factorization first, bisection per factor, then a global
     refinement pass so the reported intervals are pairwise disjoint, sorted
-    ascending, and no wider than ``max_width``.
+    ascending, and no wider than ``max_width``, which must be positive.
     """
+    if max_width <= 0:
+        raise ValueError(f"isolating width must be positive, got {max_width}")
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
     if p.degree == 0:
@@ -505,16 +507,6 @@ def isolate_roots(p: Poly, max_width: Fraction = DEFAULT_MAX_WIDTH) -> RootIsola
     return RootIsolation(intervals)
 
 
-class _RootKey:
-    """Sort adapter running the exact comparison."""
-
-    def __init__(self, item: tuple[RealRoot, int]):
-        self.root = item[0]
-
-    def __lt__(self, other: "_RootKey") -> bool:
-        return compare_roots(self.root, other.root) < 0
-
-
 def real_roots_with_multiplicity(p: Poly) -> list[tuple[RealRoot, int]]:
     """All real roots ascending as comparable ``RealRoot`` handles with multiplicity."""
     if p.is_zero or p.degree == 0:
@@ -523,5 +515,5 @@ def real_roots_with_multiplicity(p: Poly) -> list[tuple[RealRoot, int]]:
     for factor, mult in yun_decomposition(p):
         for root in _isolate_square_free(factor):
             located.append((root, mult))
-    located.sort(key=_RootKey)
+    located.sort(key=cmp_to_key(lambda u, v: compare_roots(u[0], v[0])))
     return located

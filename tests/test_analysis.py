@@ -124,6 +124,10 @@ class TestUlc:
         with pytest.raises(ValueError):
             is_ulc(P(1, 1, 1), 1)
 
+    def test_negative_order_rejected_for_zero(self):
+        with pytest.raises(ValueError):
+            is_ulc(Poly(), -3)
+
     def test_newton_inequalities(self):
         # nonpositive real zeros put a polynomial in ULC(degree)
         rng = SplitMix64(71)

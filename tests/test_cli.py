@@ -28,6 +28,10 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_poly("1,zebra")
 
+    def test_zero_denominator(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_poly("1/0,2")
+
 
 class TestOperatorCommands:
     def test_w_of_constant(self, capsys):
@@ -115,6 +119,20 @@ class TestOperatorCommands:
         spec.write_text(json.dumps({"coeffs": coeffs}))
         code, out, err = run(capsys, "f", "--in", str(spec), "--degree", "3")
         assert code == 2 and out == "" and "'coeffs' must be a JSON list" in err
+
+    @pytest.mark.parametrize("command", [("f", "--degree", "2"), ("gamma", "--center", "2")])
+    def test_input_file_zero_denominator_exits_2(self, capsys, tmp_path, command):
+        spec = tmp_path / "poly.json"
+        spec.write_text(json.dumps({"coeffs": ["1/0", 2]}))
+        code, out, err = run(capsys, command[0], "--in", str(spec), *command[1:])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {spec}:") and "zero denominator" in err
+
+    def test_input_file_entry_with_a_comma_rejected(self, capsys, tmp_path):
+        spec = tmp_path / "poly.json"
+        spec.write_text(json.dumps({"coeffs": ["1,2"]}))
+        code, out, err = run(capsys, "f", "--in", str(spec), "--degree", "2")
+        assert code == 2 and out == "" and err.startswith(f"error: {spec}:")
 
     @pytest.mark.parametrize("tag", [True, 2.9, "2", -1])
     def test_input_file_tag_not_an_int(self, capsys, tmp_path, tag):
@@ -239,6 +257,10 @@ class TestCheckCommand:
     def test_nonneg(self, capsys):
         code, _, _ = run(capsys, "check", "nonneg", "--poly", "1,-2")
         assert code == 1
+
+    def test_ulc_negative_order_exits_2(self, capsys):
+        code, out, err = run(capsys, "check", "ulc", "--poly", "", "--order", "-3")
+        assert code == 2 and out == "" and "order must be nonnegative" in err
 
     def test_ulc_missing_order(self, capsys):
         code, _, err = run(capsys, "check", "ulc", "--poly", "1,2,1")

@@ -6,16 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hadpoly.operators import (
-    HomogRep,
     bullet,
     bullet_monomial,
-    dehomogenize,
     diamond,
     diamond_power,
     f_from_h,
     h_from_f,
     hadamard,
-    homogenize,
     msupp,
     numerator_at,
     subdivision,
@@ -310,19 +307,15 @@ class TestHadamard:
 
 class TestBullet:
     def test_monomial_pair(self):
-        rep = bullet_monomial(1, 2, 1, 2)
-        assert rep == HomogRep((Fraction(0), Fraction(1), Fraction(4), Fraction(1), Fraction(0)), 4)
+        assert bullet_monomial(1, 2, 1, 2) == (0, 1, 4, 1, 0)
 
     def test_degree_zero(self):
-        assert bullet_monomial(0, 0, 0, 0) == HomogRep((Fraction(1),), 0)
+        assert bullet_monomial(0, 0, 0, 0) == (1,)
 
     def test_top_corner_matches_direct_route(self):
         # k = a, l = b exercises the reversed binomial pattern
-        rep = bullet_monomial(2, 2, 1, 1)
-        direct = hadamard(
-            TaggedPoly(Poly.monomial(2), 2), TaggedPoly(Poly.monomial(1), 1)
-        )
-        assert dehomogenize(rep) == direct
+        direct = hadamard(TaggedPoly(Poly.monomial(2), 2), TaggedPoly(Poly.monomial(1), 1))
+        assert TaggedPoly(Poly(bullet_monomial(2, 2, 1, 1)), 3) == direct
 
     def test_range_violation(self):
         with pytest.raises(ValueError):
@@ -331,11 +324,8 @@ class TestBullet:
             bullet_monomial(0, 2, 2, 1)
 
     def test_bilinear_extension(self):
-        h1, d1 = P(2, 0, 5), 3
-        h2, d2 = P(1, 7), 2
-        rep = bullet(homogenize(h1, d1), homogenize(h2, d2))
-        expected = hadamard(TaggedPoly(h1, d1), TaggedPoly(h2, d2))
-        assert dehomogenize(rep) == expected
+        t1, t2 = TaggedPoly(P(2, 0, 5), 3), TaggedPoly(P(1, 7), 2)
+        assert bullet(t1, t2) == hadamard(t1, t2)
 
 
 class TestDiamond:
@@ -480,17 +470,3 @@ class TestMsupp:
     def test_rejects_negative_coordinates(self):
         with pytest.raises(ValueError):
             msupp(Poly.x(), 2)  # x = 0*(x+1)^2 + 1*x(x+1) - 1*x^2... not positive
-
-
-class TestHomogRep:
-    def test_length_validation(self):
-        with pytest.raises(ValueError):
-            HomogRep((Fraction(1),), 2)
-
-    def test_homogenize_overflow(self):
-        with pytest.raises(ValueError):
-            homogenize(P(1, 0, 7), 1)
-
-    def test_dehomogenize_trims(self):
-        t = dehomogenize(HomogRep((Fraction(1), Fraction(0)), 1))
-        assert t.poly == Poly.one() and t.ref_degree == 1

@@ -186,10 +186,6 @@ class TestDivision:
         assert q * b + r == a
         assert r.is_zero or r.degree < b.degree
 
-    def test_exact_div_raises_on_remainder(self):
-        with pytest.raises(ValueError):
-            P(1, 1, 1).exact_div(P(1, 1))
-
 
 class TestTaggedPoly:
     def test_tag_violation(self):

@@ -142,6 +142,11 @@ class TestIsolation:
         with pytest.raises(ValueError):
             isolate_roots(P(3))
 
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_nonpositive_width_rejected(self, width):
+        with pytest.raises(ValueError):
+            isolate_roots(P(-2, 0, 1), max_width=width)
+
     def test_count_matches_sturm(self):
         p = linear_product(-3, Fraction(-1, 2), 1, 4) * P(1, 1, 1)
         iso = isolate_roots(p)
