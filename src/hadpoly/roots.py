@@ -8,17 +8,15 @@ vectors (primitive integer multiples of the polynomials, see ``poly``):
   and on the whole line, and its last element is gcd(p, p').  A chain
   starting a, b gives the Cauchy index of b/a, which decides interlacing.
 * Square-free (Yun) decomposition recovers multiplicities.
-* Isolation bisects on sign-variation counts of the interval-rescaled
-  polynomial (Descartes' rule on (0, 1)-remapped intervals), starting from
-  the Cauchy root bound; rational roots hit by a bisection point are
-  reported exactly and divided out.
+* Isolation bisects each square-free Yun factor on Sturm counts of its
+  chain, starting from a power of two above the Cauchy root bound; rational
+  roots hit by a bisection point are reported exactly and divided out.
 * Isolated roots are comparable as exact algebraic numbers: equality is
   decided through a gcd, order by interval refinement.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -112,6 +110,17 @@ def _variations_at_infinity(chain: list[tuple[int, ...]], positive: bool) -> int
     return _variations(signs)
 
 
+def _sturm_count(
+    chain: list[tuple[int, ...]], lo: Fraction | None = None, hi: Fraction | None = None
+) -> int:
+    """V(lo) - V(hi) of a chain, sign variations just right of each end, ``None``
+    meaning -oo at ``lo`` and +oo at ``hi``: for the Sturm chain of p, its
+    distinct real roots in (lo, hi]."""
+    v_lo = _variations_at_infinity(chain, False) if lo is None else _variations_right_of(chain, lo)
+    v_hi = _variations_at_infinity(chain, True) if hi is None else _variations_right_of(chain, hi)
+    return v_lo - v_hi
+
+
 def count_real_roots(
     p: Poly, lo: Fraction | None = None, hi: Fraction | None = None
 ) -> int:
@@ -121,16 +130,12 @@ def count_real_roots(
     """
     if lo is not None and hi is not None and lo > hi:
         raise ValueError(f"reversed interval: lo = {lo} > hi = {hi}")
-    chain = _chain_of(p)
-    v_lo = _variations_at_infinity(chain, False) if lo is None else _variations_right_of(chain, lo)
-    v_hi = _variations_at_infinity(chain, True) if hi is None else _variations_right_of(chain, hi)
-    return v_lo - v_hi
+    return _sturm_count(_chain_of(p), lo, hi)
 
 
 def _index_and_reduced_degree(chain: list[tuple[int, ...]]) -> tuple[int, int]:
     """(V(-oo) - V(+oo), deg of the first element - deg of the last) of a chain."""
-    index = _variations_at_infinity(chain, False) - _variations_at_infinity(chain, True)
-    return index, len(chain[0]) - len(chain[-1])
+    return _sturm_count(chain), len(chain[0]) - len(chain[-1])
 
 
 def distinct_root_counts(p: Poly) -> tuple[int, int]:
@@ -168,13 +173,20 @@ def yun_decomposition(p: Poly) -> list[tuple[Poly, int]]:
 
     Returns pairs (q, m) with p proportional to the product of q**m and every
     q square-free; factors of multiplicity m collect exactly the roots of p
-    of multiplicity m.  Runs on integer vectors: each gcd is primitive and
-    each division exact, so ``c`` and ``d`` stay integer multiples of Yun's
-    sequences by one common constant.
+    of multiplicity m.
     """
     if p.is_zero:
         raise ValueError("square-free factorization of zero is undefined")
-    v = _int_clear(p)
+    return [(Poly(q).monic(), m) for q, m in _yun(_int_clear(p))]
+
+
+def _yun(v: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """Yun's square-free factorization of the nonzero integer vector ``v``.
+
+    The factors are primitive with positive leading coefficient.  Each gcd
+    is primitive and each division exact, so ``c`` and ``d`` stay integer
+    multiples of Yun's sequences by one common constant.
+    """
     if len(v) == 1:
         return []
     dv = _int_derivative(v)
@@ -186,24 +198,21 @@ def yun_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     while len(c) > 1:
         q = _int_gcd(c, d)
         if len(q) > 1:
-            factors.append((Poly(q).monic(), i))
+            factors.append((q, i))
         c = _int_exact_div(c, q)
         d = _int_sub(_int_exact_div(d, q), _int_derivative(c))
         i += 1
     return factors
 
 
-def _cauchy_bound(v: tuple[int, ...]) -> Fraction:
-    """All real roots of nonconstant ``v`` lie strictly inside (-B, B), B = 1 + max|a_i|/|a_n|."""
-    return 1 + Fraction(max(map(abs, v[:-1])), abs(v[-1]))
+def _root_bound(v: tuple[int, ...]) -> Fraction:
+    """The smallest power of two at least the Cauchy bound 1 + max|a_i|/|a_n|.
 
-
-def _power_of_two_at_least(x: Fraction) -> Fraction:
-    """Smallest power of two >= x, so bisection points stay dyadic."""
-    e = 0
-    while Fraction(2) ** e < x:
-        e += 1
-    return Fraction(2) ** e
+    Every real root of nonconstant ``v`` lies strictly inside (-B, B), and
+    bisection points stay dyadic.
+    """
+    ceil_ratio = -(-max(map(abs, v[:-1])) // abs(v[-1]))
+    return Fraction(1 << ceil_ratio.bit_length())
 
 
 # Skip the rational-root sweep when divisor enumeration would get expensive;
@@ -278,39 +287,6 @@ def _sign_at(int_coeffs: tuple[int, ...], x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _descartes_variations(int_coeffs: tuple[int, ...], lo: Fraction, hi: Fraction) -> int:
-    """Sign variations of the (lo, hi) -> (0, oo) rescaling.
-
-    The count bounds the number of roots in the open interval (lo, hi), is
-    correct modulo 2, and the values 0 and 1 are decisive.  All arithmetic is
-    over the integers: the substitution x -> (lo + hi x)/(1 + x) is expanded
-    as sum_i a_i (A + B x)^i (1 + x)^(n-i) s^(n-i) with lo + hi x =
-    (A + B x)/s over a common denominator s > 0.
-    """
-    n = len(int_coeffs) - 1
-    s = lo.denominator * hi.denominator // math.gcd(lo.denominator, hi.denominator)
-    big_a = int(lo * s)
-    big_b = int(hi * s)
-    acc = [0] * (n + 1)
-    base_pow = [1]  # (A + B x)^i
-    for i, ai in enumerate(int_coeffs):
-        if ai:
-            w = ai * s ** (n - i)
-            for j1, c1 in enumerate(base_pow):
-                if c1:
-                    wc = w * c1
-                    for j2 in range(n - i + 1):
-                        acc[j1 + j2] += wc * math.comb(n - i, j2)
-        if i < n:
-            nxt = [0] * (len(base_pow) + 1)
-            for j, c in enumerate(base_pow):
-                if c:
-                    nxt[j] += c * big_a
-                    nxt[j + 1] += c * big_b
-            base_pow = nxt
-    return _variations([(v > 0) - (v < 0) for v in acc if v])
-
-
 class RealRoot:
     """A single real root, either an exact rational or isolated in an open interval.
 
@@ -381,11 +357,8 @@ def _roots_equal(r1: RealRoot, r2: RealRoot) -> bool:
     if lo >= hi:
         return False
     g = _int_gcd(r1.ints, r2.ints)
-    if len(g) == 1:
-        return False
     # A common root inside both isolating intervals is the root of each.
-    chain = _int_sturm_chain(g)
-    return _variations_right_of(chain, lo) > _variations_right_of(chain, hi)
+    return len(g) > 1 and _sturm_count(_int_sturm_chain(g), lo, hi) > 0
 
 
 def compare_roots(r1: RealRoot, r2: RealRoot) -> int:
@@ -443,25 +416,22 @@ class RootIsolation:
         return len(self.intervals)
 
 
-def _isolate_square_free(q: Poly) -> list[RealRoot]:
-    """Isolating intervals/exact values for all real roots of square-free q."""
-    if q.degree == 0:
-        return []
-    work = _int_clear(q)
+def _isolate_square_free(work: tuple[int, ...]) -> list[RealRoot]:
+    """Isolating intervals/exact values for all real roots of the square-free
+    nonconstant integer vector ``work``."""
     roots: list[RealRoot] = [RealRoot.exact(r) for r in _rational_roots_capped(work)]
     for r in roots:
         work = _int_exact_div(work, _linear_factor(r.lo))
     if len(work) == 1:
         return roots
-    bound = _power_of_two_at_least(_cauchy_bound(work))
-    # Exact rational roots found at bisection points are divided out of the
-    # working polynomial; remaining roots are unaffected.
+    chain = _int_sturm_chain(work)
+    bound = _root_bound(work)
+    # A rational root at a bisection point is divided out, so no interval end
+    # is a root and the Sturm count on (lo, hi] is that on (lo, hi).
     stack: list[tuple[Fraction, Fraction]] = [(-bound, bound)]
     while stack:
         lo, hi = stack.pop()
-        if len(work) == 1:
-            continue
-        v = _descartes_variations(work, lo, hi)
+        v = _sturm_count(chain, lo, hi)
         if v == 0:
             continue
         if v == 1:
@@ -471,6 +441,7 @@ def _isolate_square_free(q: Poly) -> list[RealRoot]:
         if _sign_at(work, mid) == 0:
             roots.append(RealRoot.exact(mid))
             work = _int_exact_div(work, _linear_factor(mid))
+            chain = _int_sturm_chain(work)
             for r in roots:
                 if not r.is_exact:
                     # deflation removed a root outside (r.lo, r.hi)
@@ -512,7 +483,7 @@ def real_roots_with_multiplicity(p: Poly) -> list[tuple[RealRoot, int]]:
     if p.is_zero or p.degree == 0:
         return []
     located: list[tuple[RealRoot, int]] = []
-    for factor, mult in yun_decomposition(p):
+    for factor, mult in _yun(_int_clear(p)):
         for root in _isolate_square_free(factor):
             located.append((root, mult))
     located.sort(key=cmp_to_key(lambda u, v: compare_roots(u[0], v[0])))
