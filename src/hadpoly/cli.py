@@ -210,14 +210,6 @@ def _poly(args) -> Poly:
     return _input_with_degree(args, required=False)[0]
 
 
-def _needed(args, option: str):
-    """The value of ``--option``, without which ``check args.property`` cannot run."""
-    value = getattr(args, option)
-    if value is None:
-        raise ValueError(f"check {args.property} needs --{option}")
-    return value
-
-
 def _check_symmetric(args) -> analysis.PropertyReport:
     p, degree = _input_with_degree(args, required=False)
     cert = analysis.symmetry_certificate(p, degree)
@@ -231,28 +223,38 @@ def _check_symmetric(args) -> analysis.PropertyReport:
     return analysis.PropertyReport.passed(detail)
 
 
-def _check_interlacing(args) -> analysis.PropertyReport:
-    if args.a is None or args.b is None:
-        raise ValueError("check interlacing needs --b and --a")
-    return analysis.interlaces(parse_poly(args.b), parse_poly(args.a))
+#: the options every single-polynomial check reads
+_SINGLE = ("poly", "infile", "degree")
 
-
-#: ``check`` property -> its report on the parsed arguments
+#: ``check`` property -> (its report on the parsed arguments, the options it
+#: needs, the other options it reads); any other option is an error
 _CHECKS = {
-    "nonneg": lambda args: analysis.is_nonnegative(_poly(args)),
-    "internal-zeros": lambda args: analysis.has_internal_zeros(_poly(args)),
-    "unimodal": lambda args: analysis.is_unimodal(_poly(args)),
-    "logconcave": lambda args: analysis.is_log_concave(_poly(args)),
-    "ulc": lambda args: analysis.is_ulc(_poly(args), _needed(args, "order")),
-    "realrooted": lambda args: analysis.is_real_rooted(_poly(args)),
-    "gammapos": lambda args: analysis.is_gamma_positive(_poly(args), _needed(args, "center")),
-    "symmetric": _check_symmetric,
-    "interlacing": _check_interlacing,
+    "nonneg": (lambda args: analysis.is_nonnegative(_poly(args)), (), _SINGLE),
+    "internal-zeros": (lambda args: analysis.has_internal_zeros(_poly(args)), (), _SINGLE),
+    "unimodal": (lambda args: analysis.is_unimodal(_poly(args)), (), _SINGLE),
+    "logconcave": (lambda args: analysis.is_log_concave(_poly(args)), (), _SINGLE),
+    "ulc": (lambda args: analysis.is_ulc(_poly(args), args.order), ("order",), _SINGLE),
+    "realrooted": (lambda args: analysis.is_real_rooted(_poly(args)), (), _SINGLE),
+    "gammapos": (
+        lambda args: analysis.is_gamma_positive(_poly(args), args.center), ("center",), _SINGLE
+    ),
+    "symmetric": (_check_symmetric, (), _SINGLE),
+    "interlacing": (
+        lambda args: analysis.interlaces(parse_poly(args.b), parse_poly(args.a)), ("b", "a"), ()
+    ),
 }
 
 
 def cmd_check(args) -> int:
-    report = _CHECKS[args.property](args)
+    check, needs, reads = _CHECKS[args.property]
+    if any(getattr(args, option) is None for option in needs):
+        raise ValueError(f"check {args.property} needs {' and '.join('--' + o for o in needs)}")
+    for option in dict.fromkeys(o for _, n, r in _CHECKS.values() for o in r + n):
+        if getattr(args, option) is not None and option not in needs + reads:
+            users = ", ".join(name for name, (_, n, r) in _CHECKS.items() if option in r + n)
+            flag = "--in" if option == "infile" else f"--{option}"
+            raise ValueError(f"{flag} applies only to {users}, not to {args.property}")
+    report = check(args)
     if args.json:
         print(
             json.dumps(

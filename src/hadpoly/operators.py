@@ -122,6 +122,8 @@ def h_from_f(f: Poly, d: int) -> Poly:
 
 def _binomial_basis_change(p: Poly, d: int, sign: int) -> Poly:
     """sum_i p_i x^i (1 + sign*x)^(d-i) by binomial sums over the integers."""
+    if d < 0:
+        raise ValueError("reference degree must be nonnegative")
     v, den = _clear_denominators(p)
     out = [0] * (d + 1)
     for i, c in enumerate(v):

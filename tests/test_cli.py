@@ -92,6 +92,11 @@ class TestOperatorCommands:
         code, out, _ = run(capsys, "f", "--poly", "1,0,7", "--degree", "3", "--pretty")
         assert code == 0 and out.strip() == "8x^3 + 10x^2 + 3x + 1"
 
+    @pytest.mark.parametrize("command, degree", [("invw", "-3"), ("f", "-3"), ("h", "-2")])
+    def test_negative_degree_of_zero_exits_2(self, capsys, command, degree):
+        code, out, err = run(capsys, command, "--poly", "", "--degree", degree)
+        assert (code, out, err) == (2, "", "error: reference degree must be nonnegative\n")
+
     def test_precondition_violation_exits_2(self, capsys):
         code, _, err = run(capsys, "invw", "--poly", "1,0,7", "--degree", "1")
         assert code == 2
@@ -204,6 +209,10 @@ class TestOperatorCommands:
         assert code == 0 and out.strip() == "holds: axis 3"
 
 
+#: the checks that read ``--poly``, ``--in`` and ``--degree``
+_SINGLE_CHECKS = "nonneg, internal-zeros, unimodal, logconcave, ulc, realrooted, gammapos, symmetric"
+
+
 class TestCheckCommand:
     def test_logconcave_failure(self, capsys):
         code, out, _ = run(capsys, "check", "logconcave", "--poly", "1,3,10,8")
@@ -284,11 +293,34 @@ class TestCheckCommand:
     def test_single_polynomial_checks_read_the_input_file(self, capsys, tmp_path, prop):
         spec = tmp_path / "poly.json"
         spec.write_text(json.dumps({"coeffs": [1, 2, 1], "degree_tag": 2}))
-        flags = ("--order", "2", "--center", "2")
+        flags = {"ulc": ("--order", "2"), "gammapos": ("--center", "2")}.get(prop, ())
         code, out, _ = run(capsys, "check", prop, "--in", str(spec), *flags)
         assert code == 0 and out.startswith("holds")
         code, out, err = run(capsys, "check", prop, "--in", str(spec), "--degree", "5", *flags)
         assert code == 2 and out == "" and "conflicts with the file's degree_tag 2" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("gammapos", "--poly", "1,2,1", "--center", "2", "--order", "0"),
+             "--order applies only to ulc, not to gammapos"),
+            (("ulc", "--poly", "1,2,1", "--order", "2", "--center", "2"),
+             "--center applies only to gammapos, not to ulc"),
+            (("nonneg", "--poly", "1,2", "--a", "-1,1"),
+             "--a applies only to interlacing, not to nonneg"),
+            (("realrooted", "--poly", "1,2", "--b", "1,1"),
+             "--b applies only to interlacing, not to realrooted"),
+            (("interlacing", "--poly", "5,1", "--a", "2,3,1", "--b", "1,1"),
+             f"--poly applies only to {_SINGLE_CHECKS}, not to interlacing"),
+            (("interlacing", "--in", "poly.json", "--a", "2,3,1", "--b", "1,1"),
+             f"--in applies only to {_SINGLE_CHECKS}, not to interlacing"),
+            (("interlacing", "--degree", "2", "--a", "2,3,1", "--b", "1,1"),
+             f"--degree applies only to {_SINGLE_CHECKS}, not to interlacing"),
+        ],
+    )
+    def test_option_the_property_does_not_read_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, "check", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_json_report(self, capsys):
         code, out, _ = run(

@@ -210,6 +210,11 @@ class TestBasisChanges:
             h = Poly([rng.rational(9, 9) for _ in range(rng.randint(0, d) + 1)])
             assert h_from_f(f_from_h(h, d), d) == h
 
+    @pytest.mark.parametrize("op", [f_from_h, h_from_f, w_inverse, msupp])
+    def test_negative_degree_rejected_for_zero(self, op):
+        with pytest.raises(ValueError, match="reference degree must be nonnegative"):
+            op(Poly(), -2)
+
     def test_reflect_is_reversal_in_magic_basis(self):
         rng = SplitMix64(23)
         for _ in range(30):

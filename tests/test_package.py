@@ -1,6 +1,70 @@
+import ast
+from pathlib import Path
+
+import pytest
+
 import hadpoly
 
 
 def test_every_export_resolves():
     missing = [name for name in hadpoly.__all__ if not hasattr(hadpoly, name)]
     assert missing == []
+
+
+# -- static guards ------------------------------------------------------------------
+#
+# Every verdict is exact and sympy is a test-only oracle: no module of the
+# package may hold a float constant, name ``float``, import sympy or numpy, or
+# use a ``math`` function outside the integer ones below.
+
+SOURCES = sorted((Path(hadpoly.__file__).parent).glob("*.py"))
+EXACT_MATH = {"comb", "gcd", "factorial", "isqrt", "lcm"}
+ORACLES = {"sympy", "numpy"}
+
+
+def _inexact_uses(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        uses = []
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            uses = [f"float constant {node.value!r}"]
+        elif isinstance(node, ast.Name) and node.id == "float":
+            uses = ["name float"]
+        elif isinstance(node, ast.Import):
+            uses = [f"import {a.name}" for a in node.names if a.name.split(".")[0] in ORACLES]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            top = node.module.split(".")[0]
+            uses = [
+                f"from {node.module} import {a.name}"
+                for a in node.names
+                if top in ORACLES or (top == "math" and a.name not in EXACT_MATH)
+            ]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "math"
+            and node.attr not in EXACT_MATH
+        ):
+            uses = [f"math.{node.attr}"]
+        found += [f"line {node.lineno}: {use}" for use in uses]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_float_and_no_oracle_in_the_package(path):
+    assert _inexact_uses(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_static_guard_flags_each_rule():
+    source = (
+        "import numpy\nfrom sympy import Poly\nfrom math import sqrt, comb\n"
+        "x = 0.5\ny = float(1)\nz = math.log(2)\nw = math.gcd(4, 6)\n"
+    )
+    assert _inexact_uses(ast.parse(source)) == [
+        "line 1: import numpy",
+        "line 2: from sympy import Poly",
+        "line 3: from math import sqrt",
+        "line 4: float constant 0.5",
+        "line 5: name float",
+        "line 6: math.log",
+    ]

@@ -94,3 +94,38 @@ def test_newton_violation_certifies_a_missing_real_root(p):
     _, sqf = to_sympy(p).sqf_list()
     real_with_multiplicity = sum(m * q.count_roots() for q, m in sqf)
     assert real_with_multiplicity < p.degree
+
+
+#: (x - c)^2 + s/k^2 with 16 <= k <= 64: for s = 1 a complex pair within 1/16
+#: of the real axis, for s = -2 two irrational real roots within 1/8 of each other
+near_axis = st.tuples(small, st.integers(min_value=16, max_value=64), st.sampled_from([1, -2])).map(
+    lambda cks: (cks[0] ** 2 + Fraction(cks[2], cks[1] ** 2), -2 * cks[0], Fraction(1))
+)
+near_axis_products = st.tuples(
+    st.lists(
+        st.tuples(st.one_of(near_axis, small.map(lambda r: (-r, Fraction(1)))), st.integers(1, 3)),
+        min_size=1,
+        max_size=4,
+    ),
+    small.filter(lambda c: c != 0),
+).map(lambda fs: _product(*fs))
+
+
+@given(near_axis_products, st.sampled_from([Fraction(1, 2), Fraction(1, 8), Fraction(1, 1024)]))
+@settings(max_examples=150, deadline=None)
+def test_isolation_near_complex_pairs_matches_sympy(p, max_width):
+    """Isolation on input that is not real-rooted: each open interval holds one
+    real root, each exact entry is a root, multiplicities are sympy's."""
+    assume(p.degree > 0)
+    _, sqf = to_sympy(p).sqf_list()
+    for iv in isolate_roots(p, max_width).intervals:
+        assert iv.hi - iv.lo <= max_width
+        if iv.is_exact:
+            assert p.evaluate(iv.lo) == 0
+            holds = [m for q, m in sqf if q.eval(iv.lo) == 0]
+        else:
+            assert p.evaluate(iv.lo) != 0 and p.evaluate(iv.hi) != 0
+            assert to_sympy(p).count_roots(iv.lo, iv.hi) == 1
+            holds = [m for q, m in sqf if q.count_roots(iv.lo, iv.hi) == 1]
+        assert holds == [iv.multiplicity]
+    assert isolate_roots(p, max_width).count_distinct == to_sympy(p).count_roots()
