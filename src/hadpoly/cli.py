@@ -374,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--degree",
         type=int,
-        help="reference degree for symmetric (default: the --in file's degree_tag)",
+        help="reference degree for symmetric (default: the --in file's degree_tag); "
+        "the other single-polynomial checks test it against that tag",
     )
     s.add_argument("--a", help="interlaced polynomial (interlacing check)")
     s.add_argument("--b", help="interlacing polynomial (interlacing check)")
