@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import Poly, comb0, reverse
+from .poly import Poly, _clear_denominators, comb0, reverse
 from .roots import (
     RootIsolation,
     cauchy_index,
@@ -138,20 +138,19 @@ def is_ulc(h: Poly, m: int) -> PropertyReport:
     """
     if m < 0:
         raise ValueError(f"order must be nonnegative, got {m}")
-    _require_nonnegative(h)
+    gaps = has_internal_zeros(h)  # rejects a negative coefficient first
     if not h.is_zero and h.degree > m:
         raise ValueError(f"order {m} is smaller than the degree {h.degree}")
-    gaps = has_internal_zeros(h)
     if not gaps.holds:
         return PropertyReport.failed(
             dict(gaps.witness or {}, reason="internal zeros"),
             "support is not contiguous",
         )
-    cs = h.coeffs
-    for j in range(1, len(cs) - 1):
-        lhs = (cs[j] / comb0(m, j)) ** 2
-        rhs = (cs[j - 1] / comb0(m, j - 1)) * (cs[j + 1] / comb0(m, j + 1))
-        if lhs < rhs:
+    # a_j^2 C(m,j-1) C(m,j+1) < a_(j-1) a_(j+1) C(m,j)^2, on cleared integers
+    v, _ = _clear_denominators(h)
+    for j in range(1, len(v) - 1):
+        c = comb0(m, j)
+        if v[j] * v[j] * comb0(m, j - 1) * comb0(m, j + 1) < v[j - 1] * v[j + 1] * c * c:
             return PropertyReport.failed(
                 {"index": j},
                 f"normalized sequence fails log-concavity at index {j}",

@@ -1,11 +1,11 @@
 """Seeded random instances satisfying the hypotheses of the theorem suites.
 
 Every generator draws only from a ``SplitMix64`` stream, so a (seed, trial)
-pair reproduces the instance exactly.  Generators either produce an instance
-satisfying their hypothesis by construction (products of rational linear
-factors, gamma-basis combinations, paired-root palindromes) or rejection
-sample against the exact checker; rejection is bounded by
-``REJECTION_BUDGET`` and exhaustion raises instead of silently skipping.
+pair reproduces the instance exactly.  Instances hold by construction
+(products of rational linear factors, multiplied over the integers with one
+denominator by ``_linear_product``; gamma-basis combinations; paired-root
+palindromes) or by rejection sampling against the exact checker, bounded by
+``REJECTION_BUDGET``; exhaustion raises instead of silently skipping.
 """
 
 from __future__ import annotations
@@ -55,11 +55,18 @@ def gen_real_rooted(rng: SplitMix64, degree: int, max_coeff: int) -> TaggedPoly:
     Real-rooted with nonnegative coefficients by construction; tagged with
     its own degree.
     """
-    h = Poly.one()
-    for _ in range(degree):
-        r = rng.rational(max_coeff, max_coeff)
-        h = h * Poly([r, 1])
-    return TaggedPoly(h, degree)
+    shifts = [rng.rational(max_coeff, max_coeff) for _ in range(degree)]
+    return TaggedPoly(_linear_product(1, shifts), degree)
+
+
+def _linear_product(scale: Fraction | int, shifts: list[Fraction]) -> Poly:
+    """scale * prod (x + n/q) over the shifts, as (q x + n) on one integer vector."""
+    v, den = [scale.numerator], scale.denominator
+    for r in shifts:
+        n, q = r.numerator, r.denominator
+        v = [n * a + q * b for a, b in zip(v + [0], [0] + v)]
+        den *= q
+    return Poly(Fraction(c, den) for c in v)
 
 
 def gen_ulc(rng: SplitMix64, degree: int, max_coeff: int) -> TaggedPoly:
@@ -137,9 +144,7 @@ def gen_interlacing_symdec(rng: SplitMix64, d: int, max_coeff: int) -> SymDecomp
         roots.extend([-r, Fraction(-1) / r])
     roots.extend([Fraction(-1)] * (d - 2 * pairs))
     roots.sort(reverse=True)
-    a = Poly([scale_a])
-    for root in roots:
-        a = a * Poly([-root, 1])
+    a = _linear_product(scale_a, [-root for root in roots])
 
     if rng.chance(1, 8):
         b = Poly()
@@ -152,9 +157,7 @@ def gen_interlacing_symdec(rng: SplitMix64, d: int, max_coeff: int) -> SymDecomp
             t[m - 1 - i] = Fraction(1) / pick
         if m % 2 == 1:
             t[m // 2] = Fraction(-1)  # the self-inverse middle gap contains -1
-        b = Poly([rng.positive_rational(max_coeff, max_coeff)])
-        for root in t:
-            b = b * Poly([-root, 1])
+        b = _linear_product(rng.positive_rational(max_coeff, max_coeff), [-root for root in t])
 
     dec = SymDecomp(a, b, d)
     if not decomposition_is_nonnegative(dec).holds:

@@ -1,9 +1,9 @@
 """Exact rational arithmetic and a dense univariate polynomial kernel.
 
-Coefficients are `fractions.Fraction` values (arbitrary precision, always in
-lowest terms, denominator >= 1), stored dense in ascending degree order.  The
-canonical form never stores trailing zero coefficients; the zero polynomial
-has an empty coefficient tuple and degree ``None``.
+Coefficients are `fractions.Fraction` values built from `int` or `Fraction`
+input (anything else raises `TypeError`), stored dense in ascending degree
+order.  The canonical form never stores trailing zero coefficients; the zero
+polynomial has an empty coefficient tuple and degree ``None``.
 
 Root work (gcd here, Sturm chains and square-free factorization in
 ``roots``) runs on integer vectors instead: ascending coefficient tuples of
@@ -27,6 +27,13 @@ def comb0(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def _as_fraction(c: object) -> Fraction:
+    """Any other coefficient; ``Poly()`` tests exact types first, as ABC ``isinstance`` is slow."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+    return Fraction(c)
+
+
 class Poly:
     """Dense univariate polynomial over the rationals, immutable.
 
@@ -37,7 +44,8 @@ class Poly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Coefficient] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) if type(c) is int
+              else _as_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs: tuple[Fraction, ...] = tuple(cs)

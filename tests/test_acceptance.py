@@ -133,6 +133,14 @@ def test_symdec_interlacing_suite_at_default_trials():
         assert result.ok, result.render()
 
 
+def test_all_nine_suites_at_default_trials():
+    with criterion("all nine suites over 200 trials each", 10.0):
+        config = TrialConfig(seed=1, trials=200)
+        assert len(SUITES) == 9
+        for name, run in SUITES.items():
+            assert run(config).ok, name
+
+
 def test_contiguous_support_preserved():
     with criterion("contiguous support preserved over 200 trials", 30.0):
         _run_suite("no-internal-zeros")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,23 @@ def linear_product(*roots):
 
 def random_real_rooted(rng, degree):
     return linear_product(*[rng.rational(9, 9) for _ in range(degree)])
+
+
+def ulc_failure(h, m):
+    """``is_ulc`` as None (holds), "gap" or the failing index."""
+    rep = is_ulc(h, m)
+    if rep.holds:
+        return None
+    return "gap" if rep.witness.get("reason") == "internal zeros" else rep.witness["index"]
+
+
+def ulc_failure_by_division(h, m):
+    """The same verdict from the definition: a_j / C(m, j) log-concave, no gaps."""
+    cs, supp = h.coeffs, h.support
+    if supp and any(cs[j] == 0 for j in range(supp[0], supp[-1])):
+        return "gap"
+    a = [c / comb(m, j) for j, c in enumerate(cs)]
+    return next((j for j in range(1, len(a) - 1) if a[j] ** 2 < a[j - 1] * a[j + 1]), None)
 
 
 class TestNonnegative:
@@ -127,6 +145,33 @@ class TestUlc:
     def test_negative_order_rejected_for_zero(self):
         with pytest.raises(ValueError):
             is_ulc(Poly(), -3)
+
+    def test_negative_coefficient_reported_before_order(self):
+        with pytest.raises(ValueError, match="^negative coefficient -1 at index 1$"):
+            is_ulc(P(1, -1, 1, 1), 1)
+
+    @given(st.lists(st.fractions(min_value=0, max_value=9, max_denominator=6), max_size=9),
+           st.integers(0, 3))
+    def test_agrees_with_division_form(self, coeffs, extra):
+        h = Poly(coeffs)
+        m = (h.degree or 0) + extra
+        assert ulc_failure_by_division(h, m) == ulc_failure(h, m)
+
+    @given(st.integers(1, 10), st.data())
+    def test_binomial_rows_and_unit_perturbations(self, m, data):
+        # (1+x)^m meets every inequality of ULC(m) with equality
+        scale = data.draw(st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9))
+        j = data.draw(st.integers(0, m))
+        delta = data.draw(st.sampled_from([-1, 1]))
+        row = [comb(m, i) for i in range(m + 1)]
+        bumped = row[:j] + [row[j] + delta] + row[j + 1:]
+        for coeffs in (row, bumped):
+            h = Poly([scale * c for c in coeffs])
+            for order in range(h.degree, h.degree + 4):
+                assert ulc_failure_by_division(h, order) == ulc_failure(h, order)
+        assert is_ulc(Poly(row), m).holds
+        if 0 < j < m and delta == -1:
+            assert ulc_failure(Poly([scale * c for c in bumped]), m) == j
 
     def test_newton_inequalities(self):
         # nonpositive real zeros put a polynomial in ULC(degree)

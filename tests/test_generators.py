@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hadpoly.analysis import (
     has_internal_zeros,
@@ -15,6 +19,7 @@ from hadpoly.decomp import (
 )
 from hadpoly.generators import (
     TrialConfig,
+    _linear_product,
     gen_contiguous_nonneg,
     gen_gamma_positive,
     gen_gamma_positive_symdec,
@@ -25,7 +30,10 @@ from hadpoly.generators import (
     gen_symmetric,
     gen_ulc,
 )
+from hadpoly.poly import Poly
 from hadpoly.rng import SplitMix64
+
+rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
 
 class TestTrialConfig:
@@ -170,3 +178,20 @@ class TestDeterminism:
         a = gen_real_rooted(SplitMix64(1), 6, 9).poly
         b = gen_real_rooted(SplitMix64(2), 6, 9).poly
         assert a != b
+
+
+class TestLinearProduct:
+    """The integer product agrees with the ``Fraction`` product of linear factors."""
+
+    @given(st.one_of(st.integers(-9, 9), rationals), st.lists(rationals, max_size=9))
+    def test_equals_fraction_poly_product(self, scale, shifts):
+        expected = Poly([scale])
+        for r in shifts:
+            expected = expected * Poly([r, 1])
+        assert _linear_product(scale, shifts) == expected
+
+    def test_denominators_cancel(self):
+        # 2 (x + 1/2)(x + 1/3) = 2x^2 + 5/3 x + 1/3
+        assert _linear_product(2, [Fraction(1, 2), Fraction(1, 3)]).coeffs == (
+            Fraction(1, 3), Fraction(5, 3), 2,
+        )

@@ -32,6 +32,16 @@ class TestCanonicalForm:
         assert P(1, 0, 7).degree == 2
         assert P(5).degree == 0
 
+    def test_fraction_coefficient_kept_as_given(self):
+        half = Fraction(1, 2)
+        assert P(half, 1).coeffs[0] is half
+        assert P(3).coeffs == (Fraction(3),)
+
+    @pytest.mark.parametrize("bad", [0.1, "1/2"], ids=["float", "string"])
+    def test_coefficient_neither_int_nor_fraction_rejected(self, bad):
+        with pytest.raises(TypeError, match="is not an int or a Fraction"):
+            P(1, bad)
+
     @given(polys)
     def test_no_stored_trailing_zero(self, p):
         if not p.is_zero:
