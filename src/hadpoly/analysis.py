@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import Poly, _clear_denominators, comb0, reverse
+from .poly import Poly, comb0, reverse
 from .roots import (
     RootIsolation,
     cauchy_index,
@@ -67,19 +67,22 @@ class PropertyReport:
 
 def is_nonnegative(p: Poly) -> PropertyReport:
     """Every coefficient is nonnegative; the witness names the first negative one."""
-    for i, c in enumerate(p.coeffs):
+    for i, c in enumerate(p._num):
         if c < 0:
+            c = p.coefficient(i)
             return PropertyReport.failed(
                 {"index": i, "value": str(c)}, f"coefficient {i} is {c}"
             )
     return PropertyReport.passed()
 
 
-def _require_nonnegative(h: Poly) -> None:
+def _require_nonnegative(h: Poly) -> tuple[int, ...]:
+    """The numerators of ``h``, once no coefficient is negative."""
     report = is_nonnegative(h)
     if not report.holds:
         w = report.witness
         raise ValueError(f"negative coefficient {w['value']} at index {w['index']}")
+    return h._num
 
 
 def has_internal_zeros(h: Poly) -> PropertyReport:
@@ -88,13 +91,12 @@ def has_internal_zeros(h: Poly) -> PropertyReport:
     A failure witness is a triple i < j < k with h_i, h_k nonzero but h_j = 0.
     Requires nonnegative coefficients.
     """
-    _require_nonnegative(h)
-    supp = h.support
-    if len(supp) <= 1:
+    v = _require_nonnegative(h)
+    lo, hi = next((i for i, c in enumerate(v) if c), 0), len(v) - 1
+    if hi <= lo:
         return PropertyReport.passed("support has at most one element")
-    lo, hi = supp[0], supp[-1]
     for j in range(lo + 1, hi):
-        if h.coefficient(j) == 0:
+        if not v[j]:
             return PropertyReport.failed(
                 {"i": lo, "j": j, "k": hi},
                 f"coefficient {j} vanishes between nonzero coefficients {lo} and {hi}",
@@ -104,10 +106,10 @@ def has_internal_zeros(h: Poly) -> PropertyReport:
 
 def is_log_concave(h: Poly) -> PropertyReport:
     """a_j^2 >= a_(j-1) a_(j+1) for every interior index j (nonnegative input)."""
-    _require_nonnegative(h)
-    cs = h.coeffs
-    for j in range(1, len(cs) - 1):
-        if cs[j] * cs[j] < cs[j - 1] * cs[j + 1]:
+    v = _require_nonnegative(h)
+    for j in range(1, len(v) - 1):
+        if v[j] * v[j] < v[j - 1] * v[j + 1]:
+            cs = h.coeffs
             return PropertyReport.failed(
                 {"index": j},
                 f"a_{j}^2 = {cs[j] ** 2} < a_{j - 1} a_{j + 1} = {cs[j - 1] * cs[j + 1]}",
@@ -117,13 +119,12 @@ def is_log_concave(h: Poly) -> PropertyReport:
 
 def is_unimodal(h: Poly) -> PropertyReport:
     """Coefficients rise then fall; witness is the first descent-then-ascent pair."""
-    _require_nonnegative(h)
-    cs = h.coeffs
+    v = _require_nonnegative(h)
     descent = None
-    for i in range(len(cs) - 1):
-        if descent is None and cs[i] > cs[i + 1]:
+    for i in range(len(v) - 1):
+        if descent is None and v[i] > v[i + 1]:
             descent = i
-        elif descent is not None and cs[i] < cs[i + 1]:
+        elif descent is not None and v[i] < v[i + 1]:
             return PropertyReport.failed(
                 {"descent": descent, "ascent": i},
                 f"coefficients fall at index {descent} and rise again at index {i}",
@@ -134,27 +135,34 @@ def is_unimodal(h: Poly) -> PropertyReport:
 def is_ulc(h: Poly, m: int) -> PropertyReport:
     """Membership in ULC(m): a_j / C(m, j) log-concave and no internal zeros.
 
-    Requires m >= deg h, m >= 0 and nonnegative coefficients.
+    Requires m >= deg h, m >= 0 and nonnegative coefficients.  After the sign
+    check, one pass on the numerators; an internal zero is reported ahead of
+    a failing index of a_j^2 C(m,j-1) C(m,j+1) >= a_(j-1) a_(j+1) C(m,j)^2.
     """
     if m < 0:
         raise ValueError(f"order must be nonnegative, got {m}")
-    gaps = has_internal_zeros(h)  # rejects a negative coefficient first
-    if not h.is_zero and h.degree > m:
+    v = _require_nonnegative(h)
+    if len(v) - 1 > m:
         raise ValueError(f"order {m} is smaller than the degree {h.degree}")
-    if not gaps.holds:
+    lo = bad = None
+    for j, c in enumerate(v):
+        if not c:
+            if lo is not None:  # v[-1] is nonzero, so this zero is internal
+                return PropertyReport.failed(
+                    {"i": lo, "j": j, "k": len(v) - 1, "reason": "internal zeros"},
+                    "support is not contiguous",
+                )
+        elif lo is None:
+            lo = j  # a_(j-1) = 0 here, so the inequality holds at j
+        elif bad is None and j < len(v) - 1:
+            cj = comb0(m, j)
+            if c * c * comb0(m, j - 1) * comb0(m, j + 1) < v[j - 1] * v[j + 1] * cj * cj:
+                bad = j
+    if bad is not None:
         return PropertyReport.failed(
-            dict(gaps.witness or {}, reason="internal zeros"),
-            "support is not contiguous",
+            {"index": bad},
+            f"normalized sequence fails log-concavity at index {bad}",
         )
-    # a_j^2 C(m,j-1) C(m,j+1) < a_(j-1) a_(j+1) C(m,j)^2, on cleared integers
-    v, _ = _clear_denominators(h)
-    for j in range(1, len(v) - 1):
-        c = comb0(m, j)
-        if v[j] * v[j] * comb0(m, j - 1) * comb0(m, j + 1) < v[j - 1] * v[j + 1] * c * c:
-            return PropertyReport.failed(
-                {"index": j},
-                f"normalized sequence fails log-concavity at index {j}",
-            )
     return PropertyReport.passed()
 
 
@@ -188,10 +196,10 @@ def newton_violation(p: Poly) -> int | None:
     failing index is an exact certificate that ``p`` is not real-rooted.
     ``None`` decides nothing.
     """
-    cs = p.coeffs
-    n = len(cs) - 1
+    v = p._num
+    n = len(v) - 1
     for i in range(1, n):
-        if cs[i] * cs[i] * i * (n - i) < cs[i - 1] * cs[i + 1] * (i + 1) * (n - i + 1):
+        if v[i] * v[i] * i * (n - i) < v[i - 1] * v[i + 1] * (i + 1) * (n - i + 1):
             return i
     return None
 
@@ -350,7 +358,7 @@ def gamma_expand(h: Poly, s: int) -> Poly:
 
     Requires reverse(h, s) == h; the result has degree at most floor(s/2).
     Computed by subtracting gamma_i x^i (1+x)^(s-2i) from the lowest index up,
-    in place on the coefficient list.
+    in place on the list of numerators, which the integer basis keeps integral.
     """
     if s < 0:
         raise ValueError("axis must be nonnegative")
@@ -358,7 +366,7 @@ def gamma_expand(h: Poly, s: int) -> Poly:
         return Poly()
     if h.degree > s or reverse(h, s) != h:
         raise ValueError(f"asymmetric input: reverse at degree {s} differs")
-    rem = list(h.coeffs) + [0] * (s - h.degree)
+    rem = list(h._num) + [0] * (s - h.degree)
     coeffs = []
     for i in range(s // 2 + 1):
         g = rem[i]
@@ -367,10 +375,10 @@ def gamma_expand(h: Poly, s: int) -> Poly:
             _add_gamma_term(rem, -g, i, s)
     if any(rem):
         raise RuntimeError("internal error: gamma expansion left a remainder")
-    return Poly(coeffs)
+    return Poly._from_ints(coeffs, h._den)
 
 
-def _add_gamma_term(acc: list, c, i: int, s: int) -> None:
+def _add_gamma_term(acc: list[int], c: int, i: int, s: int) -> None:
     """Add c x^i (1+x)^(s-2i) to the coefficient list ``acc`` in place."""
     n = s - 2 * i
     for j in range(n + 1):
@@ -386,17 +394,18 @@ def gamma_contract(g: Poly, s: int) -> Poly:
             f"degree overflow: deg = {g.degree} exceeds floor(s/2) = {s // 2}"
         )
     acc = [0] * (s + 1)
-    for i, c in enumerate(g.coeffs):
-        if c != 0:
+    for i, c in enumerate(g._num):
+        if c:
             _add_gamma_term(acc, c, i, s)
-    return Poly(acc)
+    return Poly._from_ints(acc, g._den)
 
 
 def is_gamma_positive(h: Poly, s: int) -> PropertyReport:
     """All coordinates of the degree-s gamma expansion are nonnegative."""
     g = gamma_expand(h, s)
-    for i, c in enumerate(g.coeffs):
+    for i, c in enumerate(g._num):
         if c < 0:
+            c = g.coefficient(i)
             return PropertyReport.failed(
                 {"index": i, "value": str(c)},
                 f"gamma coordinate {i} is {c}",

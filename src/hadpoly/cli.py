@@ -121,8 +121,9 @@ def _add_output_flags(sub) -> None:
 
 
 def _add_poly_input(sub) -> None:
-    sub.add_argument("--poly", help="comma-separated ascending coefficients")
-    sub.add_argument("--in", dest="infile", help="read one JSON polynomial object")
+    source = sub.add_mutually_exclusive_group()
+    source.add_argument("--poly", help="comma-separated ascending coefficients")
+    source.add_argument("--in", dest="infile", help="read one JSON polynomial object")
 
 
 # -- single-operator commands --------------------------------------------------

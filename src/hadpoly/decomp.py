@@ -10,7 +10,6 @@ are carried into each other by the h <-> f basis change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .analysis import (
     PropertyReport,
@@ -48,21 +47,23 @@ class SymDecomp:
 def i_decompose(h: Poly, d: int) -> SymDecomp:
     """The unique symmetric decomposition of h at reference degree d.
 
-    Solved by the triangular recurrence a_0 = h_0, b_i = h_(d-i) - a_i,
-    a_i = h_i - b_(i-1); the reconstruction h = a + x*b is re-checked.
+    Solved on the numerators of h, over its denominator, by the triangular
+    recurrence a_0 = h_0, b_i = h_(d-i) - a_i, a_i = h_i - b_(i-1); the
+    reconstruction h = a + x*b is re-checked.
     """
     if not h.is_zero and h.degree > d:
         raise ValueError(f"degree overflow: deg h = {h.degree} > d = {d}")
+    v = h._num + (0,) * (d + 1 - len(h._num))
     a = []
     b = []
-    prev_b = Fraction(0)
+    prev_b = 0
     for i in range(d + 1):
-        ai = h.coefficient(i) - prev_b
+        ai = v[i] - prev_b
         a.append(ai)
         if i < d:
-            prev_b = h.coefficient(d - i) - ai
+            prev_b = v[d - i] - ai
             b.append(prev_b)
-    dec = SymDecomp(Poly(a), Poly(b), d)
+    dec = SymDecomp(Poly._from_ints(a, h._den), Poly._from_ints(b, h._den), d)
     if dec.reconstruct() != h:
         raise RuntimeError("internal error: decomposition does not reconstruct input")
     return dec

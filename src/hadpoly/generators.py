@@ -66,7 +66,7 @@ def _linear_product(scale: Fraction | int, shifts: list[Fraction]) -> Poly:
         n, q = r.numerator, r.denominator
         v = [n * a + q * b for a, b in zip(v + [0], [0] + v)]
         den *= q
-    return Poly(Fraction(c, den) for c in v)
+    return Poly._from_ints(v, den)
 
 
 def gen_ulc(rng: SplitMix64, degree: int, max_coeff: int) -> TaggedPoly:
@@ -78,11 +78,14 @@ def gen_ulc(rng: SplitMix64, degree: int, max_coeff: int) -> TaggedPoly:
     """
     for _ in range(REJECTION_BUDGET):
         h = gen_real_rooted(rng, degree, max_coeff).poly
-        coeffs = list(h.coeffs)
-        for j in range(1, len(coeffs) - 1):
-            if coeffs[j] != 0 and rng.chance(1, 2):
-                coeffs[j] *= _unit_interval_rational(rng, max_coeff)
-        candidate = Poly(coeffs)
+        v, den = h._num, h._den
+        for j in range(1, len(v) - 1):
+            if v[j] and rng.chance(1, 2):
+                # shrink coefficient j by n/q: the others scale by q, and so does den
+                r = _unit_interval_rational(rng, max_coeff)
+                v = [c * (r.numerator if i == j else r.denominator) for i, c in enumerate(v)]
+                den *= r.denominator
+        candidate = Poly._from_ints(v, den)
         if is_ulc(candidate, degree).holds:
             return TaggedPoly(candidate, degree)
     raise GeneratorExhausted(

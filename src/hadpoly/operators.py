@@ -25,13 +25,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
+from typing import Sequence
 
-from .poly import Poly, TaggedPoly, _clear_denominators, comb0
+from .poly import Poly, TaggedPoly, comb0
 
 
-def _series_values(v: list, d: int, count: int) -> list:
+def _series_values(v: Sequence, d: int, count: int) -> list:
     """Coefficients 0..count-1 of v(x) / (1-x)^(d+1), by d+1 running prefix sums."""
-    values = v + [0] * (count - len(v))
+    values = list(v) + [0] * (count - len(v))
     for _ in range(d + 1):
         values = list(accumulate(values))
     return values
@@ -124,13 +125,12 @@ def _binomial_basis_change(p: Poly, d: int, sign: int) -> Poly:
     """sum_i p_i x^i (1 + sign*x)^(d-i) by binomial sums over the integers."""
     if d < 0:
         raise ValueError("reference degree must be nonnegative")
-    v, den = _clear_denominators(p)
     out = [0] * (d + 1)
-    for i, c in enumerate(v):
-        if c != 0:
+    for i, c in enumerate(p._num):
+        if c:
             for j in range(d - i + 1):
                 out[i + j] += c * sign**j * math.comb(d - i, j)
-    return Poly(Fraction(c, den) for c in out)
+    return Poly._from_ints(out, p._den)
 
 
 def bullet_monomial(k: int, a: int, l: int, b: int) -> tuple[int, ...]:
@@ -208,11 +208,10 @@ def hadamard(t1: TaggedPoly, t2: TaggedPoly, route: str = "direct") -> TaggedPol
     d1, d2 = t1.ref_degree, t2.ref_degree
     if route == "direct":
         top = d1 + d2
-        (v1, den1), (v2, den2) = _clear_denominators(t1.poly), _clear_denominators(t2.poly)
-        s1, s2 = _series_values(v1, d1, top + 1), _series_values(v2, d2, top + 1)
+        p1, p2 = t1.poly, t2.poly
+        s1, s2 = _series_values(p1._num, d1, top + 1), _series_values(p2._num, d2, top + 1)
         coeffs = _difference([a * b for a, b in zip(s1, s2)], top + 1)
-        den = den1 * den2
-        return TaggedPoly(Poly(Fraction(c, den) for c in coeffs), top)
+        return TaggedPoly(Poly._from_ints(coeffs, p1._den * p2._den), top)
     if route == "bullet":
         return bullet(t1, t2)
     if route == "diamond":

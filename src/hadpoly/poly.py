@@ -1,21 +1,23 @@
 """Exact rational arithmetic and a dense univariate polynomial kernel.
 
-Coefficients are `fractions.Fraction` values built from `int` or `Fraction`
-input (anything else raises `TypeError`), stored dense in ascending degree
-order.  The canonical form never stores trailing zero coefficients; the zero
-polynomial has an empty coefficient tuple and degree ``None``.
-
-Root work (gcd here, Sturm chains and square-free factorization in
-``roots``) runs on integer vectors instead: ascending coefficient tuples of
-a primitive integer multiple of a polynomial, combined by pseudo-division so
-that no ``Fraction`` is normalised inside the loops.
+A ``Poly`` stores one tuple of integer numerators, ascending by degree and
+with no trailing zero, over one positive denominator, in lowest terms, so
+``==`` and ``hash`` compare the pair; the zero polynomial is ``()`` over 1.
+``Poly()`` takes ``int`` or ``Fraction`` coefficients (anything else raises
+`TypeError`), and ``coeffs`` and the other readers return ``Fraction``s.
+Arithmetic here and the coefficient checks and basis changes elsewhere
+read the numerators and build results through ``Poly._from_ints``, the one
+place that strips and reduces them.  Root work (gcd here, Sturm chains and
+square-free factorization in ``roots``) runs on primitive integer vectors,
+combined by pseudo-division.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from itertools import zip_longest
+from typing import Iterable, Sequence, Union
 
 Coefficient = Union[int, Fraction]
 
@@ -27,28 +29,46 @@ def comb0(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _as_fraction(c: object) -> Fraction:
-    """Any other coefficient; ``Poly()`` tests exact types first, as ABC ``isinstance`` is slow."""
+def _rational(c: object) -> Coefficient:
+    """``c`` itself if it is an ``int`` or a ``Fraction``; ``TypeError`` otherwise."""
     if not isinstance(c, (int, Fraction)):
         raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
-    return Fraction(c)
+    return c
 
 
 class Poly:
     """Dense univariate polynomial over the rationals, immutable.
 
     ``Poly([1, 0, 7])`` is 1 + 7x^2.  All arithmetic is exact; results are
-    normalized (no trailing zeros) on construction.
+    normalized (no trailing zeros, lowest terms) on construction.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[Coefficient] = ()):
-        cs = [c if type(c) is Fraction else Fraction(c) if type(c) is int
-              else _as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs: tuple[Fraction, ...] = tuple(cs)
+        cs = list(coeffs)
+        den = 1
+        for c in cs:
+            if type(c) is not int:  # exact type first: isinstance on Fraction is slow
+                den = math.lcm(den, _rational(c).denominator)
+        self._store(
+            [c * den if type(c) is int else c.numerator * (den // c.denominator) for c in cs], den
+        )
+
+    @staticmethod
+    def _from_ints(v: Sequence[int], den: int = 1) -> "Poly":
+        """The polynomial with coefficients ``v[i] / den``, for integers ``v`` and ``den > 0``."""
+        p = Poly.__new__(Poly)
+        p._store(v, den)
+        return p
+
+    def _store(self, v: Sequence[int], den: int) -> None:
+        n = len(v)
+        while n and not v[n - 1]:
+            n -= 1
+        g = math.gcd(den, *v)
+        self._num: tuple[int, ...] = tuple(v[:n]) if g == 1 else tuple(c // g for c in v[:n])
+        self._den: int = den // g
 
     @staticmethod
     def one() -> "Poly":
@@ -67,49 +87,46 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return tuple(Fraction(c, self._den) for c in self._num)
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     @property
     def degree(self) -> int | None:
         """Degree of the polynomial; ``None`` for the zero polynomial."""
-        return len(self._coeffs) - 1 if self._coeffs else None
+        return len(self._num) - 1 if self._num else None
 
     def coefficient(self, i: int) -> Fraction:
         """Coefficient of x**i (zero beyond the stored range)."""
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
+        if 0 <= i < len(self._num):
+            return Fraction(self._num[i], self._den)
         return Fraction(0)
 
     @property
     def support(self) -> tuple[int, ...]:
         """Indices with nonzero coefficient, ascending."""
-        return tuple(i for i, c in enumerate(self._coeffs) if c != 0)
+        return tuple(i for i, c in enumerate(self._num) if c)
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self._coeffs:
+        if not self._num:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        den = math.lcm(self._den, other._den)
+        ma, mb = den // self._den, den // other._den
+        pairs = zip_longest(self._num, other._num, fillvalue=0)
+        return Poly._from_ints([a * ma + b * mb for a, b in pairs], den)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self._coeffs])
+        return Poly._from_ints([-c for c in self._num], self._den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -123,23 +140,19 @@ class Poly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Poly()
-        a, b = self._coeffs, other._coeffs
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        a, b = self._num, other._num
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                if cb != 0:
+            if ca:
+                for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return Poly(out)
+        return Poly._from_ints(out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def scale(self, c: Coefficient) -> "Poly":
-        c = Fraction(c)
-        if c == 0:
-            return Poly()
-        return Poly([a * c for a in self._coeffs])
+        c = _rational(c)
+        return Poly._from_ints([a * c.numerator for a in self._num], self._den * c.denominator)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -157,17 +170,15 @@ class Poly:
         """Multiply by x**k."""
         if k < 0:
             raise ValueError("shift must be nonnegative")
-        if self.is_zero:
-            return Poly()
-        return Poly([Fraction(0)] * k + list(self._coeffs))
+        return Poly._from_ints([0] * k + list(self._num), self._den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._num, self._den))
 
     # -- calculus and evaluation ----------------------------------------------
 
@@ -175,27 +186,22 @@ class Poly:
         """Exact derivative of the given order (zero when order > degree)."""
         if order < 0:
             raise ValueError("derivative order must be nonnegative")
-        cs = self._coeffs
+        v = self._num
         for _ in range(order):
-            if len(cs) <= 1:
-                return Poly()
-            cs = tuple(i * c for i, c in enumerate(cs) if i > 0)
-        return Poly(cs)
+            v = _int_derivative(v)
+        return Poly._from_ints(v, self._den)
 
     def evaluate(self, x: Coefficient) -> Fraction:
-        """Exact Horner evaluation."""
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        """Exact Horner evaluation on the numerators, with one division at the end."""
+        value, scale = _horner(self._num, _rational(x))
+        return Fraction(value, self._den * scale)
 
     def compose(self, inner: "Poly") -> "Poly":
         """Exact composition self(inner(x)) by Horner's rule."""
         acc = Poly()
-        for c in reversed(self._coeffs):
-            acc = acc * inner + Poly([c])
-        return acc
+        for c in reversed(self._num):
+            acc = acc * inner + Poly._from_ints([c])
+        return Poly._from_ints(acc._num, acc._den * self._den)
 
     # -- division -------------------------------------------------------------
 
@@ -204,30 +210,21 @@ class Poly:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._coeffs)
-        d = other.degree
-        lead = other._coeffs[-1]
-        if len(rem) - 1 < d:
-            return Poly(), self
-        quo = [Fraction(0)] * (len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            if rem[i] == 0:
-                continue
-            q = rem[i] / lead
-            quo[i - d] = q
-            for j, c in enumerate(other._coeffs):
-                rem[i - d + j] -= q * c
-        return Poly(quo), Poly(rem)
+        # m a = q b + r on the numerators; a/da = (q db / (m da)) (b/db) + r / (m da)
+        q, r, m = _pdivmod(self._num, other._num)
+        den = m * self._den
+        return Poly._from_ints([c * other._den for c in q], den), Poly._from_ints(r, den)
 
     def monic(self) -> "Poly":
         if self.is_zero:
             return self
-        return self.scale(1 / self._coeffs[-1])
+        lead = self._num[-1]
+        return Poly._from_ints([c if lead > 0 else -c for c in self._num], abs(lead))
 
     # -- text -----------------------------------------------------------------
 
     def __repr__(self) -> str:
-        return f"Poly({list(self._coeffs)!r})"
+        return f"Poly({list(self.coeffs)!r})"
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -238,8 +235,7 @@ def format_poly(p: Poly, var: str = "x") -> str:
     if p.is_zero:
         return "0"
     parts = []
-    for i in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[i]
+    for i, c in reversed(list(enumerate(p.coeffs))):
         if c == 0:
             continue
         sign = "-" if c < 0 else "+"
@@ -267,7 +263,7 @@ def reverse(h: Poly, d: int) -> Poly:
         raise ValueError("reversal degree must be nonnegative")
     if not h.is_zero and h.degree > d:
         raise ValueError(f"degree overflow: deg h = {h.degree} > d = {d}")
-    return Poly([h.coefficient(d - i) for i in range(d + 1)])
+    return Poly._from_ints((h._num + (0,) * (d + 1 - len(h._num)))[::-1], h._den)
 
 
 def reflect(f: Poly, d: int) -> Poly:
@@ -290,25 +286,7 @@ def reflect(f: Poly, d: int) -> Poly:
 # An integer vector is the ascending coefficient tuple of a polynomial with
 # integer coefficients; the zero polynomial is the empty tuple.  Scaling by a
 # positive constant changes no sign and no root, so the root layer works on
-# these primitive multiples rather than on ``Fraction`` coefficients.
-
-
-def _clear_denominators(p: Poly) -> tuple[list[int], int]:
-    """Integer coefficients ``v`` and the least common denominator ``den`` of
-    ``p``, so that ``p = v / den``."""
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
-
-
-def _int_clear(p: Poly) -> tuple[int, ...]:
-    """Integer coefficients of a positive rational multiple of ``p``.
-
-    Clears denominators and divides out the content; all sign queries on the
-    result agree with those on ``p``.
-    """
-    return _primitive(_clear_denominators(p)[0])
+# primitive multiples of the stored numerators.
 
 
 def _strip(v: list[int]) -> list[int]:
@@ -318,7 +296,7 @@ def _strip(v: list[int]) -> list[int]:
     return v
 
 
-def _primitive(v: list[int]) -> tuple[int, ...]:
+def _primitive(v: Sequence[int]) -> tuple[int, ...]:
     """``v`` (without trailing zeros) divided by its positive content."""
     content = math.gcd(*v) if v else 0
     if content > 1:
@@ -326,42 +304,58 @@ def _primitive(v: list[int]) -> tuple[int, ...]:
     return tuple(v)
 
 
-def _int_derivative(v: tuple[int, ...]) -> tuple[int, ...]:
+def _int_derivative(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(i * c for i, c in enumerate(v) if i)
 
 
+def _horner(v: Sequence[int], x: Coefficient) -> tuple[int, int]:
+    """``(a, q**n)`` with ``v(x) = a / q**n``, for ``x = p/q`` and ``n = deg v``.
+
+    Horner's rule on the numerator of the scaled form, with no rational
+    normalization; the empty vector gives ``(0, 1)``.
+    """
+    num, den = x.numerator, x.denominator
+    acc, spow = (v[-1], 1) if v else (0, 1)
+    for c in reversed(v[:-1]):
+        spow *= den
+        acc = acc * num + c * spow
+    return acc, spow
+
+
 def _int_sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    a, b = a + (0,) * (n - len(a)), b + (0,) * (n - len(b))
-    return tuple(_strip([x - y for x, y in zip(a, b)]))
+    return tuple(_strip([x - y for x, y in zip_longest(a, b, fillvalue=0)]))
 
 
-def _prem(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """A positive integer multiple of the remainder of ``a`` modulo ``b``.
+def _pdivmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Pseudo-division ``(q, r, m)``: ``m a = q b + r`` with deg r < deg b and ``m > 0``.
 
-    Pseudo-division: each step multiplies the running remainder by
-    ``|lc(b)| / g`` with ``g = gcd(|lc(b)|, top coefficient)``, so the total
-    multiplier is a positive divisor of ``|lc(b)|**delta`` and every sign
-    of the true remainder is kept.  Trailing zeros are dropped.
+    Each step multiplies the running remainder by ``|lc(b)| / g`` with
+    ``g = gcd(|lc(b)|, top coefficient)``, so ``m`` is a positive divisor of
+    ``|lc(b)|**delta`` and every sign of the true remainder is kept.
+    Trailing zeros of ``r`` are dropped.
     """
     n = len(b) - 1
-    lead = b[-1]
-    low = b[:-1] if lead > 0 else tuple(-c for c in b[:-1])
-    lead = abs(lead)
+    low, lead = b[:-1], abs(b[-1])
+    sign = 1 if b[-1] > 0 else -1
     r = list(a)
+    q = [0] * max(len(a) - n, 0)
+    m = 1
     while len(r) > n:
         top = r.pop()
         if not top:
             continue
         g = math.gcd(lead, top)
-        m, top = lead // g, top // g
-        if m != 1:
-            r = [m * c for c in r]
-        k = len(r) - n
+        k, top = lead // g, sign * (top // g)
+        if k != 1:
+            r = [k * c for c in r]
+            q = [k * c for c in q]
+            m *= k
+        i = len(r) - n
+        q[i] = top
         for j, c in enumerate(low):
             if c:
-                r[k + j] -= top * c
-    return _strip(r)
+                r[i + j] -= top * c
+    return q, _strip(r), m
 
 
 def _int_exact_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -383,13 +377,13 @@ def _int_exact_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(q)
 
 
-def _int_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+def _int_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     """Primitive greatest common divisor by the primitive pseudo-remainder sequence."""
     if len(a) < len(b):
         a, b = b, a
-    a, b = _primitive(list(a)), _primitive(list(b))
+    a, b = _primitive(a), _primitive(b)
     while b:
-        a, b = b, _primitive(_prem(a, b))
+        a, b = b, _primitive(_pdivmod(a, b)[1])
     if a and a[-1] < 0:
         a = tuple(-c for c in a)
     return a
@@ -399,7 +393,7 @@ def gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor via the primitive pseudo-remainder sequence."""
     if a.is_zero and b.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
-    return Poly(_int_gcd(_int_clear(a), _int_clear(b))).monic()
+    return Poly._from_ints(_int_gcd(a._num, b._num)).monic()
 
 
 class TaggedPoly:

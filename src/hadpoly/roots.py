@@ -23,12 +23,12 @@ from functools import cmp_to_key
 
 from .poly import (
     Poly,
-    _int_clear,
+    _horner,
     _int_derivative,
     _int_exact_div,
     _int_gcd,
     _int_sub,
-    _prem,
+    _pdivmod,
     _primitive,
 )
 
@@ -51,7 +51,7 @@ def _int_sturm_chain(
         return [v]
     chain = [v, _primitive(list(_int_derivative(v) if w is None else w))]
     while True:
-        r = _primitive(_prem(chain[-2], chain[-1]))
+        r = _primitive(_pdivmod(chain[-2], chain[-1])[1])
         if not r:
             return chain
         chain.append(tuple(-c for c in r))
@@ -60,7 +60,7 @@ def _int_sturm_chain(
 def _chain_of(p: Poly) -> list[tuple[int, ...]]:
     if p.is_zero:
         raise ValueError("Sturm chain of the zero polynomial is undefined")
-    return _int_sturm_chain(_int_clear(p))
+    return _int_sturm_chain(_primitive(p._num))
 
 
 def sturm_chain(p: Poly) -> list[Poly]:
@@ -157,14 +157,14 @@ def cauchy_index(b: Poly, a: Poly) -> tuple[int, int]:
     """
     if a.is_zero or b.is_zero:
         raise ValueError("Cauchy index needs nonzero polynomials")
-    return _index_and_reduced_degree(_int_sturm_chain(_int_clear(a), _int_clear(b)))
+    return _index_and_reduced_degree(_int_sturm_chain(_primitive(a._num), _primitive(b._num)))
 
 
 def square_free_part(p: Poly) -> Poly:
     """Monic square-free part p / gcd(p, p')."""
     if p.is_zero:
         raise ValueError("square-free part of the zero polynomial is undefined")
-    v = _int_clear(p)
+    v = _primitive(p._num)
     return Poly(_int_exact_div(v, _int_gcd(v, _int_derivative(v)))).monic()
 
 
@@ -177,7 +177,7 @@ def yun_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     """
     if p.is_zero:
         raise ValueError("square-free factorization of zero is undefined")
-    return [(Poly(q).monic(), m) for q, m in _yun(_int_clear(p))]
+    return [(Poly(q).monic(), m) for q, m in _yun(_primitive(p._num))]
 
 
 def _yun(v: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
@@ -273,18 +273,9 @@ def _rational_roots_capped(ints: tuple[int, ...]) -> list[Fraction]:
 
 
 def _sign_at(int_coeffs: tuple[int, ...], x: Fraction) -> int:
-    """Sign of the polynomial with the given integer coefficients at x.
-
-    Evaluates the numerator of the scaled Horner form only, avoiding
-    rational normalization.
-    """
-    num, den = x.numerator, x.denominator
-    acc = int_coeffs[-1]
-    spow = 1
-    for c in reversed(int_coeffs[:-1]):
-        spow *= den
-        acc = acc * num + c * spow
-    return (acc > 0) - (acc < 0)
+    """Sign of the polynomial with the given integer coefficients at x."""
+    value = _horner(int_coeffs, x)[0]
+    return (value > 0) - (value < 0)
 
 
 class RealRoot:
@@ -483,7 +474,7 @@ def real_roots_with_multiplicity(p: Poly) -> list[tuple[RealRoot, int]]:
     if p.is_zero or p.degree == 0:
         return []
     located: list[tuple[RealRoot, int]] = []
-    for factor, mult in _yun(_int_clear(p)):
+    for factor, mult in _yun(_primitive(p._num)):
         for root in _isolate_square_free(factor):
             located.append((root, mult))
     located.sort(key=cmp_to_key(lambda u, v: compare_roots(u[0], v[0])))

@@ -125,6 +125,18 @@ class TestOperatorCommands:
         code, out, err = run(capsys, "f", "--in", str(spec), "--degree", "3")
         assert code == 2 and out == "" and "'coeffs' must be a JSON list" in err
 
+    @pytest.mark.parametrize(
+        "command", [("f", "--degree", "3"), ("check", "logconcave")], ids=["f", "check"]
+    )
+    def test_poly_and_input_file_together_exit_2(self, capsys, tmp_path, command):
+        spec = tmp_path / "poly.json"
+        spec.write_text(json.dumps({"coeffs": ["1", "0", "7"]}))
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--poly", "5,5", "--in", str(spec)])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "argument --in: not allowed with argument --poly" in captured.err
+
     @pytest.mark.parametrize("command", [("f", "--degree", "2"), ("gamma", "--center", "2")])
     def test_input_file_zero_denominator_exits_2(self, capsys, tmp_path, command):
         spec = tmp_path / "poly.json"

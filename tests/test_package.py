@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -68,3 +70,30 @@ def test_static_guard_flags_each_rule():
         "line 5: name float",
         "line 6: math.log",
     ]
+
+
+# -- traced entry points ------------------------------------------------------------
+#
+# The benchmark counts calls under ``module:qualname`` keys of the function's
+# defining module; a renamed or deleted target would silently read 0 calls.
+
+BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+
+
+def _call_metric_targets() -> list[str]:
+    for node in ast.parse(BENCH_RUN.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "CALL_METRICS" for t in node.targets
+        ):
+            return sorted(ast.literal_eval(node.value).values())
+    raise AssertionError(f"no CALL_METRICS in {BENCH_RUN}")
+
+
+@pytest.mark.parametrize("target", _call_metric_targets())
+def test_bench_call_metric_resolves_to_a_function(target):
+    module, _, qualname = target.partition(":")
+    obj = importlib.import_module(f"hadpoly.{module}")
+    for name in qualname.split("."):
+        obj = getattr(obj, name)
+    assert inspect.isfunction(obj)
+    assert (obj.__module__, obj.__qualname__) == (f"hadpoly.{module}", qualname)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -34,13 +35,15 @@ class TestCanonicalForm:
 
     def test_fraction_coefficient_kept_as_given(self):
         half = Fraction(1, 2)
-        assert P(half, 1).coeffs[0] is half
+        kept = P(half, 1).coeffs[0]
+        assert kept == half and type(kept) is Fraction
         assert P(3).coeffs == (Fraction(3),)
 
     @pytest.mark.parametrize("bad", [0.1, "1/2"], ids=["float", "string"])
     def test_coefficient_neither_int_nor_fraction_rejected(self, bad):
-        with pytest.raises(TypeError, match="is not an int or a Fraction"):
-            P(1, bad)
+        for call in (lambda: P(1, bad), lambda: P(1, 2).scale(bad), lambda: P(1, 2).evaluate(bad)):
+            with pytest.raises(TypeError, match="is not an int or a Fraction"):
+                call()
 
     @given(polys)
     def test_no_stored_trailing_zero(self, p):
@@ -195,6 +198,115 @@ class TestDivision:
         q, r = divmod(a, b)
         assert q * b + r == a
         assert r.is_zero or r.degree < b.degree
+
+
+# -- a plain Fraction-list reference --------------------------------------------
+#
+# Each operation below is written on ascending lists of Fractions, with no
+# trailing-zero convention until ``_trim``; ``Poly`` must agree on every input.
+
+ZERO = Fraction(0)
+coefficient_lists = st.lists(coefficients, max_size=7)
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_add(a, b):
+    return [x + y for x, y in zip_longest(a, b, fillvalue=ZERO)]
+
+
+def _ref_mul(a, b):
+    out = [ZERO] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _ref_evaluate(a, x):
+    return sum((c * x**i for i, c in enumerate(a)), ZERO)
+
+
+def _ref_compose(a, b):
+    acc = []
+    for c in reversed(a):
+        acc = _ref_add(_ref_mul(acc, b), [c])
+    return acc
+
+
+def _ref_divmod(a, b):
+    rem, b = list(_trim(a)), _trim(b)
+    quo = [ZERO] * max(len(rem) - len(b) + 1, 0)
+    for i in range(len(rem) - len(b), -1, -1):
+        q = quo[i] = rem[i + len(b) - 1] / b[-1]
+        for j, c in enumerate(b):
+            rem[i + j] -= q * c
+    return quo, rem
+
+
+def _is_fraction_tuple(cs):
+    return type(cs) is tuple and all(type(c) is Fraction for c in cs)
+
+
+class TestAgainstFractionReference:
+    @given(coefficient_lists, coefficient_lists)
+    @settings(max_examples=150, deadline=None)
+    def test_ring_operations(self, a, b):
+        p, q = Poly(a), Poly(b)
+        assert _is_fraction_tuple(p.coeffs) and p.coeffs == _trim(a)
+        for i in range(-1, len(a) + 2):
+            c = p.coefficient(i)
+            assert type(c) is Fraction and c == (a[i] if 0 <= i < len(a) else 0)
+        assert (p + q).coeffs == _trim(_ref_add(a, b))
+        assert (p - q).coeffs == _trim(_ref_add(a, [-c for c in b]))
+        assert (-p).coeffs == _trim(-c for c in a)
+        assert (p * q).coeffs == _trim(_ref_mul(a, b))
+        assert p.compose(q).coeffs == _trim(_ref_compose(a, b))
+        if _trim(b):
+            quo, rem = divmod(p, q)
+            ref_quo, ref_rem = _ref_divmod(a, b)
+            assert (quo.coeffs, rem.coeffs) == (_trim(ref_quo), _trim(ref_rem))
+
+    @given(coefficient_lists, coefficients, st.integers(0, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_unary_operations(self, a, c, k):
+        p = Poly(a)
+        assert p.scale(c).coeffs == _trim(x * c for x in a)
+        assert p.shift_up(k).coeffs == _trim([ZERO] * k + a)
+        deriv = list(a)
+        for _ in range(k):
+            deriv = [i * x for i, x in enumerate(deriv)][1:]
+        assert p.derivative(k).coeffs == _trim(deriv)
+        value = p.evaluate(c)
+        assert type(value) is Fraction and value == _ref_evaluate(a, c)
+        if _trim(a):
+            lead = _trim(a)[-1]
+            assert p.monic().coeffs == _trim(x / lead for x in a)
+            assert p.leading_coefficient == lead
+        assert _is_fraction_tuple(p.monic().coeffs)
+
+    @given(st.lists(st.integers(-20, 20), max_size=7), coefficient_lists, st.integers(1, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_canonical_storage(self, ints, a, k):
+        built = [
+            Poly(ints),
+            Poly([Fraction(c) for c in ints]),
+            Poly([Fraction(c * k, k) for c in ints] + [0] * k),
+            Poly(ints).scale(Fraction(1, k)).scale(k),
+            (Poly(ints) + Poly(a)) - Poly(a),
+            divmod(Poly(ints) * Poly([Fraction(1, k), 1]), Poly([Fraction(1, k), 1]))[0],
+            divmod(Poly(ints).shift_up(k), Poly.monomial(k, Fraction(1, k)))[0].scale(Fraction(1, k)),
+        ]
+        for p in built:
+            assert p == built[0] and hash(p) == hash(built[0])
+            assert p.coeffs == _trim(Fraction(c) for c in ints)
+        scaled = Poly(a).scale(Fraction(k, 7)).scale(Fraction(7, k))
+        assert scaled == Poly(a) and hash(scaled) == hash(Poly(a))
 
 
 class TestTaggedPoly:
