@@ -6,8 +6,8 @@ raises ``ValueError`` when a precondition is violated.  No floating point is
 used anywhere.  Real-rootedness is one integer Sturm chain of the polynomial
 itself, with no square-free part.  Interlacing decides each input's
 real-rootedness once per call, then the order of the roots by one integer
-remainder chain of the pair (a Cauchy index); roots are isolated and
-compared only to build the witness of a failure.
+remainder chain of the pair (a Cauchy index); roots are isolated, once for
+the pair, only to build the witness of a failure.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ from .poly import Poly, comb0, reverse
 from .roots import (
     RootIsolation,
     cauchy_index,
-    compare_roots,
     distinct_root_counts,
     isolate_roots,
-    real_roots_with_multiplicity,
+    real_roots_of_product,
 )
 
 __all__ = [
@@ -222,7 +221,7 @@ def interlaces(b: Poly, a: Poly) -> PropertyReport:
     and is interlaced by everything.  Raises on non-real-rooted input.
 
     Decided without roots by a Cauchy index (see ``_residues_positive``);
-    only a failure isolates and compares roots, for a witness naming the
+    only a failure isolates the roots of the pair, for a witness naming the
     first out-of-order pair.
     """
     if a.is_zero or b.is_zero:
@@ -266,35 +265,33 @@ def _residues_positive(b: Poly, a: Poly) -> bool:
 
 
 def _root_order(b: Poly, a: Poly) -> PropertyReport:
-    """Interlacing decided by isolating and comparing the roots of ``b`` and ``a``.
+    """Interlacing decided by the roots of ``a`` and ``b``, isolated together.
 
+    One isolation of the product lists the distinct roots of both in
+    ascending order, so a root is compared by its position in that list.
     A failure's witness is the first out-of-order root pair.
     """
-    s = _descending_roots(a)
-    t = _descending_roots(b)
+    located = real_roots_of_product([a, b])
+    names = [_root_bound_str(root) for root, _ in located]
+    # positions in ``located`` of the roots of a (s) and of b (t), descending,
+    # each repeated by its multiplicity
+    s, t = (
+        [k for k in reversed(range(len(located))) for _ in range(located[k][1][j])]
+        for j in (0, 1)
+    )
     # t_i <= s_i and s_(i+1) <= t_i, indices starting at 1
     for i in range(len(t)):
-        if compare_roots(t[i], s[i]) > 0:
+        if t[i] > s[i]:
             return PropertyReport.failed(
-                {"index": i + 1, "root_of_b": _root_bound_str(t[i]),
-                 "root_of_a": _root_bound_str(s[i])},
+                {"index": i + 1, "root_of_b": names[t[i]], "root_of_a": names[s[i]]},
                 f"t_{i + 1} > s_{i + 1}",
             )
-        if i + 1 < len(s) and compare_roots(s[i + 1], t[i]) > 0:
+        if i + 1 < len(s) and s[i + 1] > t[i]:
             return PropertyReport.failed(
-                {"index": i + 1, "root_of_a": _root_bound_str(s[i + 1]),
-                 "root_of_b": _root_bound_str(t[i])},
+                {"index": i + 1, "root_of_a": names[s[i + 1]], "root_of_b": names[t[i]]},
                 f"s_{i + 2} > t_{i + 1}",
             )
     return PropertyReport.passed()
-
-
-def _descending_roots(p: Poly):
-    roots = []
-    for root, mult in real_roots_with_multiplicity(p):
-        roots.extend([root] * mult)
-    roots.reverse()
-    return roots
 
 
 @dataclass(frozen=True)

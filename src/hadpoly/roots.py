@@ -1,4 +1,4 @@
-"""Exact real-root counting, isolation, and comparison.
+"""Exact real-root counting and isolation.
 
 Everything here is exact, with no floating point, and runs on integer
 vectors (primitive integer multiples of the polynomials, see ``poly``):
@@ -8,18 +8,19 @@ vectors (primitive integer multiples of the polynomials, see ``poly``):
   and on the whole line, and its last element is gcd(p, p').  A chain
   starting a, b gives the Cauchy index of b/a, which decides interlacing.
 * Square-free (Yun) decomposition recovers multiplicities.
-* Isolation bisects each square-free Yun factor on Sturm counts of its
-  chain, starting from a power of two above the Cauchy root bound; rational
-  roots hit by a bisection point are reported exactly and divided out.
-* Isolated roots are comparable as exact algebraic numbers: equality is
-  decided through a gcd, order by interval refinement.
+* Isolation bisects the square-free part of a product of polynomials once,
+  on Sturm counts of its chain, starting from a power of two above the
+  Cauchy root bound; rational roots found by a divisor sweep or hit by a
+  bisection point are reported exactly and divided out.  The roots come out
+  ascending, and each input's multiplicity at a root is read off the Yun
+  factor of that input that vanishes there or changes sign across the
+  interval, so no two algebraic numbers are ever compared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .poly import (
     Poly,
@@ -30,6 +31,7 @@ from .poly import (
     _int_sub,
     _pdivmod,
     _primitive,
+    _rational,
 )
 
 #: default maximum width of a reported isolating interval
@@ -128,6 +130,7 @@ def count_real_roots(
 
     Raises on a reversed interval (lo > hi); (lo, lo] is empty.
     """
+    lo, hi = (None if x is None else _rational(x) for x in (lo, hi))
     if lo is not None and hi is not None and lo > hi:
         raise ValueError(f"reversed interval: lo = {lo} > hi = {hi}")
     return _sturm_count(_chain_of(p), lo, hi)
@@ -305,12 +308,6 @@ class RealRoot:
     def is_exact(self) -> bool:
         return self.ints is None
 
-    @property
-    def value(self) -> Fraction:
-        if not self.is_exact:
-            raise ValueError("root is not known exactly")
-        return self.lo
-
     def refine(self) -> None:
         """Halve the enclosing interval (turns into an exact root if bisection hits it)."""
         if self.is_exact:
@@ -325,48 +322,10 @@ class RealRoot:
         else:
             self.hi = mid
 
-    def refine_below(self, width: Fraction) -> None:
-        while not self.is_exact and self.hi - self.lo > width:
-            self.refine()
-
     def __repr__(self) -> str:
         if self.is_exact:
             return f"RealRoot(={self.lo})"
         return f"RealRoot(({self.lo}, {self.hi}))"
-
-
-def _roots_equal(r1: RealRoot, r2: RealRoot) -> bool:
-    """Exact equality test for two isolated roots with overlapping intervals."""
-    if r1.is_exact and r2.is_exact:
-        return r1.lo == r2.lo
-    if r1.is_exact:
-        return _sign_at(r2.ints, r1.lo) == 0 and r2.lo < r1.lo < r2.hi
-    if r2.is_exact:
-        return _sign_at(r1.ints, r2.lo) == 0 and r1.lo < r2.lo < r1.hi
-    lo = max(r1.lo, r2.lo)
-    hi = min(r1.hi, r2.hi)
-    if lo >= hi:
-        return False
-    g = _int_gcd(r1.ints, r2.ints)
-    # A common root inside both isolating intervals is the root of each.
-    return len(g) > 1 and _sturm_count(_int_sturm_chain(g), lo, hi) > 0
-
-
-def compare_roots(r1: RealRoot, r2: RealRoot) -> int:
-    """Exact three-way comparison (-1, 0, 1) of two isolated real roots.
-
-    Interval enclosures are open (the root never sits on an endpoint), so
-    once equality is excluded, touching intervals already decide the order.
-    """
-    if _roots_equal(r1, r2):
-        return 0
-    while True:
-        if r1.hi <= r2.lo:
-            return -1
-        if r2.hi <= r1.lo:
-            return 1
-        r1.refine()
-        r2.refine()
 
 
 @dataclass(frozen=True)
@@ -408,17 +367,24 @@ class RootIsolation:
 
 
 def _isolate_square_free(work: tuple[int, ...]) -> list[RealRoot]:
-    """Isolating intervals/exact values for all real roots of the square-free
-    nonconstant integer vector ``work``."""
-    roots: list[RealRoot] = [RealRoot.exact(r) for r in _rational_roots_capped(work)]
-    for r in roots:
-        work = _int_exact_div(work, _linear_factor(r.lo))
+    """Ascending isolating intervals/exact values for all real roots of the
+    square-free integer vector ``work``.
+
+    Neighbours may share an end, but no rational root found by the sweep
+    lies inside an interval: the one interval around it is refined until
+    the root is an end or outside.
+    """
+    swept = sorted(_rational_roots_capped(work))
+    for r in swept:
+        work = _int_exact_div(work, _linear_factor(r))
+    exact = [RealRoot.exact(r) for r in swept]
     if len(work) == 1:
-        return roots
+        return exact
     chain = _int_sturm_chain(work)
     bound = _root_bound(work)
     # A rational root at a bisection point is divided out, so no interval end
     # is a root and the Sturm count on (lo, hi] is that on (lo, hi).
+    isolated: list[RealRoot] = []
     stack: list[tuple[Fraction, Fraction]] = [(-bound, bound)]
     while stack:
         lo, hi = stack.pop()
@@ -426,56 +392,80 @@ def _isolate_square_free(work: tuple[int, ...]) -> list[RealRoot]:
         if v == 0:
             continue
         if v == 1:
-            roots.append(RealRoot(work, lo, hi))
+            isolated.append(RealRoot(work, lo, hi))
             continue
         mid = (lo + hi) / 2
         if _sign_at(work, mid) == 0:
-            roots.append(RealRoot.exact(mid))
+            exact.append(RealRoot.exact(mid))
             work = _int_exact_div(work, _linear_factor(mid))
             chain = _int_sturm_chain(work)
-            for r in roots:
-                if not r.is_exact:
-                    # deflation removed a root outside (r.lo, r.hi)
-                    r._set_ints(work)
+            for r in isolated:  # deflation removed a root outside (r.lo, r.hi)
+                r._set_ints(work)
         stack.append((lo, mid))
         stack.append((mid, hi))
-    return roots
+    for r in swept:
+        for root in isolated:
+            while root.lo < r < root.hi:
+                root.refine()
+    # disjoint entries, an exact one ahead of an interval starting at it
+    return sorted(exact + isolated, key=lambda root: (root.lo, root.hi))
+
+
+def real_roots_of_product(
+    polys: list[Poly], max_width: Fraction | None = None
+) -> list[tuple[RealRoot, tuple[int, ...]]]:
+    """The distinct real roots of the product of nonzero ``polys``, ascending.
+
+    Each root comes with its multiplicity in every input, in input order (0
+    where it is not a root of that input).  The square-free part of the
+    product is isolated once; each interval is then refined below
+    ``max_width`` if given, and touching neighbours are separated by refining
+    the wider one (both on a tie, never an exact root), so intervals are
+    pairwise disjoint and no interval end is a root.
+    """
+    if max_width is not None and _rational(max_width) <= 0:
+        raise ValueError(f"isolating width must be positive, got {max_width}")
+    product = Poly.one()
+    for p in polys:
+        product = product * p
+    if product.is_zero:
+        raise ValueError("cannot isolate roots of the zero polynomial")
+    roots = _isolate_square_free(_primitive(square_free_part(product)._num))
+    if max_width is not None:
+        for root in roots:
+            while not root.is_exact and root.hi - root.lo > max_width:
+                root.refine()
+    for r1, r2 in zip(roots, roots[1:]):
+        while not r1.hi < r2.lo:
+            w1, w2 = r1.hi - r1.lo, r2.hi - r2.lo
+            if w1 >= w2:
+                r1.refine()
+            if w2 >= w1:
+                r2.refine()
+    yuns = [_yun(_primitive(p._num)) for p in polys]
+    return [
+        (root, tuple(next((m for q, m in yun if _has_root(q, root)), 0) for yun in yuns))
+        for root in roots
+    ]
+
+
+def _has_root(q: tuple[int, ...], root: RealRoot) -> bool:
+    """Is ``root`` a root of the square-free ``q``?  It is iff q vanishes at an
+    exact root, or changes sign across the interval, whose ends are not roots."""
+    if root.is_exact:
+        return _sign_at(q, root.lo) == 0
+    return _sign_at(q, root.lo) != _sign_at(q, root.hi)
 
 
 def isolate_roots(p: Poly, max_width: Fraction = DEFAULT_MAX_WIDTH) -> RootIsolation:
     """Isolate all real roots of ``p`` with multiplicities.
 
-    Square-free factorization first, bisection per factor, then a global
-    refinement pass so the reported intervals are pairwise disjoint, sorted
-    ascending, and no wider than ``max_width``, which must be positive.
+    The intervals are pairwise disjoint, ascending and no wider than
+    ``max_width``, which must be positive (see ``real_roots_of_product``).
     """
-    if max_width <= 0:
-        raise ValueError(f"isolating width must be positive, got {max_width}")
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
     if p.degree == 0:
         raise ValueError("cannot isolate roots of a constant polynomial")
-    # compare_roots refines as a side effect until every pair is separated
-    located = real_roots_with_multiplicity(p)
-    for root, _ in located:
-        root.refine_below(max_width)
-    for (r1, _), (r2, _) in zip(located, located[1:]):
-        while not r1.hi < r2.lo:
-            r1.refine()
-            r2.refine()
-    intervals = tuple(
-        RootInterval(lo=r.lo, hi=r.hi, multiplicity=m) for r, m in located
-    )
-    return RootIsolation(intervals)
-
-
-def real_roots_with_multiplicity(p: Poly) -> list[tuple[RealRoot, int]]:
-    """All real roots ascending as comparable ``RealRoot`` handles with multiplicity."""
-    if p.is_zero or p.degree == 0:
-        return []
-    located: list[tuple[RealRoot, int]] = []
-    for factor, mult in _yun(_primitive(p._num)):
-        for root in _isolate_square_free(factor):
-            located.append((root, mult))
-    located.sort(key=cmp_to_key(lambda u, v: compare_roots(u[0], v[0])))
-    return located
+    located = real_roots_of_product([p], max_width)
+    return RootIsolation(tuple(RootInterval(r.lo, r.hi, m) for r, (m,) in located))

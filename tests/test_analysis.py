@@ -356,7 +356,7 @@ class TestCauchyIndexAgainstRootOrder:
         assert rep.witness == {"index": 1, "root_of_b": "0", "root_of_a": "-1"}
         assert rep.detail == "t_1 > s_1"
         rep = interlaces(P(-2, 0, 1), P(-1, 0, 1))
-        assert rep.witness == {"index": 1, "root_of_b": "(1, 2)", "root_of_a": "1"}
+        assert rep.witness == {"index": 1, "root_of_b": "(5/4, 3/2)", "root_of_a": "1"}
         rep = interlaces(P(0, 1), P(3, -4, 1))
         assert rep.witness == {"index": 1, "root_of_a": "1", "root_of_b": "0"}
         assert rep.detail == "s_2 > t_1"

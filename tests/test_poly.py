@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hadpoly.poly import Poly, TaggedPoly, gcd, reflect, reverse
+from hadpoly.roots import count_real_roots, isolate_roots
 
 
 def P(*coeffs):
@@ -41,7 +42,15 @@ class TestCanonicalForm:
 
     @pytest.mark.parametrize("bad", [0.1, "1/2"], ids=["float", "string"])
     def test_coefficient_neither_int_nor_fraction_rejected(self, bad):
-        for call in (lambda: P(1, bad), lambda: P(1, 2).scale(bad), lambda: P(1, 2).evaluate(bad)):
+        calls = (
+            lambda: P(1, bad),
+            lambda: P(1, 2).scale(bad),
+            lambda: P(1, 2).evaluate(bad),
+            lambda: isolate_roots(P(-2, 0, 1), bad),
+            lambda: count_real_roots(P(-2, 0, 1), bad, 2),
+            lambda: count_real_roots(P(-2, 0, 1), 0, bad),
+        )
+        for call in calls:
             with pytest.raises(TypeError, match="is not an int or a Fraction"):
                 call()
 

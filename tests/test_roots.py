@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 
 from hadpoly.poly import Poly
 from hadpoly.roots import (
-    RealRoot,
-    compare_roots,
     count_real_roots,
     isolate_roots,
-    real_roots_with_multiplicity,
+    real_roots_of_product,
     square_free_part,
     sturm_chain,
     yun_decomposition,
@@ -157,6 +155,13 @@ class TestIsolation:
                 continue
             assert count_real_roots(p, iv.lo, iv.hi) == 1
 
+    def test_width_refined_only_where_needed(self):
+        # a simple root 1400 away leaves the double roots +-sqrt(3) at width 1/8
+        p = P(-2 * 10**6, 0, 1) * P(-3, 0, 1) ** 2
+        iso = isolate_roots(p, Fraction(1, 8))
+        assert [iv.multiplicity for iv in iso.intervals] == [1, 2, 2, 1]
+        assert all(iv.hi - iv.lo == Fraction(1, 8) for iv in iso.intervals)
+
     @given(st.lists(small_roots, min_size=1, max_size=5))
     @settings(max_examples=40, deadline=None)
     def test_multiplicity_totals(self, roots):
@@ -167,28 +172,40 @@ class TestIsolation:
 
 
 class TestComparison:
+    """Roots of several inputs, isolated together, ordered by position."""
+
     def test_exact_vs_exact(self):
-        assert compare_roots(RealRoot.exact(Fraction(1)), RealRoot.exact(Fraction(2))) == -1
-        assert compare_roots(RealRoot.exact(Fraction(2)), RealRoot.exact(Fraction(2))) == 0
+        located = real_roots_of_product([linear_product(2), linear_product(1, 2)])
+        assert [(r.lo, r.hi, m) for r, m in located] == [(1, 1, (0, 1)), (2, 2, (1, 1))]
 
     def test_shared_algebraic_root_detected_equal(self):
-        # sqrt(2) isolated inside two different polynomials
+        # sqrt(2) is a root of both inputs
         p1 = P(-2, 0, 1)
         p2 = P(-2, 0, 1) * P(5, 1)
-        r1 = real_roots_with_multiplicity(p1)[-1][0]  # sorted ascending
-        r2 = real_roots_with_multiplicity(p2)[-1][0]
-        assert compare_roots(r1, r2) == 0
+        located = real_roots_of_product([p1, p2])
+        assert [m for _, m in located] == [(0, 1), (1, 1), (1, 1)]
+        root, _ = located[-1]
+        assert 1 <= root.lo < root.hi <= 2
 
     def test_close_roots_separate(self):
         a = Fraction(1, 3)
         b = Fraction(1, 3) + Fraction(1, 2**20)
-        p = linear_product(a, b)
-        roots = [r for r, _ in real_roots_with_multiplicity(p)]
-        assert len(roots) == 2
-        assert compare_roots(roots[0], roots[1]) == -1
+        located = real_roots_of_product([linear_product(a), linear_product(b)])
+        assert [m for _, m in located] == [(1, 0), (0, 1)]
+        assert located[0][0].hi < located[1][0].lo
 
     def test_ascending_order(self):
         p = linear_product(-2, Fraction(-1, 2), 3) * P(-3, 0, 1)
-        values = real_roots_with_multiplicity(p)
-        for (r1, _), (r2, _) in zip(values, values[1:]):
-            assert compare_roots(r1, r2) == -1
+        located = real_roots_of_product([p, P(-5, 0, 1)], Fraction(1, 8))
+        assert len(located) == 7
+        for (r1, _), (r2, _) in zip(located, located[1:]):
+            assert r1.hi < r2.lo
+
+    def test_constant_input_has_no_roots(self):
+        assert real_roots_of_product([P(3)]) == []
+        located = real_roots_of_product([P(3), P(-1, 1)])
+        assert [m for _, m in located] == [(0, 1)]
+
+    def test_zero_input_rejected(self):
+        with pytest.raises(ValueError):
+            real_roots_of_product([P(-1, 1), P()])

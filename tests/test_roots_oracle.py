@@ -11,10 +11,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hadpoly.analysis import newton_violation
-
+from hadpoly.analysis import interlaces, newton_violation
 from hadpoly.poly import Poly, gcd
-from hadpoly.roots import count_real_roots, isolate_roots, square_free_part, yun_decomposition
+from hadpoly.rng import SplitMix64
+from hadpoly.roots import (
+    count_real_roots,
+    isolate_roots,
+    real_roots_of_product,
+    square_free_part,
+    yun_decomposition,
+)
 
 sympy = pytest.importorskip("sympy")
 X = sympy.Symbol("x")
@@ -129,3 +135,106 @@ def test_isolation_near_complex_pairs_matches_sympy(p, max_width):
             holds = [m for q, m in sqf if q.count_roots(iv.lo, iv.hi) == 1]
         assert holds == [iv.multiplicity]
     assert isolate_roots(p, max_width).count_distinct == to_sympy(p).count_roots()
+
+
+def _multiplicity(sqf, root) -> int:
+    """The multiplicity of the sympy square-free factor with a root at or in ``root``, or 0."""
+    for q, m in sqf:
+        if q.eval(root.lo) == 0 if root.is_exact else q.count_roots(root.lo, root.hi) == 1:
+            return m
+    return 0
+
+
+@given(near_axis_products, products)
+@settings(max_examples=150, deadline=None)
+def test_product_isolation_matches_sympy(p, q):
+    """One isolation of p q: sympy's count of distinct real roots, strictly
+    separated entries, one root of p q in each open interval and none at its
+    ends, and each input's multiplicity from its own ``sqf_list``."""
+    located = real_roots_of_product([p, q])
+    product = to_sympy(p) * to_sympy(q)
+    assert len(located) == product.count_roots()
+    for (r1, _), (r2, _) in zip(located, located[1:]):
+        assert r1.hi < r2.lo
+    sqfs = [to_sympy(f).sqf_list()[1] for f in (p, q)]
+    for root, multiplicities in located:
+        if root.is_exact:
+            assert product.eval(root.lo) == 0
+        else:
+            assert product.eval(root.lo) != 0 and product.eval(root.hi) != 0
+            assert product.count_roots(root.lo, root.hi) == 1
+        assert multiplicities == tuple(_multiplicity(sqf, root) for sqf in sqfs)
+
+
+#: real-rooted factors: x - r for a few rationals r, then x^2 - 2, x^2 - x - 1,
+#: 3x^2 - 1 and x^3 - 3x + 1, whose roots are irrational
+WITNESS_POOL = [Poly([-r, 1]) for r in (-2, -1, Fraction(-1, 2), 0, Fraction(1, 3), 1, 2)] + [
+    Poly([-2, 0, 1]),
+    Poly([-1, -1, 1]),
+    Poly([-1, 0, 3]),
+    Poly([1, -3, 0, 1]),
+]
+
+
+def _pool_product(rng: SplitMix64, factors: list[Poly]) -> Poly:
+    p = Poly([rng.randint(1, 3) * (1 if rng.chance(1, 2) else -1)])
+    for f in factors:
+        p = p * f
+    return p
+
+
+def _pool_factor(rng: SplitMix64) -> Poly:
+    return WITNESS_POOL[rng.randint(0, len(WITNESS_POOL) - 1)]
+
+
+def _witness_pair(rng: SplitMix64) -> tuple[Poly, Poly]:
+    """(b, a): a is a product of pool factors, some repeated; b is a', or a
+    with one factor dropped and perhaps another drawn in its place."""
+    factors = [_pool_factor(rng) for _ in range(rng.randint(1, 4))]
+    factors += factors[: rng.randint(0, 1)]
+    a = _pool_product(rng, factors)
+    if rng.chance(1, 3):
+        return a.derivative(), a
+    del factors[rng.randint(0, len(factors) - 1)]
+    if rng.chance(2, 3):
+        factors.append(_pool_factor(rng))
+    return _pool_product(rng, factors), a
+
+
+def _holds_root(text: str, r) -> bool:
+    """Does the witness entry ``text`` (a rational, or "(lo, hi)") hold the sympy root ``r``?"""
+    if not text.startswith("("):
+        return r == sympy.Rational(text)
+    lo, hi = (sympy.Rational(e) for e in text[1:-1].split(", "))
+    return bool(lo < r) and bool(r < hi)
+
+
+def test_interlacing_witness_names_roots_in_the_stated_order():
+    """On seeded real-rooted pairs that fail ``interlaces`` on root order,
+    sympy's roots confirm the witness: ``root_of_a`` holds s_j and
+    ``root_of_b`` holds t_i (both descending, with multiplicity), the pair is
+    out of order as ``detail`` states, and every earlier condition holds."""
+    rng = SplitMix64(12)
+    checked = 0
+    for _ in range(200):
+        b, a = _witness_pair(rng)
+        report = interlaces(b, a)
+        if report.holds or "index" not in report.witness:
+            continue
+        checked += 1
+        s = sympy.real_roots(to_sympy(a))[::-1]
+        t = sympy.real_roots(to_sympy(b))[::-1]
+        i = report.witness["index"]
+        for k in range(1, i):
+            assert bool(t[k - 1] <= s[k - 1]) and bool(s[k] <= t[k - 1])
+        if report.detail == f"t_{i} > s_{i}":
+            root_of_a, root_of_b = s[i - 1], t[i - 1]
+            assert bool(root_of_b > root_of_a)
+        else:
+            assert report.detail == f"s_{i + 1} > t_{i}"
+            assert bool(t[i - 1] <= s[i - 1])
+            root_of_a, root_of_b = s[i], t[i - 1]
+            assert bool(root_of_a > root_of_b)
+        assert _holds_root(report.witness["root_of_a"], root_of_a)
+        assert _holds_root(report.witness["root_of_b"], root_of_b)
+    assert checked >= 30
