@@ -4,22 +4,23 @@ Every check returns a ``PropertyReport`` whose ``witness`` explains a failure
 in machine-readable form (an index, an index pair, or a root bound), or
 raises ``ValueError`` when a precondition is violated.  No floating point is
 used anywhere.  Real-rootedness is one integer Sturm chain of the polynomial
-itself, with no square-free part.  Interlacing decides each input's
-real-rootedness once per call, then the order of the roots by one integer
-remainder chain of the pair (a Cauchy index); roots are isolated, once for
-the pair, only to build the witness of a failure.
+itself, with no square-free part.  Interlacing is one integer remainder
+chain of the pair (a Cauchy index) and the chain of its gcd; only a failure
+checks each input's real-rootedness and isolates the roots, once for the
+pair, to build its witness.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .poly import Poly, comb0, reverse
 from .roots import (
     RootIsolation,
-    cauchy_index,
     distinct_root_counts,
     isolate_roots,
+    real_rooted_interlacing,
     real_roots_of_product,
 )
 
@@ -143,6 +144,7 @@ def is_ulc(h: Poly, m: int) -> PropertyReport:
     v = _require_nonnegative(h)
     if len(v) - 1 > m:
         raise ValueError(f"order {m} is smaller than the degree {h.degree}")
+    row = [math.comb(m, j) for j in range(len(v))]
     lo = bad = None
     for j, c in enumerate(v):
         if not c:
@@ -154,8 +156,7 @@ def is_ulc(h: Poly, m: int) -> PropertyReport:
         elif lo is None:
             lo = j  # a_(j-1) = 0 here, so the inequality holds at j
         elif bad is None and j < len(v) - 1:
-            cj = comb0(m, j)
-            if c * c * comb0(m, j - 1) * comb0(m, j + 1) < v[j - 1] * v[j + 1] * cj * cj:
+            if c * c * row[j - 1] * row[j + 1] < v[j - 1] * v[j + 1] * row[j] * row[j]:
                 bad = j
     if bad is not None:
         return PropertyReport.failed(
@@ -220,12 +221,15 @@ def interlaces(b: Poly, a: Poly) -> PropertyReport:
     which forces deg b in {deg a - 1, deg a}.  The zero polynomial interlaces
     and is interlaced by everything.  Raises on non-real-rooted input.
 
-    Decided without roots by a Cauchy index (see ``_residues_positive``);
-    only a failure isolates the roots of the pair, for a witness naming the
-    first out-of-order pair.
+    Decided without roots by one remainder chain of the pair (see
+    ``roots.real_rooted_interlacing``); only a failure checks each input's
+    real-rootedness and isolates the roots of the pair, for a witness naming
+    the first out-of-order pair.
     """
     if a.is_zero or b.is_zero:
         return PropertyReport.passed("zero polynomial convention")
+    if real_rooted_interlacing(b, a):
+        return PropertyReport.passed()
     for name, p in (("a", a), ("b", b)):
         if not is_real_rooted(p).holds:
             raise ValueError(f"non-real-rooted input: {name} = {p}")
@@ -233,7 +237,7 @@ def interlaces(b: Poly, a: Poly) -> PropertyReport:
 
 
 def _real_rooted_interlace(b: Poly, a: Poly) -> PropertyReport:
-    """``interlaces`` for nonzero ``a`` and ``b`` already known to be real-rooted."""
+    """``interlaces`` for nonzero real-rooted ``a``, ``b`` that one chain did not pass."""
     deg_a, deg_b = a.degree, b.degree
     if deg_a == 0 and deg_b == 0:
         return PropertyReport.passed("both constant")
@@ -242,26 +246,10 @@ def _real_rooted_interlace(b: Poly, a: Poly) -> PropertyReport:
             {"deg_a": deg_a, "deg_b": deg_b},
             f"degree mismatch: deg b = {deg_b} not in {{{deg_a - 1}, {deg_a}}}",
         )
-    if _residues_positive(b, a):
-        return PropertyReport.passed()
-    report = _root_order(b, a)  # only to find the witness
+    report = _root_order(b, a)
     if report.holds:
         raise RuntimeError("internal error: Cauchy index and root order disagree")
     return report
-
-
-def _residues_positive(b: Poly, a: Poly) -> bool:
-    """Does b interlace a, for real-rooted a of degree >= 1 and deg b in {deg a - 1, deg a}?
-
-    With both leading coefficients positive, b interlaces a iff every
-    residue of b/a is positive (Hermite-Kakeya-Obreschkoff), i.e. iff the
-    Cauchy index of b/a is deg a - deg gcd(a, b): every pole of the reduced
-    fraction is then real and simple with a positive residue, and the
-    common real-rooted factor gcd(a, b) does not change interlacing.
-    """
-    same_sign = (a.leading_coefficient > 0) == (b.leading_coefficient > 0)
-    index, poles = cauchy_index(b if same_sign else -b, a)
-    return index == poles
 
 
 def _root_order(b: Poly, a: Poly) -> PropertyReport:

@@ -2,10 +2,11 @@
 
 Every generator draws only from a ``SplitMix64`` stream, so a (seed, trial)
 pair reproduces the instance exactly.  Instances hold by construction
-(products of rational linear factors, multiplied over the integers with one
-denominator by ``_linear_product``; gamma-basis combinations; paired-root
-palindromes) or by rejection sampling against the exact checker, bounded by
-``REJECTION_BUDGET``; exhaustion raises instead of silently skipping.
+(products of linear factors x + n/q from integer pairs (n, q), multiplied
+over the integers with one denominator by ``_linear_product``; gamma-basis
+combinations; paired-root palindromes) or by rejection sampling against the
+exact checker, bounded by ``REJECTION_BUDGET``; exhaustion raises instead of
+silently skipping.  ``gen_ulc`` shrinks on that integer vector in one pass.
 """
 
 from __future__ import annotations
@@ -55,18 +56,23 @@ def gen_real_rooted(rng: SplitMix64, degree: int, max_coeff: int) -> TaggedPoly:
     Real-rooted with nonnegative coefficients by construction; tagged with
     its own degree.
     """
-    shifts = [rng.rational(max_coeff, max_coeff) for _ in range(degree)]
-    return TaggedPoly(_linear_product(1, shifts), degree)
+    v, den = _linear_product(1, _shifts(rng, degree, max_coeff))
+    return TaggedPoly(Poly._from_ints(v, den), degree)
 
 
-def _linear_product(scale: Fraction | int, shifts: list[Fraction]) -> Poly:
-    """scale * prod (x + n/q) over the shifts, as (q x + n) on one integer vector."""
+def _shifts(rng: SplitMix64, degree: int, max_coeff: int) -> list[tuple[int, int]]:
+    """``degree`` pairs (n, q) for n/q, drawn as ``rng.rational(max_coeff, max_coeff)``."""
+    return [(rng.randint(0, max_coeff), rng.randint(1, max_coeff)) for _ in range(degree)]
+
+
+def _linear_product(scale: Fraction | int, shifts: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """scale * prod (x + n/q) over the pairs (n, q), q > 0, as (q x + n) on one
+    integer vector: that vector and its denominator, neither reduced."""
     v, den = [scale.numerator], scale.denominator
-    for r in shifts:
-        n, q = r.numerator, r.denominator
+    for n, q in shifts:
         v = [n * a + q * b for a, b in zip(v + [0], [0] + v)]
         den *= q
-    return Poly._from_ints(v, den)
+    return v, den
 
 
 def gen_ulc(rng: SplitMix64, degree: int, max_coeff: int) -> TaggedPoly:
@@ -77,15 +83,16 @@ def gen_ulc(rng: SplitMix64, degree: int, max_coeff: int) -> TaggedPoly:
     reaches instances that are not real-rooted.
     """
     for _ in range(REJECTION_BUDGET):
-        h = gen_real_rooted(rng, degree, max_coeff).poly
-        v, den = h._num, h._den
+        v, den = _linear_product(1, _shifts(rng, degree, max_coeff))
+        shrink, big_q = [(1, 1)] * len(v), 1
         for j in range(1, len(v) - 1):
             if v[j] and rng.chance(1, 2):
-                # shrink coefficient j by n/q: the others scale by q, and so does den
-                r = _unit_interval_rational(rng, max_coeff)
-                v = [c * (r.numerator if i == j else r.denominator) for i, c in enumerate(v)]
-                den *= r.denominator
-        candidate = Poly._from_ints(v, den)
+                shrink[j] = _unit_interval_pair(rng, max_coeff)
+                big_q *= shrink[j][1]
+        # coefficient j times n_j/q_j is v[j] n_j (Q/q_j) over den Q, Q = prod q_j
+        candidate = Poly._from_ints(
+            [c * n * (big_q // q) for c, (n, q) in zip(v, shrink)], den * big_q
+        )
         if is_ulc(candidate, degree).holds:
             return TaggedPoly(candidate, degree)
     raise GeneratorExhausted(
@@ -115,11 +122,11 @@ def gen_gamma_positive(rng: SplitMix64, s: int, max_coeff: int) -> TaggedPoly:
     return gen_symmetric(rng, s, 0, max_coeff)
 
 
-def _unit_interval_rational(rng: SplitMix64, max_coeff: int) -> Fraction:
-    """Rational in (0, 1]."""
+def _unit_interval_pair(rng: SplitMix64, max_coeff: int) -> tuple[int, int]:
+    """(n, q) with 0 < n <= q, for the rational n/q in (0, 1]."""
     a = rng.randint(1, max_coeff)
     b = rng.randint(1, max_coeff)
-    return Fraction(min(a, b), max(a, b))
+    return min(a, b), max(a, b)
 
 
 def _point_in_gap(rng: SplitMix64, lo: Fraction, hi: Fraction) -> Fraction:
@@ -143,11 +150,11 @@ def gen_interlacing_symdec(rng: SplitMix64, d: int, max_coeff: int) -> SymDecomp
     pairs = rng.randint(0, d // 2)
     roots: list[Fraction] = []
     for _ in range(pairs):
-        r = _unit_interval_rational(rng, max_coeff)
+        r = Fraction(*_unit_interval_pair(rng, max_coeff))
         roots.extend([-r, Fraction(-1) / r])
     roots.extend([Fraction(-1)] * (d - 2 * pairs))
     roots.sort(reverse=True)
-    a = _linear_product(scale_a, [-root for root in roots])
+    a = Poly._from_ints(*_linear_product(scale_a, [(-r.numerator, r.denominator) for r in roots]))
 
     if rng.chance(1, 8):
         b = Poly()
@@ -160,7 +167,8 @@ def gen_interlacing_symdec(rng: SplitMix64, d: int, max_coeff: int) -> SymDecomp
             t[m - 1 - i] = Fraction(1) / pick
         if m % 2 == 1:
             t[m // 2] = Fraction(-1)  # the self-inverse middle gap contains -1
-        b = _linear_product(rng.positive_rational(max_coeff, max_coeff), [-root for root in t])
+        scale_b = rng.positive_rational(max_coeff, max_coeff)
+        b = Poly._from_ints(*_linear_product(scale_b, [(-r.numerator, r.denominator) for r in t]))
 
     dec = SymDecomp(a, b, d)
     if not decomposition_is_nonnegative(dec).holds:

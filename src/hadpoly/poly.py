@@ -29,10 +29,10 @@ def comb0(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _rational(c: object) -> Coefficient:
-    """``c`` itself if it is an ``int`` or a ``Fraction``; ``TypeError`` otherwise."""
+def _rational(c: object, what: str = "coefficient") -> Coefficient:
+    """``c`` if it is an ``int`` or a ``Fraction``; else a ``TypeError`` naming ``what``."""
     if not isinstance(c, (int, Fraction)):
-        raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+        raise TypeError(f"{what} {c!r} is not an int or a Fraction")
     return c
 
 
@@ -151,7 +151,7 @@ class Poly:
     __rmul__ = __mul__
 
     def scale(self, c: Coefficient) -> "Poly":
-        c = _rational(c)
+        c = _rational(c, "scalar")
         return Poly._from_ints([a * c.numerator for a in self._num], self._den * c.denominator)
 
     def __pow__(self, n: int) -> "Poly":
@@ -193,7 +193,7 @@ class Poly:
 
     def evaluate(self, x: Coefficient) -> Fraction:
         """Exact Horner evaluation on the numerators, with one division at the end."""
-        value, scale = _horner(self._num, _rational(x))
+        value, scale = _horner(self._num, _rational(x, "point"))
         return Fraction(value, self._den * scale)
 
     def compose(self, inner: "Poly") -> "Poly":

@@ -5,7 +5,8 @@ pseudorandom number generators"): a counter advanced by the golden-ratio
 increment, finalized by an xor-shift/multiply mixer.  It is fixed across
 releases so that a (seed, trial index) pair reproduces a trial bit for bit
 on any platform; child generators are derived by mixing index keys into the
-seed rather than by sharing state.
+seed rather than by sharing state.  ``randint`` is the one step, with the
+mixer inline; every other draw goes through it.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ class SplitMix64:
         self._state = seed & _MASK
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK
-        return _mix(self._state)
+        return self.randint(0, _MASK)
 
     def derive(self, *keys: int) -> "SplitMix64":
         """Independent child generator keyed by integers (e.g. a trial index)."""
@@ -46,8 +46,10 @@ class SplitMix64:
         negligible for the tiny ranges used here and keeps the stream simple)."""
         if hi < lo:
             raise ValueError("empty range")
-        span = hi - lo + 1
-        return lo + self.next_u64() % span
+        z = self._state = (self._state + _GOLDEN) & _MASK
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+        return lo + (z ^ (z >> 31)) % (hi - lo + 1)
 
     def rational(self, max_numerator: int, max_denominator: int) -> Fraction:
         """Nonnegative rational with numerator <= max_numerator, denominator

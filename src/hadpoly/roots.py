@@ -6,7 +6,8 @@ vectors (primitive integer multiples of the polynomials, see ``poly``):
 * Sturm chains are primitive pseudo-remainder sequences.  One chain of p
   itself, square-free or not, counts its distinct real roots on intervals
   and on the whole line, and its last element is gcd(p, p').  A chain
-  starting a, b gives the Cauchy index of b/a, which decides interlacing.
+  starting a, b gives the Cauchy index of b/a and ends in gcd(a, b): with
+  the chain of that gcd, it decides interlacing.
 * Square-free (Yun) decomposition recovers multiplicities.
 * Isolation bisects the square-free part of a product of polynomials once,
   on Sturm counts of its chain, starting from a power of two above the
@@ -130,7 +131,7 @@ def count_real_roots(
 
     Raises on a reversed interval (lo > hi); (lo, lo] is empty.
     """
-    lo, hi = (None if x is None else _rational(x) for x in (lo, hi))
+    lo, hi = (None if x is None else _rational(x, "interval end") for x in (lo, hi))
     if lo is not None and hi is not None and lo > hi:
         raise ValueError(f"reversed interval: lo = {lo} > hi = {hi}")
     return _sturm_count(_chain_of(p), lo, hi)
@@ -150,17 +151,26 @@ def distinct_root_counts(p: Poly) -> tuple[int, int]:
     return _index_and_reduced_degree(_chain_of(p))
 
 
-def cauchy_index(b: Poly, a: Poly) -> tuple[int, int]:
-    """(Cauchy index of b/a over the line, deg a - deg gcd(a, b)) for nonzero a, b.
+def real_rooted_interlacing(b: Poly, a: Poly) -> bool:
+    """Are ``a`` and ``b`` real-rooted, deg a >= 1, deg b in {deg a - 1, deg a},
+    and do the roots of ``b`` interlace those of ``a``?  False on zero input.
 
-    The index counts the poles of b/a where it jumps from -oo to +oo minus
-    those where it jumps from +oo to -oo; it is V(-oo) - V(+oo) of the one
-    remainder chain a, b, -rem(a, b), ..., whose last element is gcd(a, b).
-    The second count is the number of poles of b/a with multiplicity.
+    One remainder chain a, +-b, -rem(a, b), ..., ending in g = gcd(a, b),
+    decides it (Hermite-Kakeya-Obreschkoff).  With b's sign matched to a's,
+    its V(-oo) - V(+oo) is the Cauchy index of b/a, at most deg a - deg g;
+    equality holds iff every pole of the reduced fraction is real and simple
+    with a positive residue, i.e. iff b/g is real-rooted and interlaces a/g.  A
+    common real-rooted factor keeps that, so g's own chain decides the rest.
     """
-    if a.is_zero or b.is_zero:
-        raise ValueError("Cauchy index needs nonzero polynomials")
-    return _index_and_reduced_degree(_int_sturm_chain(_primitive(a._num), _primitive(b._num)))
+    if a.is_zero or b.is_zero or a.degree < 1 or b.degree not in (a.degree - 1, a.degree):
+        return False
+    sign = 1 if (a._num[-1] > 0) == (b._num[-1] > 0) else -1
+    chain = _int_sturm_chain(_primitive(a._num), _primitive([sign * c for c in b._num]))
+    index, poles = _index_and_reduced_degree(chain)
+    if index != poles:
+        return False
+    found, distinct = _index_and_reduced_degree(_int_sturm_chain(chain[-1]))
+    return found == distinct
 
 
 def square_free_part(p: Poly) -> Poly:
@@ -423,14 +433,18 @@ def real_roots_of_product(
     the wider one (both on a tie, never an exact root), so intervals are
     pairwise disjoint and no interval end is a root.
     """
-    if max_width is not None and _rational(max_width) <= 0:
+    if max_width is not None and _rational(max_width, "isolating width") <= 0:
         raise ValueError(f"isolating width must be positive, got {max_width}")
-    product = Poly.one()
-    for p in polys:
-        product = product * p
-    if product.is_zero:
+    if any(p.is_zero for p in polys):
         raise ValueError("cannot isolate roots of the zero polynomial")
-    roots = _isolate_square_free(_primitive(square_free_part(product)._num))
+    yuns = [_yun(_primitive(p._num)) for p in polys]
+    # one input's Yun factors multiply to its square-free part; several need a gcd
+    work = Poly.one()
+    for q, _ in (factor for yun in yuns for factor in yun):
+        work = work * Poly(q)
+    if len(polys) > 1:
+        work = square_free_part(work)
+    roots = _isolate_square_free(_primitive(work._num))
     if max_width is not None:
         for root in roots:
             while not root.is_exact and root.hi - root.lo > max_width:
@@ -442,7 +456,6 @@ def real_roots_of_product(
                 r1.refine()
             if w2 >= w1:
                 r2.refine()
-    yuns = [_yun(_primitive(p._num)) for p in polys]
     return [
         (root, tuple(next((m for q, m in yun if _has_root(q, root)), 0) for yun in yuns))
         for root in roots

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hadpoly.analysis import (
-    _residues_positive,
     _root_order,
     check_functional_eq,
     gamma_contract,
@@ -25,6 +24,7 @@ from hadpoly.analysis import (
 from hadpoly.operators import w_inverse
 from hadpoly.poly import Poly, reverse
 from hadpoly.rng import SplitMix64
+from hadpoly.roots import real_rooted_interlacing
 
 SYMMETRIC_ULC = Poly([1, 8, 24, 36, 24, 8, 1])
 GAP_CUBE = Poly([1, 0, 0, 1])
@@ -348,7 +348,7 @@ class TestCauchyIndexAgainstRootOrder:
         a = draw_real_rooted(data, deg_a)
         b = draw_real_rooted(data, deg_a - data.draw(st.integers(0, 1)))
         expected = _root_order(b, a).holds
-        assert _residues_positive(b, a) == expected
+        assert real_rooted_interlacing(b, a) == expected
         assert interlaces(b, a).holds == expected
 
     def test_failure_witness_names_the_first_out_of_order_pair(self):

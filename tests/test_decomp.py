@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hadpoly.analysis import is_real_rooted, reverse
+from hadpoly.analysis import interlaces, is_real_rooted, reverse
 from hadpoly.decomp import (
     SymDecomp,
     decomposition_is_gamma_positive,
@@ -179,6 +179,16 @@ class TestPredicates:
         b = P(1, 1)  # root -1 sits weakly between
         dec = SymDecomp(a, b, 2)
         assert decomposition_is_interlacing(dec).holds
+
+    def test_interlacing_index_holds_but_a_is_not_real_rooted(self):
+        # a = (x^2 + 1)(x + 1) and b = x^2 + 1 pass the Cauchy index of the
+        # pair; their gcd x^2 + 1, so a itself, is not real-rooted
+        rep = decomposition_is_interlacing(SymDecomp(P(1, 1, 1, 1), P(1, 0, 1), 3))
+        assert not rep.holds
+        assert rep.witness == {"part": "a", "reason": "not real-rooted"}
+        assert rep.detail == "a is not real-rooted"
+        with pytest.raises(ValueError, match="non-real-rooted input: a"):
+            interlaces(P(1, 0, 1), P(1, 1, 1, 1))
 
     def test_gamma_positive_example(self):
         dec = i_decompose(NEAR_SYMMETRIC_CUBIC, 3)

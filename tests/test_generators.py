@@ -18,6 +18,7 @@ from hadpoly.decomp import (
     decomposition_is_nonnegative,
 )
 from hadpoly.generators import (
+    REJECTION_BUDGET,
     TrialConfig,
     _linear_product,
     gen_contiguous_nonneg,
@@ -30,7 +31,8 @@ from hadpoly.generators import (
     gen_symmetric,
     gen_ulc,
 )
-from hadpoly.poly import Poly
+from hadpoly import generators
+from hadpoly.poly import Poly, TaggedPoly
 from hadpoly.rng import SplitMix64
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -70,6 +72,27 @@ class TestSplitMix:
         values = [rng.randint(2, 5) for _ in range(200)]
         assert set(values) <= {2, 3, 4, 5}
         assert set(values) == {2, 3, 4, 5}
+
+    def test_known_answers(self):
+        """Values of the SplitMix64 stream, fixed across releases."""
+        rng = SplitMix64(0)
+        assert [rng.next_u64() for _ in range(3)] == [
+            16294208416658607535, 7960286522194355700, 487617019471545679,
+        ]
+        rng = SplitMix64(2**64 - 1)
+        assert [rng.next_u64() for _ in range(2)] == [16490336266968443936, 16834447057089888969]
+        rng = SplitMix64(7)
+        assert [rng.randint(0, 9) for _ in range(10)] == [7, 4, 6, 3, 4, 5, 8, 2, 5, 5]
+        rng = SplitMix64(7)
+        assert [rng.randint(1, 2) for _ in range(10)] == [2, 1, 1, 2, 1, 2, 1, 1, 2, 2]
+        rng = SplitMix64(7)
+        assert [rng.randint(-3, 3) for _ in range(10)] == [-1, 0, -3, 0, 2, 3, 2, -3, 3, -3]
+        rng = SplitMix64(5)
+        assert [rng.chance(1, 2) for _ in range(6)] == [True, True, False, False, False, True]
+        child = SplitMix64(42).derive(3, 7)
+        assert [child.next_u64() for _ in range(3)] == [
+            17466993514916555259, 3984025398654129686, 552108895547505795,
+        ]
 
     def test_rational_bounds(self):
         rng = SplitMix64(2)
@@ -183,15 +206,69 @@ class TestDeterminism:
 class TestLinearProduct:
     """The integer product agrees with the ``Fraction`` product of linear factors."""
 
-    @given(st.one_of(st.integers(-9, 9), rationals), st.lists(rationals, max_size=9))
+    @given(
+        st.one_of(st.integers(-9, 9), rationals),
+        st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 12)), max_size=9),
+    )
     def test_equals_fraction_poly_product(self, scale, shifts):
         expected = Poly([scale])
-        for r in shifts:
-            expected = expected * Poly([r, 1])
-        assert _linear_product(scale, shifts) == expected
+        for n, q in shifts:
+            expected = expected * Poly([Fraction(n, q), 1])
+        assert Poly._from_ints(*_linear_product(scale, shifts)) == expected
 
     def test_denominators_cancel(self):
-        # 2 (x + 1/2)(x + 1/3) = 2x^2 + 5/3 x + 1/3
-        assert _linear_product(2, [Fraction(1, 2), Fraction(1, 3)]).coeffs == (
-            Fraction(1, 3), Fraction(5, 3), 2,
-        )
+        # 2 (x + 1/2)(x + 2/6) = 2x^2 + 5/3 x + 1/3, from the unreduced 2 (2x + 1)(6x + 2) / 12
+        v, den = _linear_product(2, [(1, 2), (2, 6)])
+        assert (v, den) == ([4, 20, 24], 12)
+        assert Poly._from_ints(v, den).coeffs == (Fraction(1, 3), Fraction(5, 3), 2)
+
+
+def fraction_gen_ulc(rng, degree, max_coeff):
+    """``gen_ulc`` as it was written on ``Fraction`` draws, kept as the
+    reference for the integer version: same stream, same instance."""
+    for _ in range(REJECTION_BUDGET):
+        shifts = [rng.rational(max_coeff, max_coeff) for _ in range(degree)]
+        h = Poly([1])
+        for r in shifts:
+            h = h * Poly([r, 1])
+        v, den = h._num, h._den
+        for j in range(1, len(v) - 1):
+            if v[j] and rng.chance(1, 2):
+                a = rng.randint(1, max_coeff)
+                b = rng.randint(1, max_coeff)
+                r = Fraction(min(a, b), max(a, b))
+                v = [c * (r.numerator if i == j else r.denominator) for i, c in enumerate(v)]
+                den *= r.denominator
+        candidate = Poly._from_ints(v, den)
+        if is_ulc(candidate, degree).holds:
+            return TaggedPoly(candidate, degree)
+    raise AssertionError("reference exhausted its budget")
+
+
+class TestGenUlcStream:
+    def test_matches_the_fraction_reference(self):
+        """Same instance and same stream position on 360 (seed, degree, max_coeff)
+        triples, degrees 0 to 8 and max_coeff 1, 2, 5 and 9."""
+        triples = [(seed, d, m) for seed in range(10) for d in range(9) for m in (1, 2, 5, 9)]
+        for seed, d, m in triples:
+            new, ref = SplitMix64(seed).derive(d, m), SplitMix64(seed).derive(d, m)
+            assert gen_ulc(new, d, m) == fraction_gen_ulc(ref, d, m), (seed, d, m)
+            assert new.next_u64() == ref.next_u64(), (seed, d, m)
+
+    def test_checks_each_attempt_once(self, monkeypatch):
+        """One ``is_ulc`` call per rejection attempt, which keeps the bench's
+        count of generator attempts a count of candidates."""
+        calls = []
+
+        def counting_is_ulc(h, m):
+            report = is_ulc(h, m)
+            calls.append((h, report.holds))
+            return report
+
+        monkeypatch.setattr(generators, "is_ulc", counting_is_ulc)
+        out = gen_ulc(SplitMix64(0), 8, 9)
+        candidates = [h for h, _ in calls]
+        assert len(calls) > 1
+        assert [holds for _, holds in calls] == [False] * (len(calls) - 1) + [True]
+        assert candidates[-1] == out.poly
+        assert len(set(candidates)) == len(candidates)

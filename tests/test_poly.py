@@ -43,16 +43,17 @@ class TestCanonicalForm:
     @pytest.mark.parametrize("bad", [0.1, "1/2"], ids=["float", "string"])
     def test_coefficient_neither_int_nor_fraction_rejected(self, bad):
         calls = (
-            lambda: P(1, bad),
-            lambda: P(1, 2).scale(bad),
-            lambda: P(1, 2).evaluate(bad),
-            lambda: isolate_roots(P(-2, 0, 1), bad),
-            lambda: count_real_roots(P(-2, 0, 1), bad, 2),
-            lambda: count_real_roots(P(-2, 0, 1), 0, bad),
+            ("coefficient", lambda: P(1, bad)),
+            ("scalar", lambda: P(1, 2).scale(bad)),
+            ("point", lambda: P(1, 2).evaluate(bad)),
+            ("isolating width", lambda: isolate_roots(P(-2, 0, 1), bad)),
+            ("interval end", lambda: count_real_roots(P(-2, 0, 1), bad, 2)),
+            ("interval end", lambda: count_real_roots(P(-2, 0, 1), 0, bad)),
         )
-        for call in calls:
-            with pytest.raises(TypeError, match="is not an int or a Fraction"):
+        for name, call in calls:
+            with pytest.raises(TypeError, match="is not an int or a Fraction") as raised:
                 call()
+            assert str(raised.value) == f"{name} {bad!r} is not an int or a Fraction"
 
     @given(polys)
     def test_no_stored_trailing_zero(self, p):

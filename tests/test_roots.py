@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hadpoly import poly as poly_module
+from hadpoly import roots as roots_module
 from hadpoly.poly import Poly
 from hadpoly.roots import (
     count_real_roots,
     isolate_roots,
+    real_rooted_interlacing,
     real_roots_of_product,
     square_free_part,
     sturm_chain,
@@ -162,6 +165,21 @@ class TestIsolation:
         assert [iv.multiplicity for iv in iso.intervals] == [1, 2, 2, 1]
         assert all(iv.hi - iv.lo == Fraction(1, 8) for iv in iso.intervals)
 
+    def test_one_input_reuses_its_yun_factors(self, monkeypatch):
+        """The Yun factors of a single input multiply to its square-free part,
+        so gcd(p, p') is taken once: four gcds for three multiplicities."""
+        calls = []
+
+        def counting_gcd(a, b):
+            calls.append((a, b))
+            return poly_module._int_gcd(a, b)
+
+        monkeypatch.setattr(roots_module, "_int_gcd", counting_gcd)
+        p = P(-2, 0, 1) * P(1, 1) ** 2 * P(-3, 0, 1) ** 3
+        iso = isolate_roots(p)
+        assert [iv.multiplicity for iv in iso.intervals] == [3, 1, 2, 1, 3]
+        assert len(calls) == 4
+
     @given(st.lists(small_roots, min_size=1, max_size=5))
     @settings(max_examples=40, deadline=None)
     def test_multiplicity_totals(self, roots):
@@ -209,3 +227,35 @@ class TestComparison:
     def test_zero_input_rejected(self):
         with pytest.raises(ValueError):
             real_roots_of_product([P(-1, 1), P()])
+
+
+class TestRealRootedInterlacing:
+    """One remainder chain of (a, b) and the chain of its last element, gcd(a, b)."""
+
+    def test_index_holds_while_the_gcd_is_not_real_rooted(self):
+        # a = (x^2 + 1)(x + 1), b = x^2 + 1: the index of b/a = 1/(x + 1) is
+        # 1 = deg a - deg gcd, but the gcd x^2 + 1 has no real root
+        a, b = P(1, 1, 1, 1), P(1, 0, 1)
+        assert not real_rooted_interlacing(b, a)
+        assert not real_rooted_interlacing(b * P(3, 1), a * P(3, 1))
+        assert real_rooted_interlacing(P(1, 1), P(2, 3, 1))  # the same index, gcd 1
+
+    def test_equal_inputs_interlace_iff_real_rooted(self):
+        assert not real_rooted_interlacing(P(1, 0, 1), P(1, 0, 1))
+        assert real_rooted_interlacing(P(-2, 1, 1), P(-2, 1, 1))
+        assert real_rooted_interlacing(P(2, -1, -1), P(-2, 1, 1))
+
+    def test_shared_multiple_root(self):
+        # a = (x + 1)^2 (x - 1), b = (x + 1)^2: s = 1, -1, -1 and t = -1, -1
+        a, b = linear_product(-1, -1, 1), linear_product(-1, -1)
+        assert real_rooted_interlacing(b, a)
+        assert real_rooted_interlacing(-b, a)
+        assert not real_rooted_interlacing(linear_product(-1, 2), a)
+
+    def test_outside_its_domain_it_is_false(self):
+        a = linear_product(1, 2, 3)
+        assert not real_rooted_interlacing(Poly(), a)
+        assert not real_rooted_interlacing(a, Poly())
+        assert not real_rooted_interlacing(P(1), P(2))
+        assert not real_rooted_interlacing(linear_product(1), a)
+        assert not real_rooted_interlacing(a * P(0, 1), a)

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hadpoly.analysis import interlaces, newton_violation
+from hadpoly.analysis import _root_order, interlaces, is_real_rooted, newton_violation
 from hadpoly.poly import Poly, gcd
 from hadpoly.rng import SplitMix64
 from hadpoly.roots import (
     count_real_roots,
     isolate_roots,
+    real_rooted_interlacing,
     real_roots_of_product,
     square_free_part,
     yun_decomposition,
@@ -238,3 +239,55 @@ def test_interlacing_witness_names_roots_in_the_stated_order():
         assert _holds_root(report.witness["root_of_a"], root_of_a)
         assert _holds_root(report.witness["root_of_b"], root_of_b)
     assert checked >= 30
+
+
+#: two complex pairs, x^2 + 1 and x^2 + x + 1
+COMPLEX_PAIRS = [Poly([1, 0, 1]), Poly([1, 1, 1])]
+
+
+@st.composite
+def interlacing_candidates(draw):
+    """(b, a) with deg a >= 1 and deg b in {deg a - 1, deg a}: products of pool
+    factors with shared and repeated factors, a' and a with one factor
+    swapped, either leading sign, and near misses with one coefficient of b
+    nudged by 1/2^k."""
+    pool = st.sampled_from(WITNESS_POOL + COMPLEX_PAIRS)
+    # a complex pair in one of every two common factors
+    shared = draw(st.lists(st.one_of(pool, st.sampled_from(COMPLEX_PAIRS)), max_size=2))
+    own = draw(st.lists(pool, min_size=1, max_size=3))
+    a = _product([(f.coeffs, 1) for f in shared + own], draw(st.sampled_from([1, -2, 3])))
+    kind = draw(st.sampled_from(["derivative", "swap", "drop"]))
+    if kind == "derivative":
+        b = a.derivative()
+    else:
+        others = own[1:] + ([draw(pool)] if kind == "swap" else [])
+        b = _product([(f.coeffs, 1) for f in shared + others], draw(st.sampled_from([1, -1, 2])))
+    if draw(st.booleans()):
+        j = draw(st.integers(0, max(b.degree, 0)))
+        b = b + Poly.monomial(j, Fraction(draw(st.sampled_from([1, -1])), 2 ** draw(st.integers(2, 8))))
+    assume(not b.is_zero and b.degree in (a.degree - 1, a.degree))
+    return b, a
+
+
+def sympy_interlaces(b: Poly, a: Poly) -> bool:
+    """Both real-rooted and t_i <= s_i, s_(i+1) <= t_i on sympy's descending roots."""
+    s = sympy.real_roots(to_sympy(a))[::-1]
+    t = sympy.real_roots(to_sympy(b))[::-1]
+    if len(s) != a.degree or len(t) != b.degree:
+        return False
+    return all(
+        bool(t[i] <= s[i]) and (i + 1 == len(s) or bool(s[i + 1] <= t[i])) for i in range(len(t))
+    )
+
+
+@given(interlacing_candidates())
+@settings(max_examples=300, deadline=None)
+def test_one_chain_interlacing_matches_root_order_and_sympy(pair):
+    """The one-chain decision against the three-chain route it replaced
+    (real-rootedness of each input, then the order of the isolated roots)
+    and against sympy's exact real roots."""
+    b, a = pair
+    decided = real_rooted_interlacing(b, a)
+    rooted = is_real_rooted(a).holds and is_real_rooted(b).holds
+    assert decided == (rooted and _root_order(b, a).holds)
+    assert decided == sympy_interlaces(b, a)
