@@ -233,11 +233,6 @@ def interlaces(b: Poly, a: Poly) -> PropertyReport:
     for name, p in (("a", a), ("b", b)):
         if not is_real_rooted(p).holds:
             raise ValueError(f"non-real-rooted input: {name} = {p}")
-    return _real_rooted_interlace(b, a)
-
-
-def _real_rooted_interlace(b: Poly, a: Poly) -> PropertyReport:
-    """``interlaces`` for nonzero real-rooted ``a``, ``b`` that one chain did not pass."""
     deg_a, deg_b = a.degree, b.degree
     if deg_a == 0 and deg_b == 0:
         return PropertyReport.passed("both constant")

@@ -6,7 +6,8 @@ Results print in the same format by default, as a JSON object with
 ``--json``, or human-readable with ``--pretty``.  ``--in FILE`` reads a JSON
 object ``{"coeffs": [...], "degree_tag": n}`` instead of ``--poly``; for
 ``invw``, ``f``, ``h``, ``symdec`` and ``check symmetric`` the tag is the
-default ``--degree`` and must agree with an explicit one.
+default ``--degree`` and must agree with an explicit one; the other checks
+hold an explicit ``--degree`` to the tag's rule.
 
 Exit codes: 0 a computation succeeded / a checked property holds / a verify
 suite met its expectation; 1 a checked property fails or a suite found a
@@ -50,11 +51,12 @@ def poly_to_csv(p: Poly) -> str:
     return ",".join(str(c) for c in p.coeffs) if not p.is_zero else "0"
 
 
-def _poly_spec(p: Poly, degree_tag: int | None = None) -> dict:
-    payload: dict = {"coeffs": [str(c) for c in p.coeffs]}
-    if degree_tag is not None:
-        payload["degree_tag"] = degree_tag
-    return payload
+def _check_degree(poly: Poly, degree, name: str) -> None:
+    """A reference degree is a nonnegative integer, not below the degree of ``poly``."""
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {degree!r}")
+    if not poly.is_zero and poly.degree > degree:
+        raise ValueError(f"{name} {degree} below the parsed degree")
 
 
 def _load_input_file(path: str) -> tuple[Poly, int | None]:
@@ -70,33 +72,16 @@ def _load_input_file(path: str) -> tuple[Poly, int | None]:
         raise ValueError(f"{path}: cannot parse 'coeffs': {exc}") from exc
     tag = data.get("degree_tag")
     if tag is not None:
-        if isinstance(tag, bool) or not isinstance(tag, int) or tag < 0:
-            raise ValueError(f"{path}: degree_tag must be a nonnegative integer, got {tag!r}")
-        if not poly.is_zero and poly.degree > tag:
-            raise ValueError(f"{path}: degree_tag {tag} below the parsed degree")
+        _check_degree(poly, tag, f"{path}: degree_tag")
     return poly, tag
 
 
-def _emit_poly(args, p: Poly, degree_tag: int | None = None) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(_poly_spec(p, degree_tag)))
-    elif getattr(args, "pretty", False):
-        tag = f"   (tag {degree_tag})" if degree_tag is not None else ""
-        print(f"{format_poly(p)}{tag}")
-    else:
-        print(poly_to_csv(p))
-
-
 def _read_input(args) -> tuple[Poly, int | None]:
-    if getattr(args, "infile", None):
+    if args.infile:
         return _load_input_file(args.infile)
     if args.poly is None:
         raise ValueError("missing polynomial: pass --poly or --in FILE")
     return parse_poly(args.poly), None
-
-
-def _input_poly(args) -> Poly:
-    return _read_input(args)[0]
 
 
 def _input_with_degree(args, required: bool = True) -> tuple[Poly, int | None]:
@@ -106,13 +91,23 @@ def _input_with_degree(args, required: bool = True) -> tuple[Poly, int | None]:
     it is ``required``.
     """
     poly, tag = _read_input(args)
-    if args.degree is None:
+    degree = getattr(args, "degree", None)
+    if degree is None:
         if tag is None and required:
             raise ValueError("missing reference degree: pass --degree or a degree_tag")
         return poly, tag
-    if tag is not None and tag != args.degree:
-        raise ValueError(f"--degree {args.degree} conflicts with the file's degree_tag {tag}")
-    return poly, args.degree
+    if tag is not None and tag != degree:
+        raise ValueError(f"--degree {degree} conflicts with the file's degree_tag {tag}")
+    return poly, degree
+
+
+def _input_poly(args) -> Poly:
+    """The input polynomial of an operator or of a single-polynomial check; a
+    ``--degree`` given with it obeys the rule of a file's degree_tag."""
+    poly, degree = _input_with_degree(args, required=False)
+    if degree is not None:
+        _check_degree(poly, degree, "--degree")
+    return poly
 
 
 def _add_output_flags(sub) -> None:
@@ -129,55 +124,38 @@ def _add_poly_input(sub) -> None:
 # -- single-operator commands --------------------------------------------------
 
 
-def cmd_w(args) -> int:
-    p = _input_poly(args)
-    tagged = operators.w_transform(p)
-    _emit_poly(args, tagged.poly, tagged.ref_degree)
-    return 0
+def _tagged(t: TaggedPoly) -> tuple[Poly, int]:
+    return t.poly, t.ref_degree
 
 
-def cmd_invw(args) -> int:
-    h, degree = _input_with_degree(args)
-    _emit_poly(args, operators.w_inverse(h, degree))
-    return 0
+#: operator command -> its (polynomial, tag or None) on the parsed arguments
+_OPERATORS = {
+    "w": lambda args: _tagged(operators.w_transform(_input_poly(args))),
+    "invw": lambda args: (operators.w_inverse(*_input_with_degree(args)), None),
+    "f": lambda args: (operators.f_from_h(*_input_with_degree(args)), None),
+    "h": lambda args: (operators.h_from_f(*_input_with_degree(args)), None),
+    "subdiv": lambda args: (operators.subdivision(_input_poly(args)), None),
+    "hadamard": lambda args: _tagged(
+        operators.hadamard(
+            TaggedPoly(parse_poly(args.a), args.da),
+            TaggedPoly(parse_poly(args.b), args.db),
+            route=args.route,
+        )
+    ),
+    "diamond": lambda args: (operators.diamond(parse_poly(args.a), parse_poly(args.b)), None),
+    "gamma": lambda args: (analysis.gamma_expand(_input_poly(args), args.center), None),
+}
 
 
-def cmd_f(args) -> int:
-    h, degree = _input_with_degree(args)
-    _emit_poly(args, operators.f_from_h(h, degree))
-    return 0
-
-
-def cmd_h(args) -> int:
-    f, degree = _input_with_degree(args)
-    _emit_poly(args, operators.h_from_f(f, degree))
-    return 0
-
-
-def cmd_subdiv(args) -> int:
-    p = _input_poly(args)
-    _emit_poly(args, operators.subdivision(p))
-    return 0
-
-
-def cmd_hadamard(args) -> int:
-    t1 = TaggedPoly(parse_poly(args.a), args.da)
-    t2 = TaggedPoly(parse_poly(args.b), args.db)
-    out = operators.hadamard(t1, t2, route=args.route)
-    _emit_poly(args, out.poly, out.ref_degree)
-    return 0
-
-
-def cmd_diamond(args) -> int:
-    f = parse_poly(args.a)
-    g = parse_poly(args.b)
-    _emit_poly(args, operators.diamond(f, g))
-    return 0
-
-
-def cmd_gamma(args) -> int:
-    h = _input_poly(args)
-    _emit_poly(args, analysis.gamma_expand(h, args.center))
+def cmd_operator(args) -> int:
+    p, tag = _OPERATORS[args.command](args)
+    if args.json:
+        tagged = {} if tag is None else {"degree_tag": tag}
+        print(json.dumps({"coeffs": [str(c) for c in p.coeffs], **tagged}))
+    elif args.pretty:
+        print(format_poly(p) + ("" if tag is None else f"   (tag {tag})"))
+    else:
+        print(poly_to_csv(p))
     return 0
 
 
@@ -206,11 +184,6 @@ def cmd_symdec(args) -> int:
 # -- property checks ------------------------------------------------------------
 
 
-def _poly(args) -> Poly:
-    """The input polynomial of a single-polynomial check."""
-    return _input_with_degree(args, required=False)[0]
-
-
 def _check_symmetric(args) -> analysis.PropertyReport:
     p, degree = _input_with_degree(args, required=False)
     cert = analysis.symmetry_certificate(p, degree)
@@ -230,14 +203,16 @@ _SINGLE = ("poly", "infile", "degree")
 #: ``check`` property -> (its report on the parsed arguments, the options it
 #: needs, the other options it reads); any other option is an error
 _CHECKS = {
-    "nonneg": (lambda args: analysis.is_nonnegative(_poly(args)), (), _SINGLE),
-    "internal-zeros": (lambda args: analysis.has_internal_zeros(_poly(args)), (), _SINGLE),
-    "unimodal": (lambda args: analysis.is_unimodal(_poly(args)), (), _SINGLE),
-    "logconcave": (lambda args: analysis.is_log_concave(_poly(args)), (), _SINGLE),
-    "ulc": (lambda args: analysis.is_ulc(_poly(args), args.order), ("order",), _SINGLE),
-    "realrooted": (lambda args: analysis.is_real_rooted(_poly(args)), (), _SINGLE),
+    "nonneg": (lambda args: analysis.is_nonnegative(_input_poly(args)), (), _SINGLE),
+    "internal-zeros": (lambda args: analysis.has_internal_zeros(_input_poly(args)), (), _SINGLE),
+    "unimodal": (lambda args: analysis.is_unimodal(_input_poly(args)), (), _SINGLE),
+    "logconcave": (lambda args: analysis.is_log_concave(_input_poly(args)), (), _SINGLE),
+    "ulc": (lambda args: analysis.is_ulc(_input_poly(args), args.order), ("order",), _SINGLE),
+    "realrooted": (lambda args: analysis.is_real_rooted(_input_poly(args)), (), _SINGLE),
     "gammapos": (
-        lambda args: analysis.is_gamma_positive(_poly(args), args.center), ("center",), _SINGLE
+        lambda args: analysis.is_gamma_positive(_input_poly(args), args.center),
+        ("center",),
+        _SINGLE,
     ),
     "symmetric": (_check_symmetric, (), _SINGLE),
     "interlacing": (
@@ -317,21 +292,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, needs_degree, degree_help in (
-        ("w", cmd_w, False, None),
-        ("invw", cmd_invw, True, "reference degree of the interpolating polynomial"),
-        ("f", cmd_f, True, "reference degree for the basis change"),
-        ("h", cmd_h, True, "reference degree for the basis change"),
-        ("subdiv", cmd_subdiv, False, None),
+    for name, degree_help in (
+        ("w", None),
+        ("invw", "reference degree of the interpolating polynomial"),
+        ("f", "reference degree for the basis change"),
+        ("h", "reference degree for the basis change"),
+        ("subdiv", None),
     ):
         s = sub.add_parser(name)
         _add_poly_input(s)
-        if needs_degree:
+        if degree_help:
             s.add_argument(
                 "--degree", type=int, help=f"{degree_help} (default: the --in file's degree_tag)"
             )
-        _add_output_flags(s)
-        s.set_defaults(fn=fn)
 
     s = sub.add_parser("hadamard")
     s.add_argument("--a", required=True)
@@ -344,20 +317,18 @@ def build_parser() -> argparse.ArgumentParser:
         default="direct",
         help="computation route (bullet/diamond are verification routes)",
     )
-    _add_output_flags(s)
-    s.set_defaults(fn=cmd_hadamard)
 
     s = sub.add_parser("diamond")
     s.add_argument("--a", required=True)
     s.add_argument("--b", required=True)
-    _add_output_flags(s)
-    s.set_defaults(fn=cmd_diamond)
 
     s = sub.add_parser("gamma")
     _add_poly_input(s)
     s.add_argument("--center", type=int, required=True, help="symmetry axis s")
-    _add_output_flags(s)
-    s.set_defaults(fn=cmd_gamma)
+
+    for name in _OPERATORS:
+        _add_output_flags(sub.choices[name])
+        sub.choices[name].set_defaults(fn=cmd_operator)
 
     s = sub.add_parser("symdec")
     _add_poly_input(s)

@@ -5,7 +5,8 @@ a equal to its own degree-d reversal and b equal to its own degree-(d-1)
 reversal.  On the f-polynomial side the same split uses the reflection
 (-1)^d f(-x-1) instead of coefficient reversal, and the two decompositions
 are carried into each other by the h <-> f basis change.  Interlacing of a
-decomposition is one remainder chain of (a, b) when it holds.
+decomposition is one remainder chain of (a, b) when it holds; otherwise it
+names a part that is not real-rooted or reports as ``analysis.interlaces``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from .analysis import (
     PropertyReport,
-    _real_rooted_interlace,
+    interlaces,
     is_gamma_positive,
     is_nonnegative,
     is_real_rooted,
@@ -132,8 +133,9 @@ def decomposition_is_nonnegative(dec: SymDecomp) -> PropertyReport:
 def decomposition_is_interlacing(dec: SymDecomp) -> PropertyReport:
     """Both halves are real-rooted and the roots of b interlace those of a.
 
-    One chain of the pair passes it (``roots.real_rooted_interlacing``); a
-    failure reports as ``analysis.interlaces`` after the real-rootedness checks.
+    One chain of the pair passes it (``roots.real_rooted_interlacing``);
+    otherwise a part that is not real-rooted is named, and ``interlaces``
+    reports the rest.
     """
     if real_rooted_interlacing(dec.b, dec.a):
         return PropertyReport.passed()
@@ -143,9 +145,7 @@ def decomposition_is_interlacing(dec: SymDecomp) -> PropertyReport:
                 {"part": name, "reason": "not real-rooted"},
                 f"{name} is not real-rooted",
             )
-    if dec.a.is_zero or dec.b.is_zero:
-        return PropertyReport.passed("zero polynomial convention")
-    return _real_rooted_interlace(dec.b, dec.a)
+    return interlaces(dec.b, dec.a)
 
 
 def decomposition_is_gamma_positive(dec: SymDecomp) -> PropertyReport:

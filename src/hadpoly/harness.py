@@ -11,9 +11,10 @@ counterexamples to an open question and reports finds as results.
 A suite is one row of ``SUITES``: a name, a derivation key and a trial
 ``trial(rng, config)`` returning ``None`` or a failed ``(stage, detail)``.
 One runner, ``_run``, loops over the trials, builds the ``SuiteResult`` and
-names the suite, seed and trial when a generator runs out of attempts; for
-the scan it keeps a failed conclusion as a finding.  ``_pair_trial`` builds
-the six suites of one shape: both factors pass a check, so their product does.
+names the suite, seed and trial when a generator runs out of attempts.  The
+scan is a row run the same way whose failures become findings.
+``_pair_trial`` builds the six suites of one shape: both factors pass a
+check, so their product does.
 
 Trials are independent: trial i uses a generator derived from
 (seed, suite key, i), so reports are byte-identical for identical configs
@@ -23,7 +24,7 @@ reused: changing one changes every report of that suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .analysis import (
     gamma_contract,
@@ -89,14 +90,10 @@ class SuiteResult:
         return "\n".join(lines)
 
 
-def _run(name: str, key: int, trial, config: TrialConfig, scan: bool = False) -> SuiteResult:
-    """Run ``trial`` for i in ``range(config.trials)`` on the stream (seed, key, i).
-
-    A suite records each failed trial; a scan records each failed conclusion
-    as a finding and always succeeds as a process.
-    """
+def _run(name: str, key: int, trial, config: TrialConfig) -> SuiteResult:
+    """Run ``trial`` for i in ``range(config.trials)`` on the stream (seed, key, i),
+    recording each failed trial."""
     failures: list[TrialFailure] = []
-    findings: list[str] = []
     for i in range(config.trials):
         rng = SplitMix64(config.seed).derive(key, i)
         try:
@@ -104,17 +101,9 @@ def _run(name: str, key: int, trial, config: TrialConfig, scan: bool = False) ->
         except GeneratorExhausted as exc:
             context = f"(suite {name}, seed {config.seed}, trial {i})"
             raise GeneratorExhausted(f"{exc} {context}") from exc
-        if failure is not None and scan:
-            findings.append(f"trial {i}: {failure[1]}")
-        elif failure is not None:
+        if failure is not None:
             failures.append(TrialFailure(i, *failure))
-    if scan:
-        summary = (
-            f"{len(findings)} counterexample(s) found; see findings above"
-            if findings
-            else "no counterexample found; the question stays open"
-        )
-    elif failures:
+    if failures:
         summary = "a proved statement was violated; this indicates a bug in this package"
     else:
         summary = "conclusion held in every trial"
@@ -130,7 +119,6 @@ def _run(name: str, key: int, trial, config: TrialConfig, scan: bool = False) ->
         failures=tuple(failures),
         ok=not failures,
         summary=summary,
-        findings=tuple(findings),
     )
 
 
@@ -311,7 +299,14 @@ def scan_logconcave_pair(config: TrialConfig) -> SuiteResult:
     find here is a research result, not a failure, so the scan always
     succeeds as a process.  Its derivation key is 10.
     """
-    return _run("scan-logconcave-pair", 10, _logconcave_pair, config, scan=True)
+    result = _run("scan-logconcave-pair", 10, _logconcave_pair, config)
+    findings = tuple(f"trial {f.trial}: {f.detail}" for f in result.failures)
+    summary = (
+        f"{len(findings)} counterexample(s) found; see findings above"
+        if findings
+        else "no counterexample found; the question stays open"
+    )
+    return replace(result, failures=(), ok=True, findings=findings, summary=summary)
 
 
 def verify_reeve(k_max: int = 8) -> SuiteResult:

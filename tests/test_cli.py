@@ -314,6 +314,28 @@ class TestCheckCommand:
     @pytest.mark.parametrize(
         "argv, message",
         [
+            (("nonneg", "--poly", "1,2,1", "--degree", "-5"),
+             "--degree must be a nonnegative integer, got -5"),
+            (("logconcave", "--poly", "1,2,1", "--degree", "0"),
+             "--degree 0 below the parsed degree"),
+            (("ulc", "--poly", "1,2,1", "--order", "2", "--degree", "1"),
+             "--degree 1 below the parsed degree"),
+            (("realrooted", "--poly", "", "--degree", "-1"),
+             "--degree must be a nonnegative integer, got -1"),
+        ],
+    )
+    def test_degree_obeys_the_file_tag_rule(self, capsys, argv, message):
+        code, out, err = run(capsys, "check", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("degree", ["2", "7"])
+    def test_degree_at_or_above_the_parsed_degree_is_accepted(self, capsys, degree):
+        code, out, _ = run(capsys, "check", "logconcave", "--poly", "1,2,1", "--degree", degree)
+        assert (code, out) == (0, "holds\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
             (("gammapos", "--poly", "1,2,1", "--center", "2", "--order", "0"),
              "--order applies only to ulc, not to gammapos"),
             (("ulc", "--poly", "1,2,1", "--order", "2", "--center", "2"),

@@ -1,13 +1,18 @@
 import pytest
 
-from hadpoly import generators
+from hadpoly import decomp, generators
+from hadpoly.decomp import SymDecomp
 from hadpoly.generators import GeneratorExhausted, TrialConfig
 from hadpoly.harness import (
     SUITES,
     SuiteResult,
+    _nonneg_and_interlacing,
+    _run,
+    _symdec_trial,
     scan_logconcave_pair,
     verify_reeve,
 )
+from hadpoly.poly import Poly
 
 SMALL = TrialConfig(seed=1, trials=25, max_degree=6, max_coefficient=9)
 
@@ -92,3 +97,41 @@ class TestExhaustion:
             run(TrialConfig(seed=1, trials=3))
         assert str(exc.value).startswith("no ")
         assert str(exc.value).endswith(f"(suite {name}, seed 1, trial 0)")
+
+
+class TestSymdecInterlacingHypothesis:
+    """The suite, not the generator, validates each drawn decomposition."""
+
+    @pytest.mark.parametrize(
+        "dec, detail",
+        [
+            (SymDecomp(Poly([1, 1, 1, 1]), Poly([1, 0, 1]), 3), "a is not real-rooted"),
+            (SymDecomp(Poly([1, -1, 1]), Poly([1, 1]), 2), "coefficient 1 of a is -1"),
+        ],
+        ids=["not-real-rooted", "negative-coefficient"],
+    )
+    def test_bad_draw_is_a_hypothesis_failure(self, dec, detail):
+        trial = _symdec_trial(
+            lambda rng, d, m: dec, _nonneg_and_interlacing, "nonnegative interlacing decomposition"
+        )
+        result = _run("symdec-interlacing", 6, trial, TrialConfig(seed=1, trials=2))
+        assert not result.ok
+        assert [(f.trial, f.stage) for f in result.failures] == [(i, "hypothesis") for i in (0, 1)]
+        assert result.failures[0].detail == (
+            f"factor 0 fails nonnegative interlacing decomposition: {detail}"
+        )
+        assert "  trial 0 [hypothesis]: factor 0 fails" in result.render()
+
+    def test_one_chain_per_decomposition(self, monkeypatch):
+        """Two factors and one product per trial, each decided by one chain."""
+        calls = []
+
+        def counting_chain(b, a):
+            calls.append((b, a))
+            return real_rooted_interlacing(b, a)
+
+        real_rooted_interlacing = decomp.real_rooted_interlacing
+        monkeypatch.setattr(decomp, "real_rooted_interlacing", counting_chain)
+        result = SUITES["symdec-interlacing"](TrialConfig(seed=1, trials=200))
+        assert result.ok
+        assert len(calls) == 600

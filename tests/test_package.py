@@ -72,6 +72,53 @@ def test_static_guard_flags_each_rule():
     ]
 
 
+# -- private names across modules ------------------------------------------------
+#
+# A ``_``-prefixed name belongs to its module.  Only the integer kernel of
+# ``poly`` (used by ``roots``) and the value-space helpers of ``operators``
+# (used by ``ehrhart``) cross a module boundary.
+
+PRIVATE_IMPORTS = {
+    ("roots", "poly"): {
+        "_horner", "_int_derivative", "_int_exact_div", "_int_gcd", "_int_sub",
+        "_pdivmod", "_primitive", "_rational",
+    },
+    ("ehrhart", "operators"): {"_difference", "_forward_differences", "_series_values"},
+}
+
+
+def _private_imports(module: str, tree: ast.AST) -> list[str]:
+    """Each ``_``-prefixed name ``module`` imports from another package module
+    and the allowlist does not hold."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            allowed = PRIVATE_IMPORTS.get((module, node.module), set())
+            found += [
+                f"{module} imports {node.module}.{a.name}"
+                for a in node.names
+                if a.name.startswith("_") and a.name not in allowed
+            ]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_private_names_stay_in_their_module(path):
+    assert _private_imports(path.stem, ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_private_import_guard_flags_a_borrowed_helper():
+    source = (
+        "from .analysis import (\n    PropertyReport,\n    _real_rooted_interlace,\n)\n"
+        "from .poly import _primitive\n"
+    )
+    assert _private_imports("decomp", ast.parse(source)) == [
+        "decomp imports analysis._real_rooted_interlace",
+        "decomp imports poly._primitive",
+    ]
+    assert _private_imports("roots", ast.parse("from .poly import _primitive\n")) == []
+
+
 # -- traced entry points ------------------------------------------------------------
 #
 # The benchmark counts calls under ``module:qualname`` keys of the function's
