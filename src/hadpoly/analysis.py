@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .poly import Poly, comb0, reverse
+from .poly import Poly, reverse
 from .roots import (
     RootIsolation,
     distinct_root_counts,
@@ -37,6 +37,7 @@ __all__ = [
     "is_real_rooted",
     "newton_violation",
     "interlaces",
+    "interlacing_by_roots",
     "symmetry_certificate",
     "check_functional_eq",
     "gamma_expand",
@@ -233,6 +234,11 @@ def interlaces(b: Poly, a: Poly) -> PropertyReport:
     for name, p in (("a", a), ("b", b)):
         if not is_real_rooted(p).holds:
             raise ValueError(f"non-real-rooted input: {name} = {p}")
+    return interlacing_by_roots(b, a)
+
+
+def interlacing_by_roots(b: Poly, a: Poly) -> PropertyReport:
+    """``interlaces`` of nonzero, real-rooted a and b whose chain failed, by degrees and roots."""
     deg_a, deg_b = a.degree, b.degree
     if deg_a == 0 and deg_b == 0:
         return PropertyReport.passed("both constant")
@@ -362,7 +368,7 @@ def _add_gamma_term(acc: list[int], c: int, i: int, s: int) -> None:
     """Add c x^i (1+x)^(s-2i) to the coefficient list ``acc`` in place."""
     n = s - 2 * i
     for j in range(n + 1):
-        acc[i + j] += c * comb0(n, j)
+        acc[i + j] += c * math.comb(n, j)
 
 
 def gamma_contract(g: Poly, s: int) -> Poly:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .analysis import (
     PropertyReport,
+    interlacing_by_roots,
     interlaces,
     is_gamma_positive,
     is_nonnegative,
@@ -134,8 +135,8 @@ def decomposition_is_interlacing(dec: SymDecomp) -> PropertyReport:
     """Both halves are real-rooted and the roots of b interlace those of a.
 
     One chain of the pair passes it (``roots.real_rooted_interlacing``);
-    otherwise a part that is not real-rooted is named, and ``interlaces``
-    reports the rest.
+    otherwise a part that is not real-rooted is named, and ``interlaces`` (a
+    zero part) or ``interlacing_by_roots``, with no second chain, reports.
     """
     if real_rooted_interlacing(dec.b, dec.a):
         return PropertyReport.passed()
@@ -145,7 +146,8 @@ def decomposition_is_interlacing(dec: SymDecomp) -> PropertyReport:
                 {"part": name, "reason": "not real-rooted"},
                 f"{name} is not real-rooted",
             )
-    return interlaces(dec.b, dec.a)
+    report = interlaces if dec.a.is_zero or dec.b.is_zero else interlacing_by_roots
+    return report(dec.b, dec.a)
 
 
 def decomposition_is_gamma_positive(dec: SymDecomp) -> PropertyReport:

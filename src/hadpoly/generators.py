@@ -1,12 +1,13 @@
 """Seeded random instances satisfying the hypotheses of the theorem suites.
 
 Every generator draws only from a ``SplitMix64`` stream, so a (seed, trial)
-pair reproduces the instance exactly.  Instances hold by construction
-(products of linear factors x + n/q from integer pairs (n, q), multiplied
-over the integers with one denominator by ``_linear_product``; gamma-basis
+pair reproduces the instance exactly.  Rationals are drawn as integer pairs
+(n, q) in the order of ``rng.rational``, with no ``Fraction``; linear
+factors x + n/q multiply as one integer at x = 2^k (``_linear_product``).
+Instances hold by construction (products of linear factors; gamma-basis
 combinations; paired-root palindromes) or by rejection sampling against the
 exact checker, bounded by ``REJECTION_BUDGET``; exhaustion raises instead of
-silently skipping.  ``gen_ulc`` shrinks on that integer vector in one pass.
+silently skipping.  ``gen_ulc`` shrinks on the integer vector in one pass.
 A constructed instance is not re-checked here: the suites validate every
 hypothesis with the exact checker.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .analysis import gamma_contract, is_log_concave, is_ulc
 from .decomp import SymDecomp
@@ -58,22 +60,41 @@ def gen_real_rooted(rng: SplitMix64, degree: int, max_coeff: int) -> TaggedPoly:
     Real-rooted with nonnegative coefficients by construction; tagged with
     its own degree.
     """
-    v, den = _linear_product(1, _shifts(rng, degree, max_coeff))
+    v, den = _linear_product(1, _pairs(rng, degree, max_coeff))
     return TaggedPoly(Poly._from_ints(v, den), degree)
 
 
-def _shifts(rng: SplitMix64, degree: int, max_coeff: int) -> list[tuple[int, int]]:
-    """``degree`` pairs (n, q) for n/q, drawn as ``rng.rational(max_coeff, max_coeff)``."""
-    return [(rng.randint(0, max_coeff), rng.randint(1, max_coeff)) for _ in range(degree)]
+def _pairs(rng: SplitMix64, count: int, max_coeff: int, low: int = 0) -> list[tuple[int, int]]:
+    """``count`` pairs (n, q) for n/q, drawn as ``rng.rational(max_coeff, max_coeff)``
+    draws them, or as ``rng.positive_rational`` with ``low`` 1."""
+    return [(rng.randint(low, max_coeff), rng.randint(1, max_coeff)) for _ in range(count)]
+
+
+def _pairs_poly(pairs: list[tuple[int, int]]) -> Poly:
+    """The polynomial whose coefficients are the n/q of the pairs (n, q), over one lcm."""
+    den = lcm(*(q for _, q in pairs))
+    return Poly._from_ints([n * (den // q) for n, q in pairs], den)
 
 
 def _linear_product(scale: Fraction | int, shifts: list[tuple[int, int]]) -> tuple[list[int], int]:
     """scale * prod (x + n/q) over the pairs (n, q), q > 0, as (q x + n) on one
-    integer vector: that vector and its denominator, neither reduced."""
-    v, den = [scale.numerator], scale.denominator
+    integer vector: that vector and its denominator, neither reduced.  The
+    product is taken at x = 2^k with 2^(k-1) above |scale numerator| *
+    prod (|n| + q), which bounds every coefficient, so its signed k-bit digits
+    are the coefficients."""
+    p, den, bound = scale.numerator, scale.denominator, abs(scale.numerator)
     for n, q in shifts:
-        v = [n * a + q * b for a, b in zip(v + [0], [0] + v)]
+        bound *= abs(n) + q
         den *= q
+    k = bound.bit_length() + 1
+    for n, q in shifts:
+        p *= (q << k) + n
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    v = []
+    for _ in range(len(shifts) + 1):
+        p += half
+        v.append((p & mask) - half)
+        p >>= k
     return v, den
 
 
@@ -85,7 +106,7 @@ def gen_ulc(rng: SplitMix64, degree: int, max_coeff: int) -> TaggedPoly:
     reaches instances that are not real-rooted.
     """
     for _ in range(REJECTION_BUDGET):
-        v, den = _linear_product(1, _shifts(rng, degree, max_coeff))
+        v, den = _linear_product(1, _pairs(rng, degree, max_coeff))
         shrink, big_q = [(1, 1)] * len(v), 1
         for j in range(1, len(v) - 1):
             if v[j] and rng.chance(1, 2):
@@ -112,11 +133,10 @@ def gen_symmetric(
     """
     if s < 0 or defect < 0:
         raise ValueError("axis and defect must be nonnegative")
-    gamma = [rng.rational(max_coeff, max_coeff) for _ in range(s // 2 + 1)]
-    terms = gamma_contract(Poly(gamma), s)
-    if terms.is_zero:
-        terms = gamma_contract(Poly([rng.positive_rational(max_coeff, max_coeff)]), s)
-    return TaggedPoly(terms, s + defect)
+    gamma = _pairs(rng, s // 2 + 1, max_coeff)
+    if not any(n for n, _ in gamma):
+        gamma = _pairs(rng, 1, max_coeff, 1)
+    return TaggedPoly(gamma_contract(_pairs_poly(gamma), s), s + defect)
 
 
 def gen_gamma_positive(rng: SplitMix64, s: int, max_coeff: int) -> TaggedPoly:
@@ -131,12 +151,6 @@ def _unit_interval_pair(rng: SplitMix64, max_coeff: int) -> tuple[int, int]:
     return min(a, b), max(a, b)
 
 
-def _point_in_gap(rng: SplitMix64, lo: Fraction, hi: Fraction) -> Fraction:
-    """Random rational in the closed interval [lo, hi] (endpoints allowed)."""
-    grid = 8
-    return lo + Fraction(rng.randint(0, grid), grid) * (hi - lo)
-
-
 def gen_interlacing_symdec(rng: SplitMix64, d: int, max_coeff: int) -> SymDecomp:
     """Nonnegative interlacing decomposition (a, b) at reference degree d.
 
@@ -146,31 +160,32 @@ def gen_interlacing_symdec(rng: SplitMix64, d: int, max_coeff: int) -> SymDecomp
     palindromic as well.  Both parts carry random positive scales.  With
     small probability b is zero, exercising that convention.
     """
-    scale_a = rng.positive_rational(max_coeff, max_coeff)
+    scale_a, den_a = _pairs(rng, 1, max_coeff, 1)[0]
     if d == 0:
-        return SymDecomp(Poly([scale_a]), Poly(), 0)
-    pairs = rng.randint(0, d // 2)
-    roots: list[Fraction] = []
-    for _ in range(pairs):
-        r = Fraction(*_unit_interval_pair(rng, max_coeff))
-        roots.extend([-r, Fraction(-1) / r])
-    roots.extend([Fraction(-1)] * (d - 2 * pairs))
-    roots.sort(reverse=True)
-    a = Poly._from_ints(*_linear_product(scale_a, [(-r.numerator, r.denominator) for r in roots]))
+        return SymDecomp(Poly._from_ints([scale_a], den_a), Poly(), 0)
+    small = [_unit_interval_pair(rng, max_coeff) for _ in range(rng.randint(0, d // 2))]
+    common = lcm(*(q for _, q in small))
+    small.sort(key=lambda r: r[0] * common // r[1])
+    # the roots of a are -n/q over these pairs, of ascending size n/q
+    sizes = small + [(1, 1)] * (d - 2 * len(small)) + [(q, n) for n, q in reversed(small)]
+    v, den = _linear_product(scale_a, sizes)
+    a = Poly._from_ints(v, den * den_a)
 
     if rng.chance(1, 8):
         b = Poly()
     else:
         m = d - 1
-        t: list[Fraction] = [Fraction(0)] * m
+        t = [(1, 1)] * m  # the self-inverse middle gap, if any, contains -1
         for i in range(m // 2):
-            pick = _point_in_gap(rng, roots[i + 1], roots[i])
-            t[i] = pick
-            t[m - 1 - i] = Fraction(1) / pick
-        if m % 2 == 1:
-            t[m // 2] = Fraction(-1)  # the self-inverse middle gap contains -1
-        scale_b = rng.positive_rational(max_coeff, max_coeff)
-        b = Poly._from_ints(*_linear_product(scale_b, [(-r.numerator, r.denominator) for r in t]))
+            (n0, q0), (n1, q1) = sizes[i], sizes[i + 1]
+            # grid point k/8 of the gap from -n1/q1 toward -n0/q0, and its inverse
+            num = 8 * n1 * q0 - rng.randint(0, 8) * (n1 * q0 - n0 * q1)
+            g = gcd(num, 8 * q0 * q1)
+            t[i] = num // g, 8 * q0 * q1 // g
+            t[m - 1 - i] = t[i][::-1]
+        scale_b, den_b = _pairs(rng, 1, max_coeff, 1)[0]
+        v, den = _linear_product(scale_b, t)
+        b = Poly._from_ints(v, den * den_b)
     return SymDecomp(a, b, d)
 
 
@@ -192,20 +207,14 @@ def gen_logconcave(rng: SplitMix64, degree: int, max_coeff: int) -> TaggedPoly:
 def gen_contiguous_nonneg(rng: SplitMix64, degree: int, max_coeff: int) -> TaggedPoly:
     """Nonnegative numerator whose support is the contiguous window [u, degree]."""
     u = rng.randint(0, degree)
-    coeffs = [Fraction(0)] * u + [
-        rng.positive_rational(max_coeff, max_coeff) for _ in range(degree - u + 1)
-    ]
-    return TaggedPoly(Poly(coeffs), degree)
+    window = _pairs(rng, degree - u + 1, max_coeff, 1)
+    return TaggedPoly(_pairs_poly([(0, 1)] * u + window), degree)
 
 
 def _random_palindromic(rng: SplitMix64, d: int, max_coeff: int) -> Poly:
     """Random nonnegative polynomial equal to its own degree-d reversal."""
-    half = [rng.rational(max_coeff, max_coeff) for _ in range(d // 2 + 1)]
-    coeffs = [Fraction(0)] * (d + 1)
-    for i, c in enumerate(half):
-        coeffs[i] = c
-        coeffs[d - i] = c
-    return Poly(coeffs)
+    half = _pairs(rng, d // 2 + 1, max_coeff)
+    return _pairs_poly(half + half[: (d + 1) // 2][::-1])
 
 
 def gen_nonneg_symdec(rng: SplitMix64, d: int, max_coeff: int) -> SymDecomp:

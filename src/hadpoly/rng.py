@@ -5,16 +5,25 @@ pseudorandom number generators"): a counter advanced by the golden-ratio
 increment, finalized by an xor-shift/multiply mixer.  It is fixed across
 releases so that a (seed, trial index) pair reproduces a trial bit for bit
 on any platform; child generators are derived by mixing index keys into the
-seed rather than by sharing state.  ``randint`` is the one step, with the
-mixer inline; every other draw goes through it.
+seed rather than by sharing state.  Output i mixes seed + i * golden, not an
+earlier output, so ``randint`` (every draw's one step) serves ``_LANES``
+outputs mixed in one pass over a packed integer: a counter per 128-bit lane,
+masked per lane around each 64-bit multiply so no lane spills into the
+next, read back little-endian; ``_state`` reads as if each were mixed alone.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_LANES = 32
+_ONES = sum(1 << (128 * j) for j in range(_LANES))
+_LANE_MASK = _MASK * _ONES
+_STEPS = sum((j + 1) * _GOLDEN << (128 * j) for j in range(_LANES))  # lane j: (j + 1) golden
+_LAYOUT = struct.Struct("<" + "Q8x" * _LANES)  # each lane's low 8 bytes
 
 
 def _mix(z: int) -> int:
@@ -23,13 +32,23 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-class SplitMix64:
-    """Counter-based 64-bit generator; state is a single integer."""
+def _mix_block(base: int) -> tuple[int, ...]:
+    """``_mix`` of base + k golden, k = 1.._LANES; ``_LAYOUT`` skips the last shift's spill."""
+    z = (base * _ONES + _STEPS) & _LANE_MASK
+    z = (z ^ (z >> 30) & _LANE_MASK) * 0xBF58476D1CE4E5B9 & _LANE_MASK
+    z = (z ^ (z >> 27) & _LANE_MASK) * 0x94D049BB133111EB & _LANE_MASK
+    return _LAYOUT.unpack((z ^ (z >> 31)).to_bytes(_LAYOUT.size, "little"))
 
-    __slots__ = ("_state",)
+
+class SplitMix64:
+    """Counter-based 64-bit generator; the counter ``_state`` is its whole state."""
+
+    __slots__ = ("_base", "_used", "_block")
+    _state = property(lambda self: (self._base + self._used * _GOLDEN) & _MASK)
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK
+        # a used-up block ending at the seed; the first draw mixes the next one
+        self._base, self._used = (seed - _LANES * _GOLDEN) & _MASK, _LANES
 
     def next_u64(self) -> int:
         return self.randint(0, _MASK)
@@ -46,10 +65,13 @@ class SplitMix64:
         negligible for the tiny ranges used here and keeps the stream simple)."""
         if hi < lo:
             raise ValueError("empty range")
-        z = self._state = (self._state + _GOLDEN) & _MASK
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
-        return lo + (z ^ (z >> 31)) % (hi - lo + 1)
+        i = self._used
+        if i == _LANES:
+            self._base = base = (self._base + _LANES * _GOLDEN) & _MASK
+            self._block = _mix_block(base)
+            i = 0
+        self._used = i + 1
+        return lo + self._block[i] % (hi - lo + 1)
 
     def rational(self, max_numerator: int, max_denominator: int) -> Fraction:
         """Nonnegative rational with numerator <= max_numerator, denominator

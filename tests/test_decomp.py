@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hadpoly import analysis, decomp
 from hadpoly.analysis import interlaces, is_real_rooted, reverse
 from hadpoly.decomp import (
     SymDecomp,
@@ -189,6 +190,27 @@ class TestPredicates:
         assert rep.detail == "a is not real-rooted"
         with pytest.raises(ValueError, match="non-real-rooted input: a"):
             interlaces(P(1, 0, 1), P(1, 1, 1, 1))
+
+    def test_non_interlacing_pair_is_decided_once(self, monkeypatch):
+        """Real-rooted parts that do not interlace: one chain and one
+        real-rootedness check per part, and the report of ``interlaces``."""
+        a, b = P(1, 1) ** 3, P(1, 10, 1)  # roots -1, -1, -1 against -5 +- 2 sqrt 6
+        expected = interlaces(b, a)
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        for module in (analysis, decomp):
+            for name in ("real_rooted_interlacing", "is_real_rooted"):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        rep = decomposition_is_interlacing(SymDecomp(a, b, 3))
+        assert sorted(calls) == ["is_real_rooted"] * 2 + ["real_rooted_interlacing"]
+        assert (rep.holds, rep.witness, rep.detail) == (False, expected.witness, expected.detail)
+        assert rep.detail == "t_1 > s_1"
 
     def test_gamma_positive_example(self):
         dec = i_decompose(NEAR_SYMMETRIC_CUBIC, 3)

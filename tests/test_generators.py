@@ -1,10 +1,12 @@
+import inspect
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hadpoly.analysis import (
+    gamma_contract,
     has_internal_zeros,
     is_gamma_positive,
     is_log_concave,
@@ -13,6 +15,7 @@ from hadpoly.analysis import (
     symmetry_certificate,
 )
 from hadpoly.decomp import (
+    SymDecomp,
     decomposition_is_gamma_positive,
     decomposition_is_interlacing,
     decomposition_is_nonnegative,
@@ -31,7 +34,8 @@ from hadpoly.generators import (
     gen_symmetric,
     gen_ulc,
 )
-from hadpoly import generators
+from hadpoly import generators, harness
+from hadpoly import rng as rng_module
 from hadpoly.poly import Poly, TaggedPoly
 from hadpoly.rng import SplitMix64
 
@@ -272,3 +276,223 @@ class TestGenUlcStream:
         assert [holds for _, holds in calls] == [False] * (len(calls) - 1) + [True]
         assert candidates[-1] == out.poly
         assert len(set(candidates)) == len(candidates)
+
+
+MASK, GOLDEN = 2**64 - 1, 0x9E3779B97F4A7C15
+
+
+class ScalarSplitMix64:
+    """``SplitMix64`` as it was written with one mixer pass per output, kept
+    as the reference for the block stream: same values, same counter."""
+
+    def __init__(self, seed):
+        self._state = seed & MASK
+
+    def randint(self, lo, hi):
+        if hi < lo:
+            raise ValueError("empty range")
+        z = self._state = (self._state + GOLDEN) & MASK
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & MASK
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK
+        return lo + (z ^ (z >> 31)) % (hi - lo + 1)
+
+    def next_u64(self):
+        return self.randint(0, MASK)
+
+    def chance(self, num, den):
+        return self.randint(1, den) <= num
+
+    def derive(self, *keys):
+        seed = self._state
+        for key in keys:
+            z = (seed ^ (key & MASK)) + GOLDEN & MASK
+            z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & MASK
+            z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK
+            seed = z ^ (z >> 31)
+        return ScalarSplitMix64(seed)
+
+
+stream_ops = st.one_of(
+    st.tuples(
+        st.just("randint"),
+        st.integers(-(2**64), 2**64),
+        st.one_of(st.sampled_from([1, 2, 10]), st.integers(1, 2**64)),
+    ),
+    st.tuples(st.just("chance"), st.integers(0, 9), st.integers(1, 9)),
+    st.tuples(st.just("next_u64")),
+    st.tuples(st.just("derive"), st.lists(st.integers(0, 2**64), max_size=3)),
+)
+
+
+def _step(rng, op):
+    """Apply one draw to ``rng``; ``derive`` yields the child's first outputs."""
+    if op[0] == "randint":
+        return rng.randint(op[1], op[1] + op[2] - 1)
+    if op[0] == "chance":
+        return rng.chance(op[1], op[2])
+    if op[0] == "next_u64":
+        return rng.next_u64()
+    child = rng.derive(*op[1])
+    return [child.next_u64() for _ in range(3)], child._state
+
+
+class TestBlockStream:
+    """The block stream equals the one-output-per-call reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.lists(stream_ops, min_size=100, max_size=200))
+    def test_equals_the_scalar_stream(self, seed, ops):
+        new, ref = SplitMix64(seed), ScalarSplitMix64(seed)
+        for op in ops:
+            assert _step(new, op) == _step(ref, op), op
+            assert new._state == ref._state, op
+
+    def test_derive_inside_a_block(self):
+        new, ref = SplitMix64(9), ScalarSplitMix64(9)
+        for i in range(100):
+            assert new.randint(0, 9) == ref.randint(0, 9)
+            if i % 7 == 3:
+                assert _step(new, ("derive", [i, 5])) == _step(ref, ("derive", [i, 5]))
+        assert new._state == ref._state
+
+    def test_lanes_are_read_little_endian(self):
+        """The packed block is written and read in one fixed byte order, so
+        the stream does not depend on the host's."""
+        assert rng_module._LAYOUT.format == "<" + "Q8x" * rng_module._LANES
+        assert '"little"' in inspect.getsource(rng_module._mix_block)
+
+    def test_suites_end_each_trial_at_the_reference_position(self, monkeypatch):
+        """Nine suites at (seed 1, 20 trials): same reports, and each trial's
+        stream ends at the same counter under both generators."""
+
+        def sweep(cls):
+            children = []
+
+            class Recording:
+                def __init__(self, seed):
+                    self.root = cls(seed)
+
+                def derive(self, *keys):
+                    children.append(self.root.derive(*keys))
+                    return children[-1]
+
+            monkeypatch.setattr(harness, "SplitMix64", Recording)
+            config = TrialConfig(seed=1, trials=20)
+            reports = [run(config).render() for run in harness.SUITES.values()]
+            return reports, [child._state for child in children]
+
+        new, ref = sweep(SplitMix64), sweep(ScalarSplitMix64)
+        assert len(new[1]) == 9 * 20
+        assert new == ref
+
+
+# -- the generators as they were written on Fraction draws -------------------------
+
+
+def fraction_gen_symmetric(rng, s, defect, max_coeff):
+    gamma = [rng.rational(max_coeff, max_coeff) for _ in range(s // 2 + 1)]
+    terms = gamma_contract(Poly(gamma), s)
+    if terms.is_zero:
+        terms = gamma_contract(Poly([rng.positive_rational(max_coeff, max_coeff)]), s)
+    return TaggedPoly(terms, s + defect)
+
+
+def fraction_random_palindromic(rng, d, max_coeff):
+    half = [rng.rational(max_coeff, max_coeff) for _ in range(d // 2 + 1)]
+    coeffs = [Fraction(0)] * (d + 1)
+    for i, c in enumerate(half):
+        coeffs[i] = c
+        coeffs[d - i] = c
+    return Poly(coeffs)
+
+
+def fraction_gen_nonneg_symdec(rng, d, max_coeff):
+    a = fraction_random_palindromic(rng, d, max_coeff)
+    b = fraction_random_palindromic(rng, d - 1, max_coeff) if d >= 1 else Poly()
+    if a.is_zero and b.is_zero:
+        a = Poly([1] * (d + 1))
+    return SymDecomp(a, b, d)
+
+
+def fraction_gen_contiguous_nonneg(rng, degree, max_coeff):
+    u = rng.randint(0, degree)
+    coeffs = [Fraction(0)] * u + [
+        rng.positive_rational(max_coeff, max_coeff) for _ in range(degree - u + 1)
+    ]
+    return TaggedPoly(Poly(coeffs), degree)
+
+
+def fraction_product(scale, roots):
+    p = Poly([scale])
+    for r in roots:
+        p = p * Poly([-r, 1])
+    return p
+
+
+def fraction_gen_interlacing_symdec(rng, d, max_coeff):
+    scale_a = rng.positive_rational(max_coeff, max_coeff)
+    if d == 0:
+        return SymDecomp(Poly([scale_a]), Poly(), 0)
+    pairs = rng.randint(0, d // 2)
+    roots = []
+    for _ in range(pairs):
+        x, y = rng.randint(1, max_coeff), rng.randint(1, max_coeff)
+        r = Fraction(min(x, y), max(x, y))
+        roots.extend([-r, Fraction(-1) / r])
+    roots.extend([Fraction(-1)] * (d - 2 * pairs))
+    roots.sort(reverse=True)
+    a = fraction_product(scale_a, roots)
+    if rng.chance(1, 8):
+        b = Poly()
+    else:
+        m = d - 1
+        t = [Fraction(0)] * m
+        for i in range(m // 2):
+            lo, hi = roots[i + 1], roots[i]
+            pick = lo + Fraction(rng.randint(0, 8), 8) * (hi - lo)
+            t[i] = pick
+            t[m - 1 - i] = Fraction(1) / pick
+        if m % 2 == 1:
+            t[m // 2] = Fraction(-1)
+        b = fraction_product(rng.positive_rational(max_coeff, max_coeff), t)
+    return SymDecomp(a, b, d)
+
+
+GRID = [(seed, d, m) for seed in range(10) for d in range(9) for m in (1, 2, 5, 9)]
+
+
+class TestIntegerDrawsMatchFractionDraws:
+    """Same instance and same stream position as the ``Fraction`` versions on
+    360 (seed, degree, max_coeff) triples."""
+
+    @pytest.mark.parametrize(
+        "new, ref",
+        [
+            (lambda rng, d, m: gen_symmetric(rng, d, d % 3, m),
+             lambda rng, d, m: fraction_gen_symmetric(rng, d, d % 3, m)),
+            (gen_nonneg_symdec, fraction_gen_nonneg_symdec),
+            (gen_contiguous_nonneg, fraction_gen_contiguous_nonneg),
+            (gen_interlacing_symdec, fraction_gen_interlacing_symdec),
+        ],
+        ids=["symmetric", "nonneg_symdec", "contiguous_nonneg", "interlacing_symdec"],
+    )
+    def test_matches_the_fraction_reference(self, new, ref):
+        for seed, d, m in GRID:
+            rng_new, rng_ref = SplitMix64(seed).derive(d, m), SplitMix64(seed).derive(d, m)
+            assert new(rng_new, d, m) == ref(rng_ref, d, m), (seed, d, m)
+            assert rng_new.next_u64() == rng_ref.next_u64(), (seed, d, m)
+
+    @settings(max_examples=60, deadline=None)
+    @example(Fraction(10**6, 999_999), [(10**6, 1)] * 20 + [(-(10**6), 10**6)] * 20)
+    @example(Fraction(-1, 10**6), [(-(10**6), 1), (10**6, 10**6), (0, 7)] * 13)
+    @given(
+        st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6),
+        st.lists(st.tuples(st.integers(-(10**6), 10**6), st.integers(1, 10**6)), max_size=40),
+    )
+    def test_linear_product_at_large_magnitudes(self, scale, shifts):
+        v, den = _linear_product(scale, shifts)
+        schoolbook = [scale.numerator]
+        for n, q in shifts:
+            schoolbook = [n * a + q * b for a, b in zip(schoolbook + [0], [0] + schoolbook)]
+        assert v == schoolbook
+        assert Poly._from_ints(v, den) == fraction_product(scale, [Fraction(-n, q) for n, q in shifts])
