@@ -1,15 +1,13 @@
-"""Cartesian powers of the Reeve tetrahedron, computed in value space.
+"""Hadamard powers of a nonnegative numerator, the Reeve tetrahedron's by default.
 
 The Reeve tetrahedron (lattice simplex with vertices (0,0,0), (1,0,0),
-(0,1,0), (1,7,8)) has lattice-point numerator 1 + 7x^2 in dimension 3; its
-f-polynomial is 8x^3 + 10x^2 + 3x + 1.  Its Ehrhart values are the series
-coefficients L(j) = C(j+3, 3) + 7 C(j+1, 3) of (1 + 7x^2)/(1-x)^4.  Taking
-Cartesian powers of the simplex multiplies the point counts, so the k-fold
-power has the values L(j)^k, a polynomial of degree 3k in j.  Its
-numerator is the product of L(0..3k)^k with (1-x)^(3k+1), truncated to
-degree 3k (3k+1 backward differences), and its f-polynomial, the k-fold
-diamond power of the base f-polynomial, has coefficients
-f_(k,i) = Delta^i(L^k)(0) (forward differences).  The three lowest obey
+(0,1,0), (1,7,8)) has numerator 1 + 7x^2 in dimension 3 and Ehrhart values
+L(j) = C(j+3, 3) + 7 C(j+1, 3), the series coefficients of (1 + 7x^2)/(1-x)^4.
+Its k-fold Cartesian power has the values L(j)^k, of degree n = 3k in j (the
+tag of power k): its numerator is L(0..n)^k times (1-x)^(n+1), truncated to
+degree n, and its f-polynomial, the k-fold diamond power of
+8x^3 + 10x^2 + 3x + 1, has coefficients f_(k,i) = Delta^i(L^k)(0).  The three
+lowest obey
 
     f_(k+1,0) = f_(k,0)
     f_(k+1,1) = 3 f_(k,0) + 4 f_(k,1)
@@ -17,15 +15,22 @@ f_(k,i) = Delta^i(L^k)(0) (forward differences).  The three lowest obey
 
 with closed forms (1, 4^k - 1, 17^k - 2*4^k + 1), and the strict inequality
 f_(k,1)^2 < f_(k,0) f_(k,2) for every k >= 1: no power is log-concave, hence
-none is real-rooted.  The numerator's failure to be real-rooted is
-certified by one failed Newton inequality, with a Sturm chain only as the
-fallback when every Newton inequality holds.
+none is real-rooted.  Any nonnegative integer numerator h tagged d works the
+same way, with its own values L(j) and tags n = d k.
+
+``counterexample_report`` decides each k from L(0), L(1), L(2) alone: the
+three lowest f-coefficients against the recurrence, the strict inequality,
+then Newton's inequality at index 1 of the numerator, at the tag.  Full
+polynomials are built only as cross-checks, at k <= 3, at k = min(k_max, 60)
+and at any k that certificate misses: their low coefficients must be the
+sweep's, f must fail log-concavity, and the numerator some Newton inequality
+or else its Sturm chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import comb
 from typing import Iterator
 
 from .analysis import PropertyReport, is_log_concave, is_real_rooted, newton_violation
@@ -53,6 +58,9 @@ def reeve() -> ReeveData:
     return ReeveData()
 
 
+_REEVE = reeve()
+
+
 def product_f(k: int) -> Poly:
     """f-polynomial of the k-fold Cartesian power: the k-fold diamond power.
 
@@ -63,55 +71,113 @@ def product_f(k: int) -> Poly:
     return diamond_power(reeve().f_poly, k)
 
 
-def closed_form(k: int) -> tuple[Fraction, Fraction, Fraction]:
-    """The three lowest coefficients (1, 4^k - 1, 17^k - 2*4^k + 1) exactly."""
-    if k < 1:
-        raise ValueError("power must be at least 1")
-    return (Fraction(1), Fraction(4**k - 1), Fraction(17**k - 2 * 4**k + 1))
+def _values(h: Poly, d: int, count: int) -> list[int]:
+    """L(0..count-1), the series coefficients of h / (1-x)^(d+1); L(j) reads h_0..h_j."""
+    if d < 0 or h._den != 1 or any(c < 0 for c in h._num) or len(h._num) > d + 1:
+        raise ValueError(f"need a nonnegative integer numerator of degree at most {d}")
+    return _series_values(h._num[:count], d, count)
 
 
-def powers(k_max: int) -> Iterator[tuple[int, Poly, Poly]]:
-    """Yield (k, f-polynomial, numerator) of the k-fold power for k = 1..k_max.
+def _power(k: int, h: Poly, d: int) -> tuple[Poly, Poly]:
+    """(f-polynomial, numerator) of power k: forward differences of its values
+    L(0..n)^k, and n + 1 backward ones."""
+    n = d * k
+    values = [value**k for value in _values(h, d, n + 1)]
+    f = Poly._from_ints(_forward_differences(values))
+    return f, Poly._from_ints(_difference(values, n + 1))
 
-    Works on the integer Ehrhart values: the values of power k are those of
-    power k-1 times L(j), extended to j <= 3k.
+
+def powers(
+    k_max: int, h: Poly = _REEVE.hstar, d: int = _REEVE.dim
+) -> Iterator[tuple[int, Poly, Poly]]:
+    """Yield (k, f-polynomial, numerator) of the k-th Hadamard power of (h, d)
+    for k = 1..k_max, each built in full."""
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    for k in range(1, k_max + 1):
+        yield (k, *_power(k, h, d))
+
+
+def low_coefficients(
+    k_max: int, h: Poly = _REEVE.hstar, d: int = _REEVE.dim
+) -> Iterator[tuple[int, tuple[int, int, int], tuple[int, int, int]]]:
+    """Yield (k, (f_(k,0), f_(k,1), f_(k,2)), (h_(k,0), h_(k,1), h_(k,2))) for
+    k = 1..k_max, the lowest coefficients of the f-polynomial and of the
+    numerator of power k, from P_j = L(j)^k (j <= 2) carried across k.
+
+    f_(k,i) = Delta^i(L^k)(0), so f = (P_0, P_1 - P_0, P_2 - 2 P_1 + P_0).
+    The numerator is sum_j P_j x^j times (1-x)^(n+1), whose coefficients at
+    x and x^2 are -(n+1) and C(n+1, 2), so h = (P_0, P_1 - (n+1) P_0,
+    P_2 - (n+1) P_1 + C(n+1, 2) P_0).  That product vanishes above degree n,
+    so this holds at every tag, n < 2 included.
+    """
+    l0, l1, l2 = _values(h, d, 3)
+    p0 = p1 = p2 = 1
+    for k in range(1, k_max + 1):
+        p0, p1, p2 = p0 * l0, p1 * l1, p2 * l2
+        m = d * k + 1  # n + 1
+        yield k, (p0, p1 - p0, p2 - 2 * p1 + p0), (p0, p1 - m * p0, p2 - m * p1 + comb(m, 2) * p0)
+
+
+def _newton_fails_at_tag(h_lows: tuple[int, int, int], n: int) -> bool:
+    """h_1^2 (n-1) < 2n h_0 h_2: Newton's inequality at index 1 fails at the tag n.
+
+    This certifies that the numerator is not real-rooted.  The left side is
+    >= 0, so a failure gives h_0 h_2 > 0, and the true degree m has
+    2 <= m <= n.  At degree m, index 1 needs h_1^2 >= h_0 h_2 2m/(m-1)
+    (Hardy, Littlewood & Polya, *Inequalities*, 2.22), and 2m/(m-1) does not
+    increase with m, so h_1^2 < h_0 h_2 2n/(n-1) <= h_0 h_2 2m/(m-1): index 1
+    fails at m as well, and ``newton_violation`` returns 1.
+    """
+    h0, h1, h2 = h_lows
+    return h1 * h1 * (n - 1) < 2 * n * h0 * h2
+
+
+def _lows_differ(k: int, got: tuple) -> PropertyReport:
+    return PropertyReport.failed(
+        {"k": k, "stage": "closed form", "got": [str(c) for c in got]},
+        f"low coefficients at k={k} differ from the closed form",
+    )
+
+
+def counterexample_report(
+    k_max: int, h: Poly = _REEVE.hstar, d: int = _REEVE.dim
+) -> PropertyReport:
+    """Confirm, for every k <= k_max, that the k-th Hadamard power of (h, d)
+    is not log-concave and its numerator not real-rooted, in the stages of
+    the module docstring.  Holds iff every k passes; the witness names the
+    first failing stage otherwise.
+
+    f_(k,0) f_(k,2) - f_(k,1)^2 = P_0 P_2 - P_1^2 = (L0 L2)^k - L1^(2k), so
+    the strict inequality holds at every k exactly when L1^2 < L0 L2 (16 < 17
+    for Reeve); it breaks log-concavity of the nonnegative f at index 1.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    data = reeve()
-    ell = _series_values([int(c) for c in data.hstar.coeffs], data.dim, data.dim * k_max + 1)
-    values: list[int] = []
-    for k in range(1, k_max + 1):
-        top = data.dim * k
-        values = [v * l for v, l in zip(values, ell)] + [l**k for l in ell[len(values):top + 1]]
-        yield k, Poly(_forward_differences(values)), Poly(_difference(values, top + 1))
-
-
-def counterexample_report(k_max: int) -> PropertyReport:
-    """Confirm, for every k <= k_max, that the k-fold power misbehaves.
-
-    Checks that the f-polynomial from ``powers`` matches the closed-form low
-    coefficients, that f_(k,1)^2 < f_(k,0) f_(k,2), that the f-polynomial is
-    not log-concave, and that the degree-3k numerator is not real-rooted.
-    Holds iff every k passes; the witness names the first failing stage
-    otherwise.  Non-real-rootedness is certified by a failed Newton
-    inequality (``analysis.newton_violation``); only if every inequality
-    holds does ``is_real_rooted`` decide, so the verdict stays exact.
-    """
-    for k, f, numerator in powers(k_max):
-        lows = tuple(f.coefficient(i) for i in range(3))
-        expected = closed_form(k)
-        if lows != expected:
-            return PropertyReport.failed(
-                {"k": k, "stage": "closed form", "got": [str(c) for c in lows]},
-                f"low coefficients at k={k} differ from the closed form",
-            )
-        f0, f1, f2 = lows
+    l0, l1, l2 = _values(h, d, 3)
+    # f of power k+1 from that of power k, since P_j = sum_i C(j, i) f_i and
+    # P_j -> L(j) P_j; for Reeve it is the recurrence of the module docstring
+    a, b, c = l1 - l0, l2 - 2 * l1 + l0, 2 * (l2 - l1)
+    expected = (1, 0, 0)
+    checked = {1, 2, 3, min(k_max, 60)}
+    for k, f_lows, h_lows in low_coefficients(k_max, h, d):
+        e0, e1, e2 = expected
+        expected = (l0 * e0, a * e0 + l1 * e1, b * e0 + c * e1 + l2 * e2)
+        if f_lows != expected:
+            return _lows_differ(k, f_lows)
+        f0, f1, f2 = f_lows
         if not f1 * f1 < f0 * f2:
             return PropertyReport.failed(
                 {"k": k, "stage": "strict inequality"},
                 f"f_(k,1)^2 < f_(k,0) f_(k,2) fails at k={k}",
             )
+        if k not in checked and _newton_fails_at_tag(h_lows, d * k):
+            continue
+        f, numerator = _power(k, h, d)
+        for full, lows in ((f, f_lows), (numerator, h_lows)):
+            got = tuple(full.coefficient(i) for i in range(3))
+            if got != lows:
+                return _lows_differ(k, got)
         if is_log_concave(f).holds:
             return PropertyReport.failed(
                 {"k": k, "stage": "log-concavity"},
@@ -122,6 +188,4 @@ def counterexample_report(k_max: int) -> PropertyReport:
                 {"k": k, "stage": "real-rootedness"},
                 f"numerator of power {k} is unexpectedly real-rooted",
             )
-    return PropertyReport.passed(
-        f"counterexample confirmed for every k in 1..{k_max}"
-    )
+    return PropertyReport.passed(f"counterexample confirmed for every k in 1..{k_max}")

@@ -65,8 +65,8 @@ def gen_real_rooted(rng: SplitMix64, degree: int, max_coeff: int) -> TaggedPoly:
 
 
 def _pairs(rng: SplitMix64, count: int, max_coeff: int, low: int = 0) -> list[tuple[int, int]]:
-    """``count`` pairs (n, q) for n/q, drawn as ``rng.rational(max_coeff, max_coeff)``
-    draws them, or as ``rng.positive_rational`` with ``low`` 1."""
+    """``count`` pairs (n, q) for n/q in [low, max_coeff] x [1, max_coeff],
+    each numerator drawn just before its denominator."""
     return [(rng.randint(low, max_coeff), rng.randint(1, max_coeff)) for _ in range(count)]
 
 

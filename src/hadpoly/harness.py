@@ -312,8 +312,6 @@ def scan_logconcave_pair(config: TrialConfig) -> SuiteResult:
 def verify_reeve(k_max: int = 8) -> SuiteResult:
     """Confirm the counterexample family: no diamond power of the Reeve
     simplex f-polynomial is log-concave, and no numerator is real-rooted."""
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
     report = counterexample_report(k_max)
     failures = () if report.holds else (TrialFailure(0, "conclusion", report.detail),)
     return SuiteResult(

@@ -109,12 +109,6 @@ class Poly:
         """Indices with nonzero coefficient, ascending."""
         return tuple(i for i, c in enumerate(self._num) if c)
 
-    @property
-    def leading_coefficient(self) -> Fraction:
-        if not self._num:
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return Fraction(self._num[-1], self._den)
-
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":

@@ -15,7 +15,6 @@ next, read back little-endian; ``_state`` reads as if each were mixed alone.
 from __future__ import annotations
 
 import struct
-from fractions import Fraction
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -72,18 +71,6 @@ class SplitMix64:
             i = 0
         self._used = i + 1
         return lo + self._block[i] % (hi - lo + 1)
-
-    def rational(self, max_numerator: int, max_denominator: int) -> Fraction:
-        """Nonnegative rational with numerator <= max_numerator, denominator
-        <= max_denominator."""
-        num = self.randint(0, max_numerator)
-        den = self.randint(1, max_denominator)
-        return Fraction(num, den)
-
-    def positive_rational(self, max_numerator: int, max_denominator: int) -> Fraction:
-        num = self.randint(1, max_numerator)
-        den = self.randint(1, max_denominator)
-        return Fraction(num, den)
 
     def chance(self, num: int, den: int) -> bool:
         """True with probability num/den."""

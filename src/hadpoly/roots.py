@@ -360,21 +360,6 @@ class RootIsolation:
 
     intervals: tuple[RootInterval, ...]
 
-    @property
-    def exact_roots(self) -> tuple[tuple[Fraction, int], ...]:
-        """Rational roots recognized exactly, with multiplicity."""
-        return tuple(
-            (iv.lo, iv.multiplicity) for iv in self.intervals if iv.is_exact
-        )
-
-    @property
-    def count_with_multiplicity(self) -> int:
-        return sum(iv.multiplicity for iv in self.intervals)
-
-    @property
-    def count_distinct(self) -> int:
-        return len(self.intervals)
-
 
 def _isolate_square_free(work: tuple[int, ...]) -> list[RealRoot]:
     """Ascending isolating intervals/exact values for all real roots of the

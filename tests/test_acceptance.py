@@ -19,7 +19,7 @@ from hadpoly.analysis import (
     is_unimodal,
 )
 from hadpoly.decomp import decomposition_is_interlacing, i_decompose
-from hadpoly.ehrhart import closed_form, product_f
+from hadpoly.ehrhart import product_f
 from hadpoly.generators import TrialConfig
 from hadpoly.harness import SUITES, verify_reeve
 from hadpoly.operators import (
@@ -31,6 +31,8 @@ from hadpoly.operators import (
 )
 from hadpoly.poly import Poly, TaggedPoly, reflect, reverse
 from hadpoly.rng import SplitMix64
+
+from helpers import closed_form, rational
 
 
 def P(*coeffs):
@@ -166,8 +168,8 @@ def test_hadamard_routes_agree():
         for trial in range(100):
             r = rng.derive(trial)
             d1, d2 = r.randint(0, 6), r.randint(0, 6)
-            h1 = Poly([r.rational(9, 9) for _ in range(r.randint(0, d1) + 1)])
-            h2 = Poly([r.rational(9, 9) for _ in range(r.randint(0, d2) + 1)])
+            h1 = Poly([rational(r, 9, 9) for _ in range(r.randint(0, d1) + 1)])
+            h2 = Poly([rational(r, 9, 9) for _ in range(r.randint(0, d2) + 1)])
             t1, t2 = TaggedPoly(h1, d1), TaggedPoly(h2, d2)
             direct = hadamard(t1, t2, route="direct")
             assert hadamard(t1, t2, route="bullet") == direct
@@ -176,8 +178,8 @@ def test_hadamard_routes_agree():
 
 def test_hadamard_at_degree_80_with_large_heights():
     rng = SplitMix64(80)
-    h1 = Poly([rng.rational(999999, 999999) for _ in range(81)])
-    h2 = Poly([-rng.rational(999999, 999999) for _ in range(81)])
+    h1 = Poly([rational(rng, 999999, 999999) for _ in range(81)])
+    h2 = Poly([-rational(rng, 999999, 999999) for _ in range(81)])
     with criterion("production hadamard at d = (80, 80), height 999999", 2.0):
         out = hadamard(TaggedPoly(h1, 80), TaggedPoly(h2, 80))
     assert out.ref_degree == 160
@@ -195,7 +197,7 @@ def test_round_trips_and_involutions():
 
         def random_pair(r, max_d=8):
             d = r.randint(0, max_d)
-            h = Poly([r.rational(9, 9) for _ in range(r.randint(0, d) + 1)])
+            h = Poly([rational(r, 9, 9) for _ in range(r.randint(0, d) + 1)])
             return h, d
 
         for trial in range(500):
@@ -218,7 +220,7 @@ def test_round_trips_and_involutions():
         for trial in range(500):
             r = rng.derive(5, trial)
             s = r.randint(0, 10)
-            g = Poly([r.rational(9, 9) for _ in range(r.randint(0, s // 2) + 1)])
+            g = Poly([rational(r, 9, 9) for _ in range(r.randint(0, s // 2) + 1)])
             assert gamma_expand(gamma_contract(g, s), s) == g
 
 
@@ -237,4 +239,10 @@ def test_counterexample_suite_at_depth_12():
 def test_counterexample_suite_at_depth_60():
     with criterion("counterexample verification command confirms at depth 60", 5.0):
         result = verify_reeve(60)
+        assert result.ok
+
+
+def test_counterexample_suite_at_depth_10000():
+    with criterion("counterexample verification command confirms at depth 10000", 10.0):
+        result = verify_reeve(10000)
         assert result.ok

@@ -26,6 +26,8 @@ from hadpoly.poly import Poly, reverse
 from hadpoly.rng import SplitMix64
 from hadpoly.roots import real_rooted_interlacing
 
+from helpers import positive_rational, rational
+
 SYMMETRIC_ULC = Poly([1, 8, 24, 36, 24, 8, 1])
 GAP_CUBE = Poly([1, 0, 0, 1])
 REEVE_F = Poly([1, 3, 10, 8])
@@ -44,7 +46,7 @@ def linear_product(*roots):
 
 
 def random_real_rooted(rng, degree):
-    return linear_product(*[rng.rational(9, 9) for _ in range(degree)])
+    return linear_product(*[rational(rng, 9, 9) for _ in range(degree)])
 
 
 def ulc_failure(h, m):
@@ -197,7 +199,7 @@ class TestUlc:
             u = rng.randint(0, d)
             h = Poly(
                 [Fraction(0)] * u
-                + [rng.positive_rational(9, 9) for _ in range(d - u + 1)]
+                + [positive_rational(rng, 9, 9) for _ in range(d - u + 1)]
             )
             if is_log_concave(h).holds and has_internal_zeros(h).holds:
                 checked += 1
@@ -399,7 +401,7 @@ class TestFunctionalEquation:
         rng = SplitMix64(89)
         for _ in range(40):
             d = rng.randint(1, 6)
-            h = Poly([rng.rational(4, 4) for _ in range(rng.randint(0, d) + 1)])
+            h = Poly([rational(rng, 4, 4) for _ in range(rng.randint(0, d) + 1)])
             if h.is_zero:
                 continue
             p = w_inverse(h, d)
@@ -437,7 +439,7 @@ class TestGamma:
         rng = SplitMix64(97)
         for _ in range(40):
             s = rng.randint(0, 9)
-            g = Poly([rng.rational(9, 9) for _ in range(rng.randint(0, s // 2) + 1)])
+            g = Poly([rational(rng, 9, 9) for _ in range(rng.randint(0, s // 2) + 1)])
             assert gamma_expand(gamma_contract(g, s), s) == g
 
     def test_positive_example(self):
@@ -461,7 +463,7 @@ class TestGamma:
             ones = rng.randint(0, 3)
             h = P(1, 1) ** ones
             for _ in range(pairs):
-                r = rng.positive_rational(9, 9)
+                r = positive_rational(rng, 9, 9)
                 h = h * Poly([r, 1]) * Poly([1 / r, 1]).scale(r)
             s = h.degree
             assert symmetry_certificate(h).center_numerator == s

@@ -426,6 +426,11 @@ class TestVerifyCommand:
             main(["verify", "nonsense"])
         assert exc.value.code == 2
 
+    def test_reeve_kmax_0_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "reeve", "--kmax", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: k_max must be at least 1\n"
+
     def test_reeve_defaults_to_power_8(self, capsys):
         code, out, _ = run(capsys, "verify", "reeve")
         assert code == 0

@@ -17,6 +17,8 @@ from hadpoly.operators import diamond, f_from_h, hadamard
 from hadpoly.poly import Poly, TaggedPoly, reflect
 from hadpoly.rng import SplitMix64
 
+from helpers import positive_rational, rational
+
 NEAR_SYMMETRIC_CUBIC = Poly([1, 3, 9, 1])  # splits into (1+x)^3 and 6x
 SQUARE_EX = Poly([1, 42, 639, 1836, 1239, 162, 1])
 
@@ -26,7 +28,7 @@ def P(*coeffs):
 
 
 def random_nonneg(rng, d):
-    return Poly([rng.rational(9, 9) for _ in range(d + 1)])
+    return Poly([rational(rng, 9, 9) for _ in range(d + 1)])
 
 
 class TestIDecompose:
@@ -146,7 +148,7 @@ class TestDefect1Ell:
 
 def _random_reflection_symmetric(rng, degree):
     """Random polynomial fixed by the reflection at the given degree."""
-    h = Poly([rng.rational(4, 4) for _ in range(degree // 2 + 1)])
+    h = Poly([rational(rng, 4, 4) for _ in range(degree // 2 + 1)])
     coeffs = [Fraction(0)] * (degree + 1)
     for i, c in enumerate(h.coeffs):
         coeffs[i] = c
@@ -255,21 +257,21 @@ class TestPreservation:
         for _ in range(15):
             d1, d2 = rng.randint(0, 5), rng.randint(0, 5)
             u1, u2 = rng.randint(0, d1), rng.randint(0, d2)
-            h1 = Poly([Fraction(0)] * u1 + [rng.positive_rational(9, 9) for _ in range(d1 - u1 + 1)])
-            h2 = Poly([Fraction(0)] * u2 + [rng.positive_rational(9, 9) for _ in range(d2 - u2 + 1)])
+            h1 = Poly([Fraction(0)] * u1 + [positive_rational(rng, 9, 9) for _ in range(d1 - u1 + 1)])
+            h2 = Poly([Fraction(0)] * u2 + [positive_rational(rng, 9, 9) for _ in range(d2 - u2 + 1)])
             out = hadamard(TaggedPoly(h1, d1), TaggedPoly(h2, d2))
             assert has_internal_zeros(out.poly).holds
 
 
 def _nonneg_decomposable(rng, d):
-    half = [rng.rational(9, 9) for _ in range(d // 2 + 1)]
+    half = [rational(rng, 9, 9) for _ in range(d // 2 + 1)]
     a = [Fraction(0)] * (d + 1)
     for i, c in enumerate(half):
         a[i] = c
         a[d - i] = c
     b = [Fraction(0)] * d
     if d >= 1:
-        half_b = [rng.rational(9, 9) for _ in range((d - 1) // 2 + 1)]
+        half_b = [rational(rng, 9, 9) for _ in range((d - 1) // 2 + 1)]
         for i, c in enumerate(half_b):
             b[i] = c
             b[d - 1 - i] = c

@@ -1,11 +1,24 @@
+import math
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadpoly import ehrhart
-from hadpoly.analysis import PropertyReport, has_internal_zeros, is_log_concave, is_real_rooted
-from hadpoly.ehrhart import closed_form, counterexample_report, powers, product_f, reeve
-from hadpoly.operators import f_from_h, h_from_f, hadamard
+from hadpoly.analysis import (
+    PropertyReport,
+    has_internal_zeros,
+    is_log_concave,
+    is_real_rooted,
+    newton_violation,
+)
+from hadpoly.ehrhart import counterexample_report, low_coefficients, powers, product_f, reeve
+from hadpoly.operators import diamond_power, f_from_h, h_from_f, hadamard
 from hadpoly.poly import Poly, TaggedPoly
 from hadpoly.rng import SplitMix64
+
+from helpers import closed_form, positive_rational
 
 
 def P(*coeffs):
@@ -73,6 +86,65 @@ class TestValueSpacePowers:
         with pytest.raises(ValueError):
             next(powers(0))
 
+    @pytest.mark.parametrize(
+        "h, d", [(P(1, -1), 2), (P(1, 2, 3), 1), (P(1, 0, 7), -1), (P(1, Fraction(1, 2)), 1)]
+    )
+    def test_invalid_numerator(self, h, d):
+        with pytest.raises(ValueError):
+            next(powers(2, h, d))
+        with pytest.raises(ValueError):
+            next(low_coefficients(2, h, d))
+        with pytest.raises(ValueError):
+            counterexample_report(2, h, d)
+
+
+def lows(p):
+    return tuple(p.coefficient(i) for i in range(3))
+
+
+numerators = st.integers(0, 6).flatmap(
+    lambda d: st.tuples(st.lists(st.integers(0, 9), min_size=1, max_size=d + 1), st.just(d))
+)
+
+
+class TestLowCoefficients:
+    """The three-value sweep against full polynomials built two other ways."""
+
+    @given(numerators, st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_match_powers_and_diamond_powers(self, numerator, k_max):
+        coeffs, d = numerator
+        h = P(*coeffs)
+        sweep = list(low_coefficients(k_max, h, d))
+        full = list(powers(k_max, h, d))
+        assert [k for k, _, _ in sweep] == [k for k, _, _ in full] == list(range(1, k_max + 1))
+        for (k, f_lows, h_lows), (_, f, numerator) in zip(sweep, full):
+            assert lows(f) == f_lows and lows(numerator) == h_lows
+            diamond = diamond_power(f_from_h(h, d), k)
+            assert diamond == f and h_from_f(diamond, d * k) == numerator
+            if ehrhart._newton_fails_at_tag(h_lows, d * k):
+                assert newton_violation(numerator) == 1
+
+    def test_reeve_matches_powers_and_closed_form_up_to_40(self):
+        sweep = low_coefficients(40)
+        for (k, f_lows, h_lows), (_, f, numerator) in zip(sweep, powers(40)):
+            assert lows(f) == f_lows == closed_form(k)
+            assert lows(numerator) == h_lows
+            assert ehrhart._newton_fails_at_tag(h_lows, 3 * k)
+
+    @given(numerators, st.integers(1, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_log_concavity_margin_identity(self, numerator, k):
+        # f0 f2 - f1^2 = P0 (P2 - 2 P1 + P0) - (P1 - P0)^2 = P0 P2 - P1^2
+        coeffs, d = numerator
+        # L(j) = sum_i h_i C(j - i + d, d), the series coefficients of h / (1-x)^(d+1)
+        l0, l1, l2 = (
+            sum(c * math.comb(j - i + d, d) for i, c in enumerate(coeffs[: j + 1]))
+            for j in range(3)
+        )
+        *_, (_, (f0, f1, f2), _) = low_coefficients(k, P(*coeffs), d)
+        assert f0 * f2 - f1 * f1 == (l0 * l2) ** k - l1 ** (2 * k)
+
 
 class TestClosedForm:
     def test_first(self):
@@ -126,16 +198,66 @@ class TestCounterexampleReport:
             counterexample_report(0)
 
     def test_sturm_fallback_decides_without_a_certificate(self, monkeypatch):
+        monkeypatch.setattr(ehrhart, "_newton_fails_at_tag", lambda lows, n: False)
         monkeypatch.setattr(ehrhart, "newton_violation", lambda p: None)
         assert counterexample_report(12).holds
 
     def test_real_rooted_numerator_fails_the_last_stage(self, monkeypatch):
+        monkeypatch.setattr(ehrhart, "_newton_fails_at_tag", lambda lows, n: False)
         monkeypatch.setattr(ehrhart, "newton_violation", lambda p: None)
         monkeypatch.setattr(ehrhart, "is_real_rooted", lambda p: PropertyReport.passed())
         report = counterexample_report(3)
         assert not report.holds
         assert report.witness == {"k": 1, "stage": "real-rootedness"}
         assert report.detail == "numerator of power 1 is unexpectedly real-rooted"
+
+    @pytest.mark.parametrize(
+        "k_max, built", [(2, [1, 2]), (12, [1, 2, 3, 12]), (100, [1, 2, 3, 60])]
+    )
+    def test_full_polynomials_only_as_cross_checks(self, monkeypatch, k_max, built):
+        calls = []
+        power = ehrhart._power
+        monkeypatch.setattr(ehrhart, "_power", lambda k, h, d: calls.append(k) or power(k, h, d))
+        assert counterexample_report(k_max).holds
+        assert calls == built
+
+    def test_missing_certificate_builds_every_power(self, monkeypatch):
+        calls = []
+        power = ehrhart._power
+        monkeypatch.setattr(ehrhart, "_power", lambda k, h, d: calls.append(k) or power(k, h, d))
+        monkeypatch.setattr(ehrhart, "_newton_fails_at_tag", lambda lows, n: False)
+        assert counterexample_report(12).holds
+        assert calls == list(range(1, 13))
+
+    @pytest.mark.parametrize(
+        "k, which, got", [(7, 1, ["1", "16384", "410305906"]), (2, 2, ["1", "9", "198"])]
+    )
+    def test_sweep_that_drifts_fails_the_closed_form(self, monkeypatch, k, which, got):
+        # f_(k,1) one too high (which = 1) leaves the recurrence; h_(k,1) one
+        # too high (which = 2) differs from the full numerator's, which is reported
+        sweep = ehrhart.low_coefficients
+
+        def drifted(*args):
+            for item in sweep(*args):
+                if item[0] == k:
+                    item = list(item)
+                    item[which] = (item[which][0], item[which][1] + 1, item[which][2])
+                yield tuple(item)
+
+        monkeypatch.setattr(ehrhart, "low_coefficients", drifted)
+        report = counterexample_report(12)
+        assert not report.holds
+        assert report.witness == {"k": k, "stage": "closed form", "got": got}
+        assert report.detail == f"low coefficients at k={k} differ from the closed form"
+
+    def test_other_numerators(self):
+        # L = (1, 3, 5) for (1 + x, 1): 3^2 >= 1 * 5, so power 1 is log-concave at index 1
+        report = counterexample_report(5, P(1, 1), 1)
+        assert report.witness == {"k": 1, "stage": "strict inequality"}
+        # h_2 > h_1^2 + 4 h_1 + 6 at d = 3, h_0 = 1 gives L1^2 < L0 L2; equality fails
+        assert counterexample_report(70, P(1, 1, 12), 3).holds
+        report = counterexample_report(3, P(1, 1, 11), 3)
+        assert report.witness == {"k": 1, "stage": "strict inequality"}
 
 
 class TestLogConcavityTransport:
@@ -149,7 +271,7 @@ class TestLogConcavityTransport:
             d = rng.randint(1, 6)
             u = rng.randint(0, d)
             h = Poly(
-                [0] * u + [rng.positive_rational(9, 9) for _ in range(d - u + 1)]
+                [0] * u + [positive_rational(rng, 9, 9) for _ in range(d - u + 1)]
             )
             if not (is_log_concave(h).holds and has_internal_zeros(h).holds):
                 continue

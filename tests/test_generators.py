@@ -39,6 +39,8 @@ from hadpoly import rng as rng_module
 from hadpoly.poly import Poly, TaggedPoly
 from hadpoly.rng import SplitMix64
 
+from helpers import positive_rational, rational
+
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
 
@@ -101,7 +103,7 @@ class TestSplitMix:
     def test_rational_bounds(self):
         rng = SplitMix64(2)
         for _ in range(100):
-            r = rng.rational(9, 9)
+            r = rational(rng, 9, 9)
             assert 0 <= r <= 9
 
 
@@ -231,7 +233,7 @@ def fraction_gen_ulc(rng, degree, max_coeff):
     """``gen_ulc`` as it was written on ``Fraction`` draws, kept as the
     reference for the integer version: same stream, same instance."""
     for _ in range(REJECTION_BUDGET):
-        shifts = [rng.rational(max_coeff, max_coeff) for _ in range(degree)]
+        shifts = [rational(rng, max_coeff, max_coeff) for _ in range(degree)]
         h = Poly([1])
         for r in shifts:
             h = h * Poly([r, 1])
@@ -390,15 +392,15 @@ class TestBlockStream:
 
 
 def fraction_gen_symmetric(rng, s, defect, max_coeff):
-    gamma = [rng.rational(max_coeff, max_coeff) for _ in range(s // 2 + 1)]
+    gamma = [rational(rng, max_coeff, max_coeff) for _ in range(s // 2 + 1)]
     terms = gamma_contract(Poly(gamma), s)
     if terms.is_zero:
-        terms = gamma_contract(Poly([rng.positive_rational(max_coeff, max_coeff)]), s)
+        terms = gamma_contract(Poly([positive_rational(rng, max_coeff, max_coeff)]), s)
     return TaggedPoly(terms, s + defect)
 
 
 def fraction_random_palindromic(rng, d, max_coeff):
-    half = [rng.rational(max_coeff, max_coeff) for _ in range(d // 2 + 1)]
+    half = [rational(rng, max_coeff, max_coeff) for _ in range(d // 2 + 1)]
     coeffs = [Fraction(0)] * (d + 1)
     for i, c in enumerate(half):
         coeffs[i] = c
@@ -417,7 +419,7 @@ def fraction_gen_nonneg_symdec(rng, d, max_coeff):
 def fraction_gen_contiguous_nonneg(rng, degree, max_coeff):
     u = rng.randint(0, degree)
     coeffs = [Fraction(0)] * u + [
-        rng.positive_rational(max_coeff, max_coeff) for _ in range(degree - u + 1)
+        positive_rational(rng, max_coeff, max_coeff) for _ in range(degree - u + 1)
     ]
     return TaggedPoly(Poly(coeffs), degree)
 
@@ -430,7 +432,7 @@ def fraction_product(scale, roots):
 
 
 def fraction_gen_interlacing_symdec(rng, d, max_coeff):
-    scale_a = rng.positive_rational(max_coeff, max_coeff)
+    scale_a = positive_rational(rng, max_coeff, max_coeff)
     if d == 0:
         return SymDecomp(Poly([scale_a]), Poly(), 0)
     pairs = rng.randint(0, d // 2)
@@ -454,7 +456,7 @@ def fraction_gen_interlacing_symdec(rng, d, max_coeff):
             t[m - 1 - i] = Fraction(1) / pick
         if m % 2 == 1:
             t[m // 2] = Fraction(-1)
-        b = fraction_product(rng.positive_rational(max_coeff, max_coeff), t)
+        b = fraction_product(positive_rational(rng, max_coeff, max_coeff), t)
     return SymDecomp(a, b, d)
 
 

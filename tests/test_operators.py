@@ -22,6 +22,8 @@ from hadpoly.operators import (
 from hadpoly.poly import Poly, TaggedPoly, comb0, reflect, reverse
 from hadpoly.rng import SplitMix64
 
+from helpers import rational
+
 
 def P(*coeffs):
     return Poly(coeffs)
@@ -37,7 +39,7 @@ REEVE_H = P(1, 0, 7)
 
 def random_poly(rng, max_degree, nonneg=True):
     d = rng.randint(0, max_degree)
-    coeffs = [rng.rational(9, 9) for _ in range(d + 1)]
+    coeffs = [rational(rng, 9, 9) for _ in range(d + 1)]
     if not nonneg:
         coeffs = [c if rng.chance(1, 2) else -c for c in coeffs]
     return Poly(coeffs)
@@ -140,7 +142,7 @@ class TestWInverse:
         rng = SplitMix64(11)
         for _ in range(40):
             d = rng.randint(0, 8)
-            h = Poly([rng.rational(9, 9) for _ in range(rng.randint(0, d) + 1)])
+            h = Poly([rational(rng, 9, 9) for _ in range(rng.randint(0, d) + 1)])
             if h.is_zero:
                 continue
             t = w_transform(w_inverse(h, d))
@@ -170,7 +172,7 @@ class TestSubdivision:
         rng = SplitMix64(17)
         for _ in range(30):
             d = rng.randint(0, 8)
-            h = Poly([rng.rational(9, 9) for _ in range(rng.randint(0, d) + 1)])
+            h = Poly([rational(rng, 9, 9) for _ in range(rng.randint(0, d) + 1)])
             assert subdivision(w_inverse(h, d)) == f_from_h(h, d)
 
 
@@ -197,7 +199,7 @@ class TestBasisChanges:
         rng = SplitMix64(31)
         for _ in range(40):
             d = rng.randint(0, 9)
-            f = Poly([rng.rational(9, 9) for _ in range(rng.randint(0, d) + 1)])
+            f = Poly([rational(rng, 9, 9) for _ in range(rng.randint(0, d) + 1)])
             h = h_from_f(f, d)
             for x in points:
                 rebuilt = sum(c * x**i * (x + 1) ** (d - i) for i, c in enumerate(h.coeffs))
@@ -207,7 +209,7 @@ class TestBasisChanges:
         rng = SplitMix64(19)
         for _ in range(40):
             d = rng.randint(0, 9)
-            h = Poly([rng.rational(9, 9) for _ in range(rng.randint(0, d) + 1)])
+            h = Poly([rational(rng, 9, 9) for _ in range(rng.randint(0, d) + 1)])
             assert h_from_f(f_from_h(h, d), d) == h
 
     @pytest.mark.parametrize("op", [f_from_h, h_from_f, w_inverse, msupp])
@@ -219,7 +221,7 @@ class TestBasisChanges:
         rng = SplitMix64(23)
         for _ in range(30):
             d = rng.randint(0, 8)
-            h = Poly([rng.rational(9, 9) for _ in range(rng.randint(0, d) + 1)])
+            h = Poly([rational(rng, 9, 9) for _ in range(rng.randint(0, d) + 1)])
             f = f_from_h(h, d)
             assert h_from_f(reflect(f, d), d) == reverse(h, d)
 
@@ -257,8 +259,8 @@ class TestHadamard:
         rng = SplitMix64(29)
         for _ in range(40):
             d1, d2 = rng.randint(0, 6), rng.randint(0, 6)
-            h1 = Poly([rng.rational(9, 9) for _ in range(rng.randint(0, d1) + 1)])
-            h2 = Poly([rng.rational(9, 9) for _ in range(rng.randint(0, d2) + 1)])
+            h1 = Poly([rational(rng, 9, 9) for _ in range(rng.randint(0, d1) + 1)])
+            h2 = Poly([rational(rng, 9, 9) for _ in range(rng.randint(0, d2) + 1)])
             t1, t2 = TaggedPoly(h1, d1), TaggedPoly(h2, d2)
             direct = hadamard(t1, t2)
             assert hadamard(t1, t2, route="bullet") == direct
@@ -268,10 +270,10 @@ class TestHadamard:
         rng = SplitMix64(31)
         for _ in range(15):
             d1, d2 = rng.randint(0, 5), rng.randint(0, 5)
-            h1 = Poly([rng.rational(5, 5) for _ in range(rng.randint(0, d1) + 1)])
-            h2 = Poly([rng.rational(5, 5) for _ in range(rng.randint(0, d1) + 1)])
-            g = Poly([rng.rational(5, 5) for _ in range(rng.randint(0, d2) + 1)])
-            a, b = rng.rational(5, 5), rng.rational(5, 5)
+            h1 = Poly([rational(rng, 5, 5) for _ in range(rng.randint(0, d1) + 1)])
+            h2 = Poly([rational(rng, 5, 5) for _ in range(rng.randint(0, d1) + 1)])
+            g = Poly([rational(rng, 5, 5) for _ in range(rng.randint(0, d2) + 1)])
+            a, b = rational(rng, 5, 5), rational(rng, 5, 5)
             combo = hadamard(
                 TaggedPoly(h1.scale(a) + h2.scale(b), d1), TaggedPoly(g, d2)
             )
@@ -300,8 +302,8 @@ class TestHadamard:
 
     def test_direct_route_matches_series_oracle_at_forty_by_twenty(self):
         rng = SplitMix64(37)
-        h1 = Poly([rng.rational(999999, 999999) for _ in range(41)])
-        h2 = Poly([-rng.rational(999999, 999999) for _ in range(21)])
+        h1 = Poly([rational(rng, 999999, 999999) for _ in range(41)])
+        h2 = Poly([-rational(rng, 999999, 999999) for _ in range(21)])
         out = hadamard(TaggedPoly(h1, 40), TaggedPoly(h2, 20))
         n = 64
         s1 = series_from_numerator(h1, 40, n)
@@ -357,8 +359,8 @@ class TestDiamond:
         rng = SplitMix64(41)
         for _ in range(25):
             d1, d2 = rng.randint(0, 5), rng.randint(0, 5)
-            f = Poly([rng.rational(9, 9) for _ in range(d1 + 1)])
-            g = Poly([rng.rational(9, 9) for _ in range(d2 + 1)])
+            f = Poly([rational(rng, 9, 9) for _ in range(d1 + 1)])
+            g = Poly([rational(rng, 9, 9) for _ in range(d2 + 1)])
             if f.is_zero or g.is_zero or f.degree < d1 or g.degree < d2:
                 continue
             lhs = reflect(diamond(f, g), d1 + d2)
@@ -371,7 +373,7 @@ class TestDiamond:
             f1 = random_poly(rng, 4, nonneg=False)
             f2 = random_poly(rng, 4, nonneg=False)
             g = random_poly(rng, 4, nonneg=False)
-            a, b = rng.rational(5, 5), rng.rational(5, 5)
+            a, b = rational(rng, 5, 5), rational(rng, 5, 5)
             assert diamond(f1.scale(a) + f2.scale(b), g) == diamond(f1, g).scale(
                 a
             ) + diamond(f2, g).scale(b)
@@ -401,7 +403,7 @@ class TestMagicPositivity:
     """Closure of nonnegative magic-basis coordinates under the basic operations."""
 
     def magic_positive(self, rng, d):
-        h = Poly([rng.rational(4, 4) for _ in range(d + 1)])
+        h = Poly([rational(rng, 4, 4) for _ in range(d + 1)])
         return f_from_h(h, d), h
 
     def is_magic_positive(self, f, d):

@@ -297,7 +297,7 @@ class TestAgainstFractionReference:
         if _trim(a):
             lead = _trim(a)[-1]
             assert p.monic().coeffs == _trim(x / lead for x in a)
-            assert p.leading_coefficient == lead
+            assert p.coefficient(p.degree) == lead
         assert _is_fraction_tuple(p.monic().coeffs)
 
     @given(st.lists(st.integers(-20, 20), max_size=7), coefficient_lists, st.integers(1, 12))

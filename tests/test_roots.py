@@ -30,6 +30,11 @@ def linear_product(*roots):
     return p
 
 
+def exact_roots(iso):
+    """The rational roots an isolation recognized exactly, with multiplicity."""
+    return tuple((iv.lo, iv.multiplicity) for iv in iso.intervals if iv.is_exact)
+
+
 small_roots = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 
@@ -107,11 +112,11 @@ class TestIsolation:
             (-2, -2, 1),
             (-1, -1, 2),
         ]
-        assert iso.exact_roots == ((Fraction(-2), 1), (Fraction(-1), 2))
+        assert exact_roots(iso) == ((Fraction(-2), 1), (Fraction(-1), 2))
 
     def test_irrational_roots_bracketed(self):
         iso = isolate_roots(P(-2, 0, 1))
-        assert iso.count_distinct == 2
+        assert len(iso.intervals) == 2
         neg, pos = iso.intervals
         assert -2 < neg.lo < neg.hi < -1
         assert 1 < pos.lo < pos.hi < 2
@@ -126,7 +131,7 @@ class TestIsolation:
     def test_non_dyadic_rational_roots_exact(self):
         p = linear_product(Fraction(-3, 7), Fraction(-1, 3), 0, 5, 5, 5)
         iso = isolate_roots(p)
-        assert iso.exact_roots == (
+        assert exact_roots(iso) == (
             (Fraction(-3, 7), 1),
             (Fraction(-1, 3), 1),
             (Fraction(0), 1),
@@ -151,7 +156,7 @@ class TestIsolation:
     def test_count_matches_sturm(self):
         p = linear_product(-3, Fraction(-1, 2), 1, 4) * P(1, 1, 1)
         iso = isolate_roots(p)
-        assert iso.count_distinct == count_real_roots(p)
+        assert len(iso.intervals) == count_real_roots(p)
         # Sturm count over each reported interval is exactly one
         for iv in iso.intervals:
             if iv.is_exact:
@@ -185,8 +190,8 @@ class TestIsolation:
     def test_multiplicity_totals(self, roots):
         p = linear_product(*roots)
         iso = isolate_roots(p)
-        assert iso.count_with_multiplicity == len(roots)
-        assert iso.count_distinct == len(set(roots))
+        assert sum(iv.multiplicity for iv in iso.intervals) == len(roots)
+        assert len(iso.intervals) == len(set(roots))
 
 
 class TestComparison:
