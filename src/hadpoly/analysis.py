@@ -13,6 +13,7 @@ pair, to build its witness.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .poly import Poly, reverse
@@ -34,6 +35,7 @@ __all__ = [
     "is_log_concave",
     "is_unimodal",
     "is_ulc",
+    "is_ulc_sequence",
     "is_real_rooted",
     "newton_violation",
     "interlaces",
@@ -133,38 +135,61 @@ def is_unimodal(h: Poly) -> PropertyReport:
     return PropertyReport.passed()
 
 
+def is_ulc_sequence(v: Sequence[int], m: int) -> bool:
+    """Is the nonnegative integer vector v = (a_0, ..., a_n) in ULC(m)?
+
+    ULC(m) asks for no internal zeros and a_j / C(m, j) log-concave.  Since
+    C(m, j-1) C(m, j+1) / C(m, j)^2 = j (m-j) / ((j+1) (m-j+1)), the second
+    condition is Newton's inequality at order m,
+
+        a_j^2 j (m-j) >= a_(j-1) a_(j+1) (j+1) (m-j+1),    0 < j < n,
+
+    cross-multiplied with no binomial coefficient.  A positive multiple of v
+    gets the same verdict, so v need not be reduced.  Requires m >= n.
+    """
+    if len(v) - 1 > m:
+        raise ValueError(f"order {m} is smaller than the degree {len(v) - 1}")
+    if 0 in v:  # only a zero can break the support
+        support = [j for j, c in enumerate(v) if c]
+        if support and support[-1] - support[0] >= len(support):
+            return False
+    return _newton_index(v, m) is None
+
+
+def _newton_index(v: Sequence[int], m: int) -> int | None:
+    """The first 0 < j < len(v) - 1 with a_j^2 j (m-j) < a_(j-1) a_(j+1) (j+1) (m-j+1),
+    or ``None``: Newton's inequality at order m >= len(v) - 1, for any signs."""
+    for j in range(1, len(v) - 1):
+        if v[j] * v[j] * j * (m - j) < v[j - 1] * v[j + 1] * (j + 1) * (m - j + 1):
+            return j
+    return None
+
+
 def is_ulc(h: Poly, m: int) -> PropertyReport:
     """Membership in ULC(m): a_j / C(m, j) log-concave and no internal zeros.
 
     Requires m >= deg h, m >= 0 and nonnegative coefficients.  After the sign
-    check, one pass on the numerators; an internal zero is reported ahead of
-    a failing index of a_j^2 C(m,j-1) C(m,j+1) >= a_(j-1) a_(j+1) C(m,j)^2.
+    check, decided by ``is_ulc_sequence`` on the numerators, in Newton form:
+    a_j^2 j (m-j) >= a_(j-1) a_(j+1) (j+1) (m-j+1) is the definition's
+    a_j^2 C(m,j-1) C(m,j+1) >= a_(j-1) a_(j+1) C(m,j)^2, because
+    C(m,j-1) C(m,j+1) / C(m,j)^2 = j (m-j) / ((j+1) (m-j+1)).  A failure
+    reports an internal zero ahead of the first failing index.
     """
     if m < 0:
         raise ValueError(f"order must be nonnegative, got {m}")
     v = _require_nonnegative(h)
-    if len(v) - 1 > m:
-        raise ValueError(f"order {m} is smaller than the degree {h.degree}")
-    row = [math.comb(m, j) for j in range(len(v))]
-    lo = bad = None
-    for j, c in enumerate(v):
-        if not c:
-            if lo is not None:  # v[-1] is nonzero, so this zero is internal
-                return PropertyReport.failed(
-                    {"i": lo, "j": j, "k": len(v) - 1, "reason": "internal zeros"},
-                    "support is not contiguous",
-                )
-        elif lo is None:
-            lo = j  # a_(j-1) = 0 here, so the inequality holds at j
-        elif bad is None and j < len(v) - 1:
-            if c * c * row[j - 1] * row[j + 1] < v[j - 1] * v[j + 1] * row[j] * row[j]:
-                bad = j
-    if bad is not None:
+    if is_ulc_sequence(v, m):
+        return PropertyReport.passed()
+    gaps = has_internal_zeros(h)
+    if not gaps.holds:
         return PropertyReport.failed(
-            {"index": bad},
-            f"normalized sequence fails log-concavity at index {bad}",
+            {**gaps.witness, "reason": "internal zeros"}, "support is not contiguous"
         )
-    return PropertyReport.passed()
+    bad = _newton_index(v, m)
+    return PropertyReport.failed(
+        {"index": bad},
+        f"normalized sequence fails log-concavity at index {bad}",
+    )
 
 
 def is_real_rooted(p: Poly) -> PropertyReport:
@@ -197,12 +222,7 @@ def newton_violation(p: Poly) -> int | None:
     failing index is an exact certificate that ``p`` is not real-rooted.
     ``None`` decides nothing.
     """
-    v = p._num
-    n = len(v) - 1
-    for i in range(1, n):
-        if v[i] * v[i] * i * (n - i) < v[i - 1] * v[i + 1] * (i + 1) * (n - i + 1):
-            return i
-    return None
+    return _newton_index(p._num, len(p._num) - 1)
 
 
 def _root_bound_str(root) -> str:

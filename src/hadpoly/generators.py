@@ -7,7 +7,9 @@ factors x + n/q multiply as one integer at x = 2^k (``_linear_product``).
 Instances hold by construction (products of linear factors; gamma-basis
 combinations; paired-root palindromes) or by rejection sampling against the
 exact checker, bounded by ``REJECTION_BUDGET``; exhaustion raises instead of
-silently skipping.  ``gen_ulc`` shrinks on the integer vector in one pass.
+silently skipping.  ``gen_ulc`` shrinks on the integer vector in one pass
+and decides each attempt on that vector with ``is_ulc_sequence``, so a
+rejected attempt builds no ``Poly`` and no report.
 A constructed instance is not re-checked here: the suites validate every
 hypothesis with the exact checker.
 """
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .analysis import gamma_contract, is_log_concave, is_ulc
+from .analysis import gamma_contract, is_log_concave, is_ulc_sequence
 from .decomp import SymDecomp
 from .poly import Poly, TaggedPoly
 from .rng import SplitMix64
@@ -103,7 +105,9 @@ def gen_ulc(rng: SplitMix64, degree: int, max_coeff: int) -> TaggedPoly:
 
     Starts from a real-rooted product and randomly shrinks interior
     coefficients, rejection sampling until the exact checker accepts; this
-    reaches instances that are not real-rooted.
+    reaches instances that are not real-rooted.  Each attempt is decided by
+    one ``is_ulc_sequence`` call on its unreduced integer vector, and only
+    the accepted one becomes a ``Poly``.
     """
     for _ in range(REJECTION_BUDGET):
         v, den = _linear_product(1, _pairs(rng, degree, max_coeff))
@@ -113,11 +117,9 @@ def gen_ulc(rng: SplitMix64, degree: int, max_coeff: int) -> TaggedPoly:
                 shrink[j] = _unit_interval_pair(rng, max_coeff)
                 big_q *= shrink[j][1]
         # coefficient j times n_j/q_j is v[j] n_j (Q/q_j) over den Q, Q = prod q_j
-        candidate = Poly._from_ints(
-            [c * n * (big_q // q) for c, (n, q) in zip(v, shrink)], den * big_q
-        )
-        if is_ulc(candidate, degree).holds:
-            return TaggedPoly(candidate, degree)
+        candidate = [c * n * (big_q // q) for c, (n, q) in zip(v, shrink)]
+        if is_ulc_sequence(candidate, degree):
+            return TaggedPoly(Poly._from_ints(candidate, den * big_q), degree)
     raise GeneratorExhausted(
         f"no ULC instance of degree {degree} within {REJECTION_BUDGET} attempts"
     )

@@ -117,6 +117,12 @@ def test_ultra_log_concavity_preserved():
         _run_suite("ulc-preservation")
 
 
+def test_ultra_log_concavity_preserved_at_degree_12():
+    # the rejection rate of gen_ulc climbs steeply with the degree
+    with criterion("ultra log-concavity preserved over 200 trials, degree <= 12", 5.0):
+        _run_suite("ulc-preservation", max_degree=12)
+
+
 def test_gamma_positivity_preserved_with_matching_defect():
     with criterion("gamma positivity and defect preserved over 200 trials", 60.0):
         _run_suite("gamma-preservation")

@@ -6,12 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hadpoly.analysis import (
+    PropertyReport,
     gamma_contract,
     has_internal_zeros,
     is_gamma_positive,
     is_log_concave,
     is_real_rooted,
     is_ulc,
+    is_ulc_sequence,
     symmetry_certificate,
 )
 from hadpoly.decomp import (
@@ -253,30 +255,44 @@ def fraction_gen_ulc(rng, degree, max_coeff):
 
 class TestGenUlcStream:
     def test_matches_the_fraction_reference(self):
-        """Same instance and same stream position on 360 (seed, degree, max_coeff)
-        triples, degrees 0 to 8 and max_coeff 1, 2, 5 and 9."""
-        triples = [(seed, d, m) for seed in range(10) for d in range(9) for m in (1, 2, 5, 9)]
+        """Same instance and same stream position on 2600 (seed, degree, max_coeff)
+        triples, degrees 0 to 12 and max_coeff 1, 2, 3 and 9."""
+        triples = [(seed, d, m) for seed in range(50) for d in range(13) for m in (1, 2, 3, 9)]
         for seed, d, m in triples:
             new, ref = SplitMix64(seed).derive(d, m), SplitMix64(seed).derive(d, m)
             assert gen_ulc(new, d, m) == fraction_gen_ulc(ref, d, m), (seed, d, m)
             assert new.next_u64() == ref.next_u64(), (seed, d, m)
 
     def test_checks_each_attempt_once(self, monkeypatch):
-        """One ``is_ulc`` call per rejection attempt, which keeps the bench's
-        count of generator attempts a count of candidates."""
-        calls = []
+        """One ``is_ulc_sequence`` call per rejection attempt, which keeps the
+        bench's count of generator attempts a count of candidates, and one
+        ``Poly``, for the accepted candidate only: no rejected attempt builds
+        a ``Poly`` or a ``PropertyReport``."""
+        calls, built, reports = [], [], []
 
-        def counting_is_ulc(h, m):
-            report = is_ulc(h, m)
-            calls.append((h, report.holds))
-            return report
+        def counting_is_ulc_sequence(v, m):
+            holds = is_ulc_sequence(v, m)
+            calls.append((tuple(v), holds))
+            return holds
 
-        monkeypatch.setattr(generators, "is_ulc", counting_is_ulc)
+        def counting_store(self, v, den):
+            built.append(tuple(v))
+            store(self, v, den)
+
+        def counting_report(self, *args):
+            reports.append(args)
+            report_init(self, *args)
+
+        store, report_init = Poly._store, PropertyReport.__init__
+        monkeypatch.setattr(generators, "is_ulc_sequence", counting_is_ulc_sequence)
+        monkeypatch.setattr(Poly, "_store", counting_store)
+        monkeypatch.setattr(PropertyReport, "__init__", counting_report)
         out = gen_ulc(SplitMix64(0), 8, 9)
-        candidates = [h for h, _ in calls]
+        candidates = [v for v, _ in calls]
         assert len(calls) > 1
         assert [holds for _, holds in calls] == [False] * (len(calls) - 1) + [True]
-        assert candidates[-1] == out.poly
+        assert built == candidates[-1:] and reports == []
+        assert Poly(candidates[-1]) * (out.poly.coeffs[-1] / candidates[-1][-1]) == out.poly
         assert len(set(candidates)) == len(candidates)
 
 
