@@ -61,7 +61,7 @@ def _check_degree(poly: Poly, degree, name: str) -> None:
 
 def _load_input_file(path: str) -> tuple[Poly, int | None]:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = json.load(fh, parse_float=Fraction)  # decimals read exactly, as in --poly
     if not isinstance(data, dict) or "coeffs" not in data:
         raise ValueError(f"{path}: expected a JSON object with a 'coeffs' field")
     if not isinstance(data["coeffs"], list):

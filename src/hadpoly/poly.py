@@ -134,13 +134,7 @@ class Poly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Poly()
-        a, b = self._num, other._num
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Poly._from_ints(out, self._den * other._den)
+        return Poly._from_ints(_int_mul(self._num, other._num), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -314,6 +308,16 @@ def _horner(v: Sequence[int], x: Coefficient) -> tuple[int, int]:
         spow *= den
         acc = acc * num + c * spow
     return acc, spow
+
+
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """The product of the nonzero integer vectors ``a`` and ``b``."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return tuple(out)
 
 
 def _int_sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

@@ -9,13 +9,15 @@ vectors (primitive integer multiples of the polynomials, see ``poly``):
   starting a, b gives the Cauchy index of b/a and ends in gcd(a, b): with
   the chain of that gcd, it decides interlacing.
 * Square-free (Yun) decomposition recovers multiplicities.
-* Isolation bisects the square-free part of a product of polynomials once,
-  on Sturm counts of its chain, starting from a power of two above the
-  Cauchy root bound; rational roots found by a divisor sweep or hit by a
-  bisection point are reported exactly and divided out.  The roots come out
-  ascending, and each input's multiplicity at a root is read off the Yun
-  factor of that input that vanishes there or changes sign across the
-  interval, so no two algebraic numbers are ever compared.
+* Isolation bisects the square-free integer vector of a product of
+  polynomials once, on Sturm counts of its chain, starting from a power of
+  two above the Cauchy root bound; rational roots found by a divisor sweep
+  or hit by a bisection point are reported exactly and divided out.  Every
+  refinement then halves on that one deflated vector, carrying the sign at
+  each interval's left end, and builds the immutable roots at the end.  The
+  roots come out ascending, and each input's multiplicity at a root is read
+  off the Yun factor of that input that vanishes there or changes sign
+  across the interval, so no two algebraic numbers are ever compared.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .poly import (
     _int_derivative,
     _int_exact_div,
     _int_gcd,
+    _int_mul,
     _int_sub,
     _pdivmod,
     _primitive,
@@ -291,62 +294,22 @@ def _sign_at(int_coeffs: tuple[int, ...], x: Fraction) -> int:
     return (value > 0) - (value < 0)
 
 
-class RealRoot:
-    """A single real root, either an exact rational or isolated in an open interval.
-
-    For interval roots, the integer vector ``ints`` is square-free, nonzero
-    at both endpoints, and has exactly one root in (lo, hi); the endpoint
-    signs therefore differ and bisection refines the enclosure indefinitely.
-    """
-
-    __slots__ = ("ints", "lo", "hi", "_sign_lo")
-
-    def __init__(self, ints: tuple[int, ...] | None, lo: Fraction, hi: Fraction):
-        self.lo = lo
-        self.hi = hi
-        self._set_ints(ints)
-
-    @staticmethod
-    def exact(value: Fraction) -> "RealRoot":
-        return RealRoot(None, value, value)
-
-    def _set_ints(self, ints: tuple[int, ...] | None) -> None:
-        self.ints = ints
-        self._sign_lo = 0 if ints is None else _sign_at(ints, self.lo)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.ints is None
-
-    def refine(self) -> None:
-        """Halve the enclosing interval (turns into an exact root if bisection hits it)."""
-        if self.is_exact:
-            return
-        mid = (self.lo + self.hi) / 2
-        s = _sign_at(self.ints, mid)
-        if s == 0:
-            self.lo = self.hi = mid
-            self._set_ints(None)
-        elif s == self._sign_lo:
-            self.lo = mid
-        else:
-            self.hi = mid
-
-    def __repr__(self) -> str:
-        if self.is_exact:
-            return f"RealRoot(={self.lo})"
-        return f"RealRoot(({self.lo}, {self.hi}))"
-
-
 @dataclass(frozen=True)
-class RootInterval:
+class RealRoot:
+    """A single real root: an exact rational (lo == hi) or the only root in
+    the open interval (lo, hi)."""
+
     lo: Fraction
     hi: Fraction
-    multiplicity: int
 
     @property
     def is_exact(self) -> bool:
         return self.lo == self.hi
+
+
+@dataclass(frozen=True)
+class RootInterval(RealRoot):
+    multiplicity: int
 
 
 @dataclass(frozen=True)
@@ -361,49 +324,55 @@ class RootIsolation:
     intervals: tuple[RootInterval, ...]
 
 
-def _isolate_square_free(work: tuple[int, ...]) -> list[RealRoot]:
-    """Ascending isolating intervals/exact values for all real roots of the
-    square-free integer vector ``work``.
+def _isolate_square_free(
+    work: tuple[int, ...]
+) -> tuple[list[Fraction], list[tuple[Fraction, Fraction]], tuple[int, ...]]:
+    """The exact rational roots, the isolating intervals of the other real
+    roots, and ``work`` with the exact roots divided out, for the square-free
+    integer vector ``work``.
 
-    Neighbours may share an end, but no rational root found by the sweep
-    lies inside an interval: the one interval around it is refined until
-    the root is an end or outside.
+    The intervals are disjoint, and their ends are neither roots nor exact
+    roots found by bisection; an exact root found by the sweep may lie inside.
     """
-    swept = sorted(_rational_roots_capped(work))
-    for r in swept:
+    exact = sorted(_rational_roots_capped(work))
+    for r in exact:
         work = _int_exact_div(work, _linear_factor(r))
-    exact = [RealRoot.exact(r) for r in swept]
     if len(work) == 1:
-        return exact
+        return exact, [], work
     chain = _int_sturm_chain(work)
     bound = _root_bound(work)
     # A rational root at a bisection point is divided out, so no interval end
     # is a root and the Sturm count on (lo, hi] is that on (lo, hi).
-    isolated: list[RealRoot] = []
-    stack: list[tuple[Fraction, Fraction]] = [(-bound, bound)]
+    isolated = []
+    stack = [(-bound, bound)]
     while stack:
         lo, hi = stack.pop()
         v = _sturm_count(chain, lo, hi)
         if v == 0:
             continue
         if v == 1:
-            isolated.append(RealRoot(work, lo, hi))
+            isolated.append((lo, hi))
             continue
         mid = (lo + hi) / 2
         if _sign_at(work, mid) == 0:
-            exact.append(RealRoot.exact(mid))
+            exact.append(mid)
             work = _int_exact_div(work, _linear_factor(mid))
             chain = _int_sturm_chain(work)
-            for r in isolated:  # deflation removed a root outside (r.lo, r.hi)
-                r._set_ints(work)
         stack.append((lo, mid))
         stack.append((mid, hi))
-    for r in swept:
-        for root in isolated:
-            while root.lo < r < root.hi:
-                root.refine()
-    # disjoint entries, an exact one ahead of an interval starting at it
-    return sorted(exact + isolated, key=lambda root: (root.lo, root.hi))
+    return exact, isolated, work
+
+
+def _halve(work: tuple[int, ...], lo: Fraction, hi: Fraction, s: int) -> tuple:
+    """(lo, hi, s) for the half of (lo, hi) around the one root of the
+    square-free ``work`` in it, with s the sign of ``work`` at lo; an exact
+    root (mid, mid, 0) if the midpoint hits it.  lo only moves to a point of
+    sign s, so one evaluation decides each halving."""
+    mid = (lo + hi) / 2
+    s_mid = _sign_at(work, mid)
+    if s_mid == 0:
+        return mid, mid, 0
+    return (mid, hi, s) if s_mid == s else (lo, mid, s)
 
 
 def real_roots_of_product(
@@ -424,26 +393,32 @@ def real_roots_of_product(
         raise ValueError("cannot isolate roots of the zero polynomial")
     yuns = [_yun(_primitive(p._num)) for p in polys]
     # one input's Yun factors multiply to its square-free part; several need a gcd
-    work = Poly.one()
+    work: tuple[int, ...] = (1,)
     for q, _ in (factor for yun in yuns for factor in yun):
-        work = work * Poly(q)
+        work = _int_mul(work, q)
     if len(polys) > 1:
-        work = square_free_part(work)
-    roots = _isolate_square_free(_primitive(work._num))
-    if max_width is not None:
-        for root in roots:
-            while not root.is_exact and root.hi - root.lo > max_width:
-                root.refine()
-    for r1, r2 in zip(roots, roots[1:]):
-        while not r1.hi < r2.lo:
-            w1, w2 = r1.hi - r1.lo, r2.hi - r2.lo
+        work = _int_exact_div(work, _int_gcd(work, _int_derivative(work)))
+    exact, isolated, work = _isolate_square_free(work)
+    # Every halving runs on the final ``work``: a root divided out lies
+    # outside each interval, so its factor has one sign there.
+    roots = [(r, r, 0) for r in exact]
+    for lo, hi in isolated:
+        s = _sign_at(work, lo)
+        while (max_width is not None and hi - lo > max_width) or any(lo < r < hi for r in exact):
+            lo, hi, s = _halve(work, lo, hi, s)
+        roots.append((lo, hi, s))
+    roots.sort()  # disjoint entries, an exact one ahead of an interval starting at it
+    for i in range(len(roots) - 1):
+        while not roots[i][1] < roots[i + 1][0]:
+            w1, w2 = (hi - lo for lo, hi, _ in roots[i : i + 2])
             if w1 >= w2:
-                r1.refine()
+                roots[i] = _halve(work, *roots[i])
             if w2 >= w1:
-                r2.refine()
+                roots[i + 1] = _halve(work, *roots[i + 1])
+    located = [RealRoot(lo, hi) for lo, hi, _ in roots]
     return [
         (root, tuple(next((m for q, m in yun if _has_root(q, root)), 0) for yun in yuns))
-        for root in roots
+        for root in located
     ]
 
 

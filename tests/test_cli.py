@@ -158,6 +158,21 @@ class TestOperatorCommands:
         code, out, err = run(capsys, "f", "--in", str(spec), "--degree", "2")
         assert code == 2 and out == "" and "degree_tag must be a nonnegative integer" in err
 
+    @pytest.mark.parametrize("literal", ["0.12345678901234567890", "1e400", "-2.5E-3"])
+    def test_input_file_decimals_read_exactly(self, capsys, tmp_path, literal):
+        spec = tmp_path / "poly.json"
+        spec.write_text(f'{{"coeffs": [{literal}, 1], "degree_tag": 1}}')
+        from_file = run(capsys, "h", "--in", str(spec))
+        assert from_file == run(capsys, "h", "--poly", f"{literal},1", "--degree", "1")
+        assert from_file[0] == 0
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_input_file_non_finite_exits_2(self, capsys, tmp_path, literal):
+        spec = tmp_path / "poly.json"
+        spec.write_text(f'{{"coeffs": [{literal}, 1], "degree_tag": 1}}')
+        code, out, err = run(capsys, "h", "--in", str(spec))
+        assert code == 2 and out == "" and "cannot parse 'coeffs'" in err
+
     @pytest.mark.parametrize(
         "command, expected", [("invw", "1,-2,4"), ("f", "1,2,8"), ("h", "1,-2,8")]
     )

@@ -80,7 +80,7 @@ def test_static_guard_flags_each_rule():
 
 PRIVATE_IMPORTS = {
     ("roots", "poly"): {
-        "_horner", "_int_derivative", "_int_exact_div", "_int_gcd", "_int_sub",
+        "_horner", "_int_derivative", "_int_exact_div", "_int_gcd", "_int_mul", "_int_sub",
         "_pdivmod", "_primitive", "_rational",
     },
     ("ehrhart", "operators"): {"_difference", "_forward_differences", "_series_values"},

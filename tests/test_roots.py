@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,25 @@ def exact_roots(iso):
 
 
 small_roots = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+#: (x^2 - 2)(x - 1/3)(x + 5): the sweep finds both rationals
+IRRATIONAL_AND_SWEPT = P(-2, 0, 1) * linear_product(Fraction(1, 3), -5)
+#: (x - 1/2)(x - 3/4)(x^2 - 2)(x - 3e6)(x - 1/3): no sweep, one deflation
+DEFLATED = linear_product(Fraction(1, 2), Fraction(3, 4), 3 * 10**6, Fraction(1, 3)) * P(-2, 0, 1)
+
+
+def _horner_calls(monkeypatch, p, width) -> int:
+    """The ``_horner`` evaluations of one ``isolate_roots(p, width)``."""
+    calls = []
+
+    def counting(v, x):
+        calls.append(x)
+        return poly_module._horner(v, x)
+
+    with monkeypatch.context() as m:
+        m.setattr(roots_module, "_horner", counting)
+        isolate_roots(p, width)
+    return len(calls)
 
 
 class TestSturm:
@@ -185,6 +205,54 @@ class TestIsolation:
         assert [iv.multiplicity for iv in iso.intervals] == [3, 1, 2, 1, 3]
         assert len(calls) == 4
 
+    def test_deflation_by_a_bisection_hit(self, monkeypatch):
+        """The constant term 1.8e7 of (x-1/2)(x-3/4)(x^2-2)(x-3e6)(x-1/3) is
+        above the sweep cap: bisection hits 1/2 and rebuilds the chain once,
+        and refinement hits 3/4 and 3e6 on the deflated vector."""
+        chains = []
+        true_chain = roots_module._int_sturm_chain
+
+        def counting_chain(v, w=None):
+            chains.append(v)
+            return true_chain(v, w)
+
+        monkeypatch.setattr(roots_module, "_int_sturm_chain", counting_chain)
+        iso = isolate_roots(DEFLATED, Fraction(1, 1024))
+        assert [(iv.lo, iv.hi, iv.multiplicity) for iv in iso.intervals] == [
+            (Fraction(-1449, 1024), Fraction(-181, 128), 1),
+            (Fraction(341, 1024), Fraction(171, 512), 1),
+            (Fraction(1, 2), Fraction(1, 2), 1),
+            (Fraction(3, 4), Fraction(3, 4), 1),
+            (Fraction(181, 128), Fraction(1449, 1024), 1),
+            (Fraction(3 * 10**6), Fraction(3 * 10**6), 1),
+        ]
+        assert len(chains) == 2
+
+    @pytest.mark.parametrize(
+        "p, width, budget",
+        [
+            (IRRATIONAL_AND_SWEPT, Fraction(1, 2**40), 129),
+            (IRRATIONAL_AND_SWEPT, roots_module.DEFAULT_MAX_WIDTH, 55),
+            (DEFLATED, Fraction(1, 2**40), 937),
+            (DEFLATED, roots_module.DEFAULT_MAX_WIDTH, 826),
+        ],
+    )
+    def test_evaluation_budget(self, monkeypatch, p, width, budget):
+        assert _horner_calls(monkeypatch, p, width) <= budget
+
+    def test_each_halving_costs_one_evaluation(self, monkeypatch):
+        """Halving the width once more halves each of the two intervals
+        around +-sqrt 2 once, at one evaluation each."""
+        p = IRRATIONAL_AND_SWEPT
+        calls = [_horner_calls(monkeypatch, p, Fraction(1, 2**k)) for k in (40, 41)]
+        assert calls[1] - calls[0] == 2
+
+    def test_roots_are_immutable(self):
+        (root, _), = real_roots_of_product([P(-2, 1)])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            root.lo = Fraction(0)
+        assert isinstance(isolate_roots(P(-2, 1)).intervals[0], roots_module.RealRoot)
+
     @given(st.lists(small_roots, min_size=1, max_size=5))
     @settings(max_examples=40, deadline=None)
     def test_multiplicity_totals(self, roots):
@@ -232,6 +300,23 @@ class TestComparison:
     def test_zero_input_rejected(self):
         with pytest.raises(ValueError):
             real_roots_of_product([P(-1, 1), P()])
+
+    def test_builds_no_poly(self, monkeypatch):
+        """The product, its square-free part and every root stay integer vectors."""
+        a = P(-2, 0, 1) * P(1, 1) ** 2
+        b = linear_product(Fraction(1, 3), -1) * P(-3, 0, 1)
+        stored = []
+        store = Poly._store
+
+        def counting(self, v, den):
+            stored.append(v)
+            store(self, v, den)
+
+        monkeypatch.setattr(Poly, "_store", counting)
+        located = real_roots_of_product([a, b], Fraction(1, 1024))
+        monkeypatch.undo()
+        assert stored == []
+        assert [m for _, m in located] == [(0, 1), (1, 0), (2, 1), (0, 1), (1, 0), (0, 1)]
 
 
 class TestRealRootedInterlacing:
