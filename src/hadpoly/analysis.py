@@ -16,9 +16,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .poly import Poly, reverse
+from .poly import Poly, _check_tag, reverse
 from .roots import (
-    RootIsolation,
     distinct_root_counts,
     isolate_roots,
     real_rooted_interlacing,
@@ -28,7 +27,6 @@ from .roots import (
 __all__ = [
     "PropertyReport",
     "SymmetryCertificate",
-    "RootIsolation",
     "isolate_roots",
     "is_nonnegative",
     "has_internal_zeros",
@@ -392,13 +390,8 @@ def _add_gamma_term(acc: list[int], c: int, i: int, s: int) -> None:
 
 
 def gamma_contract(g: Poly, s: int) -> Poly:
-    """sum_i g_i x^i (1+x)^(s-2i); exact inverse of ``gamma_expand`` at fixed s."""
-    if s < 0:
-        raise ValueError("axis must be nonnegative")
-    if not g.is_zero and g.degree > s // 2:
-        raise ValueError(
-            f"degree overflow: deg = {g.degree} exceeds floor(s/2) = {s // 2}"
-        )
+    """sum_i g_i x^i (1+x)^(s-2i), exact inverse of ``gamma_expand``; g is tagged floor(s/2)."""
+    _check_tag(g, s // 2, "g")
     acc = [0] * (s + 1)
     for i, c in enumerate(g._num):
         if c:
@@ -408,12 +401,8 @@ def gamma_contract(g: Poly, s: int) -> Poly:
 
 def is_gamma_positive(h: Poly, s: int) -> PropertyReport:
     """All coordinates of the degree-s gamma expansion are nonnegative."""
-    g = gamma_expand(h, s)
-    for i, c in enumerate(g._num):
-        if c < 0:
-            c = g.coefficient(i)
-            return PropertyReport.failed(
-                {"index": i, "value": str(c)},
-                f"gamma coordinate {i} is {c}",
-            )
-    return PropertyReport.passed()
+    report = is_nonnegative(gamma_expand(h, s))
+    if report.holds:
+        return report
+    w = report.witness
+    return PropertyReport.failed(w, f"gamma coordinate {w['index']} is {w['value']}")

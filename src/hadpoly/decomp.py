@@ -22,7 +22,7 @@ from .analysis import (
     is_real_rooted,
 )
 from .operators import diamond
-from .poly import Poly, reflect, reverse
+from .poly import Poly, _check_tag, reflect, reverse
 from .roots import real_rooted_interlacing
 
 
@@ -35,8 +35,6 @@ class SymDecomp:
     d: int
 
     def __post_init__(self):
-        if self.d < 0:
-            raise ValueError("decomposition degree must be nonnegative")
         if reverse(self.a, self.d) != self.a:
             raise ValueError(f"a is not its own reversal at degree {self.d}")
         if self.d >= 1 and reverse(self.b, self.d - 1) != self.b:
@@ -55,8 +53,7 @@ def i_decompose(h: Poly, d: int) -> SymDecomp:
     recurrence a_0 = h_0, b_i = h_(d-i) - a_i, a_i = h_i - b_(i-1); the
     reconstruction h = a + x*b is re-checked.
     """
-    if not h.is_zero and h.degree > d:
-        raise ValueError(f"degree overflow: deg h = {h.degree} > d = {d}")
+    _check_tag(h, d, "h")
     v = h._num + (0,) * (d + 1 - len(h._num))
     a = []
     b = []
@@ -80,8 +77,6 @@ def r_decompose(f: Poly, d: int) -> tuple[Poly, Poly]:
     b~ = reflect(f, d) - f, so that f = a~ + x b~, reflect(a~, d) = a~ and
     reflect(b~, d-1) = b~.
     """
-    if not f.is_zero and f.degree > d:
-        raise ValueError(f"degree overflow: deg f = {f.degree} > d = {d}")
     rf = reflect(f, d)
     a = Poly([1, 1]) * f - Poly.x() * rf
     b = rf - f
@@ -152,15 +147,10 @@ def decomposition_is_interlacing(dec: SymDecomp) -> PropertyReport:
 
 def decomposition_is_gamma_positive(dec: SymDecomp) -> PropertyReport:
     """Both halves have nonnegative gamma coordinates (axes d and d-1)."""
-    rep_a = is_gamma_positive(dec.a, dec.d)
-    if not rep_a.holds:
-        return PropertyReport.failed(
-            dict(rep_a.witness or {}, part="a"), f"a: {rep_a.detail}"
-        )
-    if dec.d >= 1:
-        rep_b = is_gamma_positive(dec.b, dec.d - 1)
-        if not rep_b.holds:
-            return PropertyReport.failed(
-                dict(rep_b.witness or {}, part="b"), f"b: {rep_b.detail}"
-            )
+    # at d = 0, b = 0, which is gamma-positive on the axis 0
+    for name, p, s in (("a", dec.a, dec.d), ("b", dec.b, max(dec.d - 1, 0))):
+        report = is_gamma_positive(p, s)
+        if not report.holds:
+            w = report.witness
+            return PropertyReport.failed(dict(w, part=name), f"{name}: {report.detail}")
     return PropertyReport.passed()

@@ -33,9 +33,15 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Iterator
 
-from .analysis import PropertyReport, is_log_concave, is_real_rooted, newton_violation
+from .analysis import (
+    PropertyReport,
+    _newton_index,
+    is_log_concave,
+    is_real_rooted,
+    newton_violation,
+)
 from .operators import _difference, _forward_differences, _series_values, diamond_power
-from .poly import Poly
+from .poly import Poly, _check_tag
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,8 @@ def product_f(k: int) -> Poly:
 
 def _values(h: Poly, d: int, count: int) -> list[int]:
     """L(0..count-1), the series coefficients of h / (1-x)^(d+1); L(j) reads h_0..h_j."""
-    if d < 0 or h._den != 1 or any(c < 0 for c in h._num) or len(h._num) > d + 1:
+    _check_tag(h, d, "h")
+    if h._den != 1 or any(c < 0 for c in h._num):
         raise ValueError(f"need a nonnegative integer numerator of degree at most {d}")
     return _series_values(h._num[:count], d, count)
 
@@ -129,8 +136,7 @@ def _newton_fails_at_tag(h_lows: tuple[int, int, int], n: int) -> bool:
     increase with m, so h_1^2 < h_0 h_2 2n/(n-1) <= h_0 h_2 2m/(m-1): index 1
     fails at m as well, and ``newton_violation`` returns 1.
     """
-    h0, h1, h2 = h_lows
-    return h1 * h1 * (n - 1) < 2 * n * h0 * h2
+    return _newton_index(h_lows, n) == 1
 
 
 def _lows_differ(k: int, got: tuple) -> PropertyReport:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
-from .poly import Poly, TaggedPoly, comb0
+from .poly import Poly, TaggedPoly, _check_tag, comb0
 
 
 def _series_values(v: Sequence, d: int, count: int) -> list:
@@ -53,8 +53,7 @@ def numerator_at(p: Poly, d: int) -> Poly:
     Computed as the product of the value sequence p(0..d) with (1-x)^(d+1),
     truncated to degree d; requires deg p <= d.
     """
-    if not p.is_zero and p.degree > d:
-        raise ValueError(f"degree overflow: deg p = {p.degree} > d = {d}")
+    _check_tag(p, d, "p")
     return Poly(_difference([p.evaluate(j) for j in range(d + 1)], d + 1))
 
 
@@ -106,8 +105,7 @@ def f_from_h(h: Poly, d: int) -> Poly:
 
     Coefficient m is sum_i h_i C(d-i, m-i).
     """
-    if not h.is_zero and h.degree > d:
-        raise ValueError(f"degree overflow: deg h = {h.degree} > d = {d}")
+    _check_tag(h, d, "h")
     return _binomial_basis_change(h, d, 1)
 
 
@@ -116,15 +114,12 @@ def h_from_f(f: Poly, d: int) -> Poly:
 
     Coefficient m is sum_i f_i (-1)^(m-i) C(d-i, m-i).
     """
-    if not f.is_zero and f.degree > d:
-        raise ValueError(f"degree overflow: deg f = {f.degree} > d = {d}")
+    _check_tag(f, d, "f")
     return _binomial_basis_change(f, d, -1)
 
 
 def _binomial_basis_change(p: Poly, d: int, sign: int) -> Poly:
     """sum_i p_i x^i (1 + sign*x)^(d-i) by binomial sums over the integers."""
-    if d < 0:
-        raise ValueError("reference degree must be nonnegative")
     out = [0] * (d + 1)
     for i, c in enumerate(p._num):
         if c:

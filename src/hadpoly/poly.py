@@ -9,7 +9,8 @@ Arithmetic here and the coefficient checks and basis changes elsewhere
 read the numerators and build results through ``Poly._from_ints``, the one
 place that strips and reduces them.  Root work (gcd here, Sturm chains and
 square-free factorization in ``roots``) runs on primitive integer vectors,
-combined by pseudo-division.
+combined by pseudo-division.  ``_check_tag`` is the one check of the tag
+rule: a numerator tagged d needs d >= 0 and degree at most d.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ class Poly:
         return format_poly(self)
 
 
-def format_poly(p: Poly, var: str = "x") -> str:
+def format_poly(p: Poly) -> str:
     """Human-readable form like ``8x^3 + 10x^2 + 3x + 1`` (descending powers)."""
     if p.is_zero:
         return "0"
@@ -231,7 +232,7 @@ def format_poly(p: Poly, var: str = "x") -> str:
         if i == 0:
             body = str(mag)
         else:
-            xpow = var if i == 1 else f"{var}^{i}"
+            xpow = "x" if i == 1 else f"x^{i}"
             body = xpow if mag == 1 else f"{mag}{xpow}"
         parts.append((sign, body))
     first_sign, first_body = parts[0]
@@ -241,16 +242,21 @@ def format_poly(p: Poly, var: str = "x") -> str:
     return text
 
 
+def _check_tag(p: Poly, d: int, name: str) -> None:
+    """The tag rule of a numerator ``p`` at reference degree ``d``: d >= 0 and deg p <= d."""
+    if d < 0:
+        raise ValueError("reference degree must be nonnegative")
+    if len(p._num) > d + 1:
+        raise ValueError(f"degree overflow: deg {name} = {p.degree} > d = {d}")
+
+
 def reverse(h: Poly, d: int) -> Poly:
     """Coefficient reversal x^d * h(1/x); requires deg h <= d.
 
     An involution at fixed d: coefficient i of the result is coefficient
     d - i of the input (zero-padded).
     """
-    if d < 0:
-        raise ValueError("reversal degree must be nonnegative")
-    if not h.is_zero and h.degree > d:
-        raise ValueError(f"degree overflow: deg h = {h.degree} > d = {d}")
+    _check_tag(h, d, "h")
     return Poly._from_ints((h._num + (0,) * (d + 1 - len(h._num)))[::-1], h._den)
 
 
@@ -261,10 +267,7 @@ def reflect(f: Poly, d: int) -> Poly:
     coordinates i and d-i, mirroring what `reverse` does for plain
     coefficients.
     """
-    if d < 0:
-        raise ValueError("reflection degree must be nonnegative")
-    if not f.is_zero and f.degree > d:
-        raise ValueError(f"degree overflow: deg f = {f.degree} > d = {d}")
+    _check_tag(f, d, "f")
     composed = f.compose(Poly([-1, -1]))
     return composed if d % 2 == 0 else -composed
 
@@ -405,12 +408,7 @@ class TaggedPoly:
     __slots__ = ("poly", "ref_degree")
 
     def __init__(self, poly: Poly, ref_degree: int):
-        if ref_degree < 0:
-            raise ValueError("reference degree must be nonnegative")
-        if not poly.is_zero and poly.degree > ref_degree:
-            raise ValueError(
-                f"tag violation: deg = {poly.degree} exceeds reference degree {ref_degree}"
-            )
+        _check_tag(poly, ref_degree, "h")
         self.poly = poly
         self.ref_degree = ref_degree
 

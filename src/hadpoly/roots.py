@@ -312,18 +312,6 @@ class RootInterval(RealRoot):
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class RootIsolation:
-    """Disjoint, ascending isolating intervals for all real roots.
-
-    Each interval contains exactly one distinct real root of the queried
-    polynomial; entries with lo == hi are exact rational roots.  Multiplicities
-    sum to the number of real roots counted with multiplicity.
-    """
-
-    intervals: tuple[RootInterval, ...]
-
-
 def _isolate_square_free(
     work: tuple[int, ...]
 ) -> tuple[list[Fraction], list[tuple[Fraction, Fraction]], tuple[int, ...]]:
@@ -430,15 +418,17 @@ def _has_root(q: tuple[int, ...], root: RealRoot) -> bool:
     return _sign_at(q, root.lo) != _sign_at(q, root.hi)
 
 
-def isolate_roots(p: Poly, max_width: Fraction = DEFAULT_MAX_WIDTH) -> RootIsolation:
-    """Isolate all real roots of ``p`` with multiplicities.
+def isolate_roots(p: Poly, max_width: Fraction = DEFAULT_MAX_WIDTH) -> tuple[RootInterval, ...]:
+    """Isolating intervals of all real roots of ``p``, ascending, with multiplicities.
 
-    The intervals are pairwise disjoint, ascending and no wider than
+    Each interval holds exactly one distinct real root, an exact rational one
+    when lo == hi.  The intervals are pairwise disjoint and no wider than
     ``max_width``, which must be positive (see ``real_roots_of_product``).
+    The multiplicities sum to the number of real roots with multiplicity.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
     if p.degree == 0:
         raise ValueError("cannot isolate roots of a constant polynomial")
     located = real_roots_of_product([p], max_width)
-    return RootIsolation(tuple(RootInterval(r.lo, r.hi, m) for r, (m,) in located))
+    return tuple(RootInterval(r.lo, r.hi, m) for r, (m,) in located)

@@ -97,6 +97,24 @@ class TestOperatorCommands:
         code, out, err = run(capsys, command, "--poly", "", "--degree", degree)
         assert (code, out, err) == (2, "", "error: reference degree must be nonnegative\n")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("invw", "--poly", "1,2", "--degree", "-1"), "reference degree must be nonnegative"),
+            (("f", "--poly", "1,2", "--degree", "-1"), "reference degree must be nonnegative"),
+            (("h", "--poly", "1", "--degree", "-2"), "reference degree must be nonnegative"),
+            (("symdec", "--poly", "1,2", "--degree", "-1"), "reference degree must be nonnegative"),
+            (("symdec", "--poly", "", "--degree", "-1"), "reference degree must be nonnegative"),
+            (
+                ("hadamard", "--a", "1,2,3", "--da", "1", "--b", "1", "--db", "0"),
+                "degree overflow: deg h = 2 > d = 1",
+            ),
+        ],
+        ids=["invw", "f", "h", "symdec", "symdec-zero", "hadamard"],
+    )
+    def test_tag_error_exits_2(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
     def test_precondition_violation_exits_2(self, capsys):
         code, _, err = run(capsys, "invw", "--poly", "1,0,7", "--degree", "1")
         assert code == 2

@@ -149,7 +149,7 @@ def _isolation_lines(rng: SplitMix64) -> list[str]:
         p = _product(rng, _root_factors(rng, 4))
         lines.append(f"isolate {_csv(p)}")
         for width in (Fraction(1, 8), Fraction(1, 1024)):
-            ivs = isolate_roots(p, width).intervals
+            ivs = isolate_roots(p, width)
             lines.append(f"  {width}: " + "; ".join(f"{iv.lo} {iv.hi} x{iv.multiplicity}" for iv in ivs))
     return lines
 

@@ -75,7 +75,8 @@ def test_static_guard_flags_each_rule():
 # -- private names across modules ------------------------------------------------
 #
 # A ``_``-prefixed name belongs to its module.  Only the integer kernel of
-# ``poly`` (used by ``roots``) and the value-space helpers of ``operators``
+# ``poly`` (used by ``roots``), its tag check, the value-space helpers of
+# ``operators`` (used by ``ehrhart``) and Newton's inequality of ``analysis``
 # (used by ``ehrhart``) cross a module boundary.
 
 PRIVATE_IMPORTS = {
@@ -83,7 +84,12 @@ PRIVATE_IMPORTS = {
         "_horner", "_int_derivative", "_int_exact_div", "_int_gcd", "_int_mul", "_int_sub",
         "_pdivmod", "_primitive", "_rational",
     },
+    ("operators", "poly"): {"_check_tag"},
+    ("decomp", "poly"): {"_check_tag"},
+    ("analysis", "poly"): {"_check_tag"},
+    ("ehrhart", "poly"): {"_check_tag"},
     ("ehrhart", "operators"): {"_difference", "_forward_differences", "_series_values"},
+    ("ehrhart", "analysis"): {"_newton_index"},
 }
 
 
@@ -117,6 +123,45 @@ def test_private_import_guard_flags_a_borrowed_helper():
         "decomp imports poly._primitive",
     ]
     assert _private_imports("roots", ast.parse("from .poly import _primitive\n")) == []
+
+
+# -- one tag rule -------------------------------------------------------------------
+#
+# A numerator tagged d needs d >= 0 and a degree of at most d.  That rule is
+# written once, in ``poly._check_tag``: no other module may spell out its
+# messages in a string constant or an f-string part.
+
+TAG_MESSAGES = ("reference degree must be nonnegative", "degree overflow")
+
+
+def _tag_messages(tree: ast.AST) -> list[str]:
+    """Each tag message in a string constant or f-string part of ``tree``."""
+    return [
+        f"line {node.lineno}: {message}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for message in TAG_MESSAGES
+        if message in node.value
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_tag_messages_are_written_once_in_poly(path):
+    found = [use.partition(": ")[2] for use in _tag_messages(ast.parse(path.read_text("utf-8")))]
+    assert sorted(found) == (sorted(TAG_MESSAGES) if path.name == "poly.py" else [])
+
+
+def test_tag_message_guard_flags_a_copy():
+    source = (
+        'def check(p, d):\n'
+        '    if d < 0:\n'
+        '        raise ValueError("reference degree must be nonnegative")\n'
+        '    raise ValueError(f"degree overflow: deg p = {p} > d = {d}")\n'
+    )
+    assert _tag_messages(ast.parse(source)) == [
+        "line 3: reference degree must be nonnegative",
+        "line 4: degree overflow",
+    ]
 
 
 # -- traced entry points ------------------------------------------------------------

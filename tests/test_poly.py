@@ -5,6 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hadpoly.analysis import gamma_contract
+from hadpoly.decomp import SymDecomp, i_decompose, r_decompose
+from hadpoly.ehrhart import counterexample_report, low_coefficients, powers
+from hadpoly.operators import f_from_h, h_from_f, msupp, numerator_at, w_inverse
 from hadpoly.poly import Poly, TaggedPoly, gcd, reflect, reverse
 from hadpoly.roots import count_real_roots, isolate_roots
 
@@ -327,6 +331,41 @@ class TestTaggedPoly:
     def test_equality(self):
         assert TaggedPoly(P(1), 3) == TaggedPoly(P(1), 3)
         assert TaggedPoly(P(1), 3) != TaggedPoly(P(1), 4)
+
+
+#: every public function that takes a numerator and its reference degree, as a call on (p, d)
+TAGGED_CALLS = {
+    "reverse": reverse,
+    "reflect": reflect,
+    "TaggedPoly": TaggedPoly,
+    "numerator_at": numerator_at,
+    "f_from_h": f_from_h,
+    "h_from_f": h_from_f,
+    "w_inverse": w_inverse,
+    "msupp": msupp,
+    "i_decompose": i_decompose,
+    "r_decompose": r_decompose,
+    "SymDecomp": lambda p, d: SymDecomp(p, Poly(), d),
+    "gamma_contract": lambda g, d: gamma_contract(g, 2 * d),  # g is tagged floor(s/2)
+    "powers": lambda h, d: list(powers(1, h, d)),
+    "low_coefficients": lambda h, d: list(low_coefficients(1, h, d)),
+    "counterexample_report": lambda h, d: counterexample_report(1, h, d),
+}
+
+
+@pytest.mark.parametrize("call", TAGGED_CALLS.values(), ids=TAGGED_CALLS)
+class TestTagRule:
+    """d >= 0 and deg p <= d, for a zero p too, with one message each."""
+
+    @pytest.mark.parametrize("p", [P(), P(1, 2)], ids=["zero", "nonzero"])
+    def test_negative_reference_degree(self, call, p):
+        with pytest.raises(ValueError, match="^reference degree must be nonnegative$"):
+            call(p, -1)
+
+    @pytest.mark.parametrize("d", [0, 2])
+    def test_degree_overflow(self, call, d):
+        with pytest.raises(ValueError, match=rf"^degree overflow: deg \w = {d + 1} > d = {d}$"):
+            call(Poly.monomial(d + 1), d)
 
 
 class TestFormat:

@@ -33,7 +33,7 @@ def linear_product(*roots):
 
 def exact_roots(iso):
     """The rational roots an isolation recognized exactly, with multiplicity."""
-    return tuple((iv.lo, iv.multiplicity) for iv in iso.intervals if iv.is_exact)
+    return tuple((iv.lo, iv.multiplicity) for iv in iso if iv.is_exact)
 
 
 small_roots = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -128,7 +128,7 @@ class TestSquareFree:
 class TestIsolation:
     def test_repeated_and_simple_rational_roots(self):
         iso = isolate_roots(P(1, 1) ** 2 * P(2, 1))
-        assert [(iv.lo, iv.hi, iv.multiplicity) for iv in iso.intervals] == [
+        assert [(iv.lo, iv.hi, iv.multiplicity) for iv in iso] == [
             (-2, -2, 1),
             (-1, -1, 2),
         ]
@@ -136,15 +136,15 @@ class TestIsolation:
 
     def test_irrational_roots_bracketed(self):
         iso = isolate_roots(P(-2, 0, 1))
-        assert len(iso.intervals) == 2
-        neg, pos = iso.intervals
+        assert len(iso) == 2
+        neg, pos = iso
         assert -2 < neg.lo < neg.hi < -1
         assert 1 < pos.lo < pos.hi < 2
 
     def test_cubic_with_one_real_root(self):
         # 8x^3 + 10x^2 + 3x + 1 has the single real root -1
         iso = isolate_roots(P(1, 3, 10, 8))
-        assert [(iv.lo, iv.hi, iv.multiplicity) for iv in iso.intervals] == [
+        assert [(iv.lo, iv.hi, iv.multiplicity) for iv in iso] == [
             (-1, -1, 1)
         ]
 
@@ -161,7 +161,7 @@ class TestIsolation:
     def test_intervals_disjoint_and_sorted(self):
         p = linear_product(-1, Fraction(-9, 8), Fraction(-17, 16), -2) * P(1, 0, 1)
         iso = isolate_roots(p)
-        for a, b in zip(iso.intervals, iso.intervals[1:]):
+        for a, b in zip(iso, iso[1:]):
             assert a.hi < b.lo
 
     def test_constant_rejected(self):
@@ -176,9 +176,9 @@ class TestIsolation:
     def test_count_matches_sturm(self):
         p = linear_product(-3, Fraction(-1, 2), 1, 4) * P(1, 1, 1)
         iso = isolate_roots(p)
-        assert len(iso.intervals) == count_real_roots(p)
+        assert len(iso) == count_real_roots(p)
         # Sturm count over each reported interval is exactly one
-        for iv in iso.intervals:
+        for iv in iso:
             if iv.is_exact:
                 continue
             assert count_real_roots(p, iv.lo, iv.hi) == 1
@@ -187,8 +187,8 @@ class TestIsolation:
         # a simple root 1400 away leaves the double roots +-sqrt(3) at width 1/8
         p = P(-2 * 10**6, 0, 1) * P(-3, 0, 1) ** 2
         iso = isolate_roots(p, Fraction(1, 8))
-        assert [iv.multiplicity for iv in iso.intervals] == [1, 2, 2, 1]
-        assert all(iv.hi - iv.lo == Fraction(1, 8) for iv in iso.intervals)
+        assert [iv.multiplicity for iv in iso] == [1, 2, 2, 1]
+        assert all(iv.hi - iv.lo == Fraction(1, 8) for iv in iso)
 
     def test_one_input_reuses_its_yun_factors(self, monkeypatch):
         """The Yun factors of a single input multiply to its square-free part,
@@ -202,7 +202,7 @@ class TestIsolation:
         monkeypatch.setattr(roots_module, "_int_gcd", counting_gcd)
         p = P(-2, 0, 1) * P(1, 1) ** 2 * P(-3, 0, 1) ** 3
         iso = isolate_roots(p)
-        assert [iv.multiplicity for iv in iso.intervals] == [3, 1, 2, 1, 3]
+        assert [iv.multiplicity for iv in iso] == [3, 1, 2, 1, 3]
         assert len(calls) == 4
 
     def test_deflation_by_a_bisection_hit(self, monkeypatch):
@@ -218,7 +218,7 @@ class TestIsolation:
 
         monkeypatch.setattr(roots_module, "_int_sturm_chain", counting_chain)
         iso = isolate_roots(DEFLATED, Fraction(1, 1024))
-        assert [(iv.lo, iv.hi, iv.multiplicity) for iv in iso.intervals] == [
+        assert [(iv.lo, iv.hi, iv.multiplicity) for iv in iso] == [
             (Fraction(-1449, 1024), Fraction(-181, 128), 1),
             (Fraction(341, 1024), Fraction(171, 512), 1),
             (Fraction(1, 2), Fraction(1, 2), 1),
@@ -251,15 +251,15 @@ class TestIsolation:
         (root, _), = real_roots_of_product([P(-2, 1)])
         with pytest.raises(dataclasses.FrozenInstanceError):
             root.lo = Fraction(0)
-        assert isinstance(isolate_roots(P(-2, 1)).intervals[0], roots_module.RealRoot)
+        assert isinstance(isolate_roots(P(-2, 1))[0], roots_module.RealRoot)
 
     @given(st.lists(small_roots, min_size=1, max_size=5))
     @settings(max_examples=40, deadline=None)
     def test_multiplicity_totals(self, roots):
         p = linear_product(*roots)
         iso = isolate_roots(p)
-        assert sum(iv.multiplicity for iv in iso.intervals) == len(roots)
-        assert len(iso.intervals) == len(set(roots))
+        assert sum(iv.multiplicity for iv in iso) == len(roots)
+        assert len(iso) == len(set(roots))
 
 
 class TestComparison:

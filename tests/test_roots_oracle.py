@@ -67,7 +67,7 @@ def test_real_root_counts_match_sympy(p, a, b):
     at_lo = 1 if p.evaluate(lo) == 0 else 0
     expected = sp.count_roots(lo, hi) - at_lo if lo < hi else 0
     assert count_real_roots(p, lo, hi) == expected
-    assert count_real_roots(p) == len(isolate_roots(p).intervals)
+    assert count_real_roots(p) == len(isolate_roots(p))
 
 
 @given(products)
@@ -125,7 +125,7 @@ def test_isolation_near_complex_pairs_matches_sympy(p, max_width):
     real root, each exact entry is a root, multiplicities are sympy's."""
     assume(p.degree > 0)
     _, sqf = to_sympy(p).sqf_list()
-    for iv in isolate_roots(p, max_width).intervals:
+    for iv in isolate_roots(p, max_width):
         assert iv.hi - iv.lo <= max_width
         if iv.is_exact:
             assert p.evaluate(iv.lo) == 0
@@ -135,7 +135,7 @@ def test_isolation_near_complex_pairs_matches_sympy(p, max_width):
             assert to_sympy(p).count_roots(iv.lo, iv.hi) == 1
             holds = [m for q, m in sqf if q.count_roots(iv.lo, iv.hi) == 1]
         assert holds == [iv.multiplicity]
-    assert len(isolate_roots(p, max_width).intervals) == to_sympy(p).count_roots()
+    assert len(isolate_roots(p, max_width)) == to_sympy(p).count_roots()
 
 
 def _multiplicity(sqf, root) -> int:
