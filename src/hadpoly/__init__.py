@@ -1,6 +1,8 @@
 """Exact Hadamard-product calculus on numerators of polynomial-interpolated
 power series, with coefficient-inequality checkers and verification suites."""
 
+import types
+
 from .analysis import (
     PropertyReport,
     SymmetryCertificate,
@@ -15,7 +17,6 @@ from .analysis import (
     is_real_rooted,
     is_ulc,
     is_unimodal,
-    isolate_roots,
     newton_violation,
     symmetry_certificate,
 )
@@ -44,52 +45,13 @@ from .operators import (
     w_transform,
 )
 from .poly import Poly, TaggedPoly, gcd, reflect, reverse
+from .roots import isolate_roots
 
 __version__ = "0.1.0"
 
+# The public API is every name imported above: no submodule, nothing private.
 __all__ = [
-    "Poly",
-    "TaggedPoly",
-    "SymDecomp",
-    "PropertyReport",
-    "SymmetryCertificate",
-    "ReeveData",
-    "TrialConfig",
-    "gcd",
-    "reverse",
-    "reflect",
-    "w_transform",
-    "w_inverse",
-    "subdivision",
-    "f_from_h",
-    "h_from_f",
-    "hadamard",
-    "bullet",
-    "bullet_monomial",
-    "diamond",
-    "diamond_power",
-    "msupp",
-    "is_nonnegative",
-    "has_internal_zeros",
-    "is_log_concave",
-    "is_unimodal",
-    "is_ulc",
-    "is_real_rooted",
-    "newton_violation",
-    "isolate_roots",
-    "interlaces",
-    "symmetry_certificate",
-    "check_functional_eq",
-    "gamma_expand",
-    "gamma_contract",
-    "is_gamma_positive",
-    "i_decompose",
-    "r_decompose",
-    "defect1_ell",
-    "decomposition_is_nonnegative",
-    "decomposition_is_interlacing",
-    "decomposition_is_gamma_positive",
-    "reeve",
-    "product_f",
-    "counterexample_report",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
 ]

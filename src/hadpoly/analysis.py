@@ -19,31 +19,9 @@ from dataclasses import dataclass
 from .poly import Poly, _check_tag, reverse
 from .roots import (
     distinct_root_counts,
-    isolate_roots,
     real_rooted_interlacing,
     real_roots_of_product,
 )
-
-__all__ = [
-    "PropertyReport",
-    "SymmetryCertificate",
-    "isolate_roots",
-    "is_nonnegative",
-    "has_internal_zeros",
-    "is_log_concave",
-    "is_unimodal",
-    "is_ulc",
-    "is_ulc_sequence",
-    "is_real_rooted",
-    "newton_violation",
-    "interlaces",
-    "interlacing_by_roots",
-    "symmetry_certificate",
-    "check_functional_eq",
-    "gamma_expand",
-    "gamma_contract",
-    "is_gamma_positive",
-]
 
 
 @dataclass(frozen=True)

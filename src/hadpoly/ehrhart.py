@@ -29,7 +29,7 @@ or else its Sturm chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
@@ -37,6 +37,7 @@ from .analysis import (
     PropertyReport,
     _newton_index,
     is_log_concave,
+    is_nonnegative,
     is_real_rooted,
     newton_violation,
 )
@@ -48,23 +49,20 @@ from .poly import Poly, _check_tag
 class ReeveData:
     """Constants of the Reeve tetrahedron; no lattice-point counting happens here."""
 
-    hstar: Poly = field(default_factory=lambda: Poly([1, 0, 7]))
-    dim: int = 3
-    f_poly: Poly = field(default_factory=lambda: Poly([1, 3, 10, 8]))
-    vertices: tuple[tuple[int, int, int], ...] = (
-        (0, 0, 0),
-        (1, 0, 0),
-        (0, 1, 0),
-        (1, 7, 8),
-    )
+    hstar: Poly
+    dim: int
+    f_poly: Poly
+    vertices: tuple[tuple[int, int, int], ...]
+
+
+_REEVE = ReeveData(
+    Poly([1, 0, 7]), 3, Poly([1, 3, 10, 8]), ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 7, 8))
+)
 
 
 def reeve() -> ReeveData:
     """The Reeve tetrahedron's numerator and f-polynomial."""
-    return ReeveData()
-
-
-_REEVE = reeve()
+    return _REEVE
 
 
 def product_f(k: int) -> Poly:
@@ -74,13 +72,13 @@ def product_f(k: int) -> Poly:
     """
     if k < 1:
         raise ValueError("power must be at least 1")
-    return diamond_power(reeve().f_poly, k)
+    return diamond_power(_REEVE.f_poly, k)
 
 
 def _values(h: Poly, d: int, count: int) -> list[int]:
     """L(0..count-1), the series coefficients of h / (1-x)^(d+1); L(j) reads h_0..h_j."""
     _check_tag(h, d, "h")
-    if h._den != 1 or any(c < 0 for c in h._num):
+    if h._den != 1 or not is_nonnegative(h):
         raise ValueError(f"need a nonnegative integer numerator of degree at most {d}")
     return _series_values(h._num[:count], d, count)
 

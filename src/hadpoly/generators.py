@@ -141,11 +141,6 @@ def gen_symmetric(
     return TaggedPoly(gamma_contract(_pairs_poly(gamma), s), s + defect)
 
 
-def gen_gamma_positive(rng: SplitMix64, s: int, max_coeff: int) -> TaggedPoly:
-    """Symmetric gamma-positive numerator with axis s and defect zero."""
-    return gen_symmetric(rng, s, 0, max_coeff)
-
-
 def _unit_interval_pair(rng: SplitMix64, max_coeff: int) -> tuple[int, int]:
     """(n, q) with 0 < n <= q, for the rational n/q in (0, 1]."""
     a = rng.randint(1, max_coeff)
@@ -230,6 +225,6 @@ def gen_nonneg_symdec(rng: SplitMix64, d: int, max_coeff: int) -> SymDecomp:
 
 def gen_gamma_positive_symdec(rng: SplitMix64, d: int, max_coeff: int) -> SymDecomp:
     """Random decomposition whose two halves are both gamma-positive."""
-    a = gen_gamma_positive(rng, d, max_coeff).poly
-    b = gen_gamma_positive(rng, d - 1, max_coeff).poly if d >= 1 else Poly()
+    a = gen_symmetric(rng, d, 0, max_coeff).poly
+    b = gen_symmetric(rng, d - 1, 0, max_coeff).poly if d >= 1 else Poly()
     return SymDecomp(a, b, d)

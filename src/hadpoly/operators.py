@@ -27,6 +27,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
+from .analysis import is_nonnegative
 from .poly import Poly, TaggedPoly, _check_tag, comb0
 
 
@@ -221,9 +222,8 @@ def msupp(f: Poly, d: int) -> frozenset[int]:
     Requires all coordinates to be nonnegative (f "magic positive").
     """
     h = h_from_f(f, d)
-    for i, c in enumerate(h.coeffs):
-        if c < 0:
-            raise ValueError(
-                f"not magic positive: coordinate {i} of the magic expansion is {c}"
-            )
+    report = is_nonnegative(h)
+    if not report.holds:
+        i, c = report.witness["index"], report.witness["value"]
+        raise ValueError(f"not magic positive: coordinate {i} of the magic expansion is {c}")
     return frozenset(h.support)

@@ -426,8 +426,6 @@ def isolate_roots(p: Poly, max_width: Fraction = DEFAULT_MAX_WIDTH) -> tuple[Roo
     ``max_width``, which must be positive (see ``real_roots_of_product``).
     The multiplicities sum to the number of real roots with multiplicity.
     """
-    if p.is_zero:
-        raise ValueError("cannot isolate roots of the zero polynomial")
     if p.degree == 0:
         raise ValueError("cannot isolate roots of a constant polynomial")
     located = real_roots_of_product([p], max_width)

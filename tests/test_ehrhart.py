@@ -97,6 +97,14 @@ class TestValueSpacePowers:
         with pytest.raises(ValueError):
             counterexample_report(2, h, d)
 
+    @pytest.mark.parametrize("h, d", [(P(1, -1), 2), (P(1, Fraction(1, 2)), 1), (P(-1), 0)])
+    def test_invalid_numerator_message(self, h, d):
+        message = f"^need a nonnegative integer numerator of degree at most {d}$"
+        with pytest.raises(ValueError, match=message):
+            next(powers(2, h, d))
+        with pytest.raises(ValueError, match=message):
+            counterexample_report(2, h, d)
+
 
 def lows(p):
     return tuple(p.coefficient(i) for i in range(3))

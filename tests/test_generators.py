@@ -27,7 +27,6 @@ from hadpoly.generators import (
     TrialConfig,
     _linear_product,
     gen_contiguous_nonneg,
-    gen_gamma_positive,
     gen_gamma_positive_symdec,
     gen_interlacing_symdec,
     gen_logconcave,
@@ -153,7 +152,7 @@ class TestHypothesisValidity:
         rng = SplitMix64(17)
         for i in range(1000):
             s = i % 9
-            t = gen_gamma_positive(rng, s, 9)
+            t = gen_symmetric(rng, s, 0, 9)
             assert t.ref_degree == s
             assert is_gamma_positive(t.poly, s).holds
 

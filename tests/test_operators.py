@@ -477,3 +477,12 @@ class TestMsupp:
     def test_rejects_negative_coordinates(self):
         with pytest.raises(ValueError):
             msupp(Poly.x(), 2)  # x = 0*(x+1)^2 + 1*x(x+1) - 1*x^2... not positive
+
+    @pytest.mark.parametrize(
+        "f, d, i, c",
+        [(Poly.x(), 2, 2, "-1"), (P(Fraction(1, 3), Fraction(-5, 7), 2), 3, 1, "-12/7")],
+    )
+    def test_negative_coordinate_message(self, f, d, i, c):
+        message = f"^not magic positive: coordinate {i} of the magic expansion is {c}$"
+        with pytest.raises(ValueError, match=message):
+            msupp(f, d)

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import types
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,52 @@ import hadpoly
 def test_every_export_resolves():
     missing = [name for name in hadpoly.__all__ if not hasattr(hadpoly, name)]
     assert missing == []
+
+
+# -- the public API -----------------------------------------------------------------
+#
+# ``hadpoly.__all__`` is derived from the names ``hadpoly/__init__.py`` imports;
+# a derivation that let a submodule, ``types`` or a private name through would
+# change this set.
+
+EXPORTS = [
+    "Poly", "PropertyReport", "ReeveData", "SymDecomp", "SymmetryCertificate", "TaggedPoly",
+    "TrialConfig", "bullet", "bullet_monomial", "check_functional_eq", "counterexample_report",
+    "decomposition_is_gamma_positive", "decomposition_is_interlacing",
+    "decomposition_is_nonnegative", "defect1_ell", "diamond", "diamond_power", "f_from_h",
+    "gamma_contract", "gamma_expand", "gcd", "h_from_f", "hadamard", "has_internal_zeros",
+    "i_decompose", "interlaces", "is_gamma_positive", "is_log_concave", "is_nonnegative",
+    "is_real_rooted", "is_ulc", "is_unimodal", "isolate_roots", "msupp", "newton_violation",
+    "product_f", "r_decompose", "reeve", "reflect", "reverse", "subdivision",
+    "symmetry_certificate", "w_inverse", "w_transform",
+]
+
+
+def test_exported_names_are_fixed():
+    assert sorted(hadpoly.__all__) == EXPORTS
+
+
+def test_no_export_is_a_module_or_private():
+    for name in hadpoly.__all__:
+        assert not name.startswith("_")
+        assert not isinstance(getattr(hadpoly, name), types.ModuleType), name
+
+
+def test_star_import_binds_exactly_the_exports():
+    namespace: dict = {}
+    exec("from hadpoly import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == EXPORTS
+
+
+def test_reeve_is_one_constant():
+    data = hadpoly.reeve()
+    assert data is hadpoly.reeve()
+    assert data == hadpoly.ReeveData(
+        hadpoly.Poly([1, 0, 7]),
+        3,
+        hadpoly.Poly([1, 3, 10, 8]),
+        ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 7, 8)),
+    )
 
 
 # -- static guards ------------------------------------------------------------------

@@ -168,6 +168,10 @@ class TestIsolation:
         with pytest.raises(ValueError):
             isolate_roots(P(3))
 
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError, match="^cannot isolate roots of the zero polynomial$"):
+            isolate_roots(P())
+
     @pytest.mark.parametrize("width", [0, -1])
     def test_nonpositive_width_rejected(self, width):
         with pytest.raises(ValueError):
