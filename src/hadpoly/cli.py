@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import analysis, decomp, operators
-from .generators import GeneratorExhausted, TrialConfig
+from .generators import TrialConfig
 from .harness import SUITES, scan_logconcave_pair, verify_reeve
 from .poly import Poly, TaggedPoly, format_poly
 
@@ -391,9 +391,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_attach_poly_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
-    except GeneratorExhausted as exc:
-        print(f"error: instance generation exhausted: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

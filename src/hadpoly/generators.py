@@ -4,32 +4,23 @@ Every generator draws only from a ``SplitMix64`` stream, so a (seed, trial)
 pair reproduces the instance exactly.  Rationals are drawn as integer pairs
 (n, q) in the order of ``rng.rational``, with no ``Fraction``; linear
 factors x + n/q multiply as one integer at x = 2^k (``_linear_product``).
-Instances hold by construction (products of linear factors; gamma-basis
-combinations; paired-root palindromes) or by rejection sampling against the
-exact checker, bounded by ``REJECTION_BUDGET``; exhaustion raises instead of
-silently skipping.  ``gen_ulc`` shrinks on the integer vector in one pass
-and decides each attempt on that vector with ``is_ulc_sequence``, so a
-rejected attempt builds no ``Poly`` and no report.
-A constructed instance is not re-checked here: the suites validate every
-hypothesis with the exact checker.
+Every instance holds by construction: products of linear factors;
+gamma-basis combinations; paired-root palindromes; and, for log-concave and
+ULC instances, successive coefficient ratios drawn and sorted so that they
+do not increase (``_descending_ratio_vector``).  An instance is not checked
+here: the suites validate every hypothesis with the exact checker.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
-from .analysis import gamma_contract, is_log_concave, is_ulc_sequence
+from .analysis import gamma_contract
 from .decomp import SymDecomp
 from .poly import Poly, TaggedPoly
 from .rng import SplitMix64
-
-REJECTION_BUDGET = 10_000
-
-
-class GeneratorExhausted(RuntimeError):
-    """A rejection-sampling generator ran out of attempts."""
 
 
 @dataclass(frozen=True)
@@ -101,28 +92,15 @@ def _linear_product(scale: Fraction | int, shifts: list[tuple[int, int]]) -> tup
 
 
 def gen_ulc(rng: SplitMix64, degree: int, max_coeff: int) -> TaggedPoly:
-    """Order-``degree`` ultra log-concave instance with no internal zeros.
+    """Order-``degree`` ultra log-concave numerator whose support is a window [u, degree].
 
-    Starts from a real-rooted product and randomly shrinks interior
-    coefficients, rejection sampling until the exact checker accepts; this
-    reaches instances that are not real-rooted.  Each attempt is decided by
-    one ``is_ulc_sequence`` call on its unreduced integer vector, and only
-    the accepted one becomes a ``Poly``.
+    ``C(degree, j) b_j`` for a log-concave ``b`` drawn as in ``gen_logconcave``:
+    ULC(m) is the log-concavity of a_j / C(m, j) with no internal zeros.
+    Tied ratios reach its equality cases, such as (1 + x)^degree, and not
+    every instance is real-rooted.
     """
-    for _ in range(REJECTION_BUDGET):
-        v, den = _linear_product(1, _pairs(rng, degree, max_coeff))
-        shrink, big_q = [(1, 1)] * len(v), 1
-        for j in range(1, len(v) - 1):
-            if v[j] and rng.chance(1, 2):
-                shrink[j] = _unit_interval_pair(rng, max_coeff)
-                big_q *= shrink[j][1]
-        # coefficient j times n_j/q_j is v[j] n_j (Q/q_j) over den Q, Q = prod q_j
-        candidate = [c * n * (big_q // q) for c, (n, q) in zip(v, shrink)]
-        if is_ulc_sequence(candidate, degree):
-            return TaggedPoly(Poly._from_ints(candidate, den * big_q), degree)
-    raise GeneratorExhausted(
-        f"no ULC instance of degree {degree} within {REJECTION_BUDGET} attempts"
-    )
+    v, den = _log_concave_window(rng, degree, max_coeff)
+    return TaggedPoly(Poly._from_ints([comb(degree, j) * c for j, c in enumerate(v)], den), degree)
 
 
 def gen_symmetric(
@@ -187,18 +165,34 @@ def gen_interlacing_symdec(rng: SplitMix64, d: int, max_coeff: int) -> SymDecomp
 
 
 def gen_logconcave(rng: SplitMix64, degree: int, max_coeff: int) -> TaggedPoly:
-    """Log-concave numerator with contiguous support, by rejection sampling.
+    """Log-concave numerator whose support is the contiguous window [u, degree]."""
+    return TaggedPoly(Poly._from_ints(*_log_concave_window(rng, degree, max_coeff)), degree)
 
-    Coefficients on a random support window [u, degree] are positive random
-    rationals; the exact checker filters.
-    """
-    for _ in range(REJECTION_BUDGET):
-        candidate = gen_contiguous_nonneg(rng, degree, max_coeff)
-        if is_log_concave(candidate.poly).holds:
-            return candidate
-    raise GeneratorExhausted(
-        f"no log-concave instance of degree {degree} within {REJECTION_BUDGET} attempts"
-    )
+
+def _log_concave_window(rng: SplitMix64, degree: int, max_coeff: int) -> tuple[list[int], int]:
+    """Zero below a random u, then a positive scale times degree - u drawn ratios
+    in ``_descending_ratio_vector``: the integer vector and its denominator."""
+    u = rng.randint(0, degree)
+    scale, *ratios = _pairs(rng, degree - u + 1, max_coeff, 1)
+    v, den = _descending_ratio_vector(scale, ratios)
+    return [0] * u + v, den
+
+
+def _descending_ratio_vector(
+    scale: tuple[int, int], ratios: list[tuple[int, int]]
+) -> tuple[list[int], int]:
+    """b_0 = n/q of ``scale`` and b_j / b_(j-1) = the j-th largest n/q of the
+    positive ``ratios``: log-concave, since a positive sequence is log-concave
+    exactly when its successive ratios do not increase, with equality in
+    b_j^2 >= b_(j-1) b_(j+1) exactly where two adjacent ratios tie.  Over
+    Q = prod q_i, b_j Q = n * prod_(i<=j) n_i * prod_(i>j) q_i: that integer
+    vector and its denominator q Q, neither reduced."""
+    common = lcm(*(q for _, q in ratios))
+    v, den = [scale[0]], scale[1]
+    for n, q in sorted(ratios, key=lambda r: r[0] * common // r[1], reverse=True):
+        v = [c * q for c in v] + [v[-1] * n]
+        den *= q
+    return v, den
 
 
 def gen_contiguous_nonneg(rng: SplitMix64, degree: int, max_coeff: int) -> TaggedPoly:

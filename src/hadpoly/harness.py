@@ -10,9 +10,8 @@ counterexamples to an open question and reports finds as results.
 
 A suite is one row of ``SUITES``: a name, a derivation key and a trial
 ``trial(rng, config)`` returning ``None`` or a failed ``(stage, detail)``.
-One runner, ``_run``, loops over the trials, builds the ``SuiteResult`` and
-names the suite, seed and trial when a generator runs out of attempts.  The
-scan is a row run the same way whose failures become findings.
+One runner, ``_run``, loops over the trials and builds the ``SuiteResult``.
+The scan is a row run the same way whose failures become findings.
 ``_pair_trial`` builds the six suites of one shape: both factors pass a
 check, so their product does.
 
@@ -44,7 +43,6 @@ from .decomp import (
 )
 from .ehrhart import counterexample_report
 from .generators import (
-    GeneratorExhausted,
     TrialConfig,
     gen_contiguous_nonneg,
     gen_gamma_positive_symdec,
@@ -96,11 +94,7 @@ def _run(name: str, key: int, trial, config: TrialConfig) -> SuiteResult:
     failures: list[TrialFailure] = []
     for i in range(config.trials):
         rng = SplitMix64(config.seed).derive(key, i)
-        try:
-            failure = trial(rng, config)
-        except GeneratorExhausted as exc:
-            context = f"(suite {name}, seed {config.seed}, trial {i})"
-            raise GeneratorExhausted(f"{exc} {context}") from exc
+        failure = trial(rng, config)
         if failure is not None:
             failures.append(TrialFailure(i, *failure))
     if failures:

@@ -9,6 +9,8 @@ import math
 import time
 from contextlib import contextmanager
 
+import pytest
+
 from hadpoly import cli
 from hadpoly.analysis import (
     gamma_contract,
@@ -99,8 +101,8 @@ def test_no_simplex_power_is_log_concave():
             assert lows[k + 1] == (f0, 3 * f0 + 4 * f1, 10 * f0 + 26 * f1 + 17 * f2)
 
 
-def _run_suite(name: str, trials: int = 200, max_degree: int = 8) -> None:
-    config = TrialConfig(seed=1, trials=trials, max_degree=max_degree)
+def _run_suite(name: str, trials: int = 200, max_degree: int = 8, seed: int = 1) -> None:
+    config = TrialConfig(seed=seed, trials=trials, max_degree=max_degree)
     result = SUITES[name](config)
     assert result.ok, result.render()
     assert result.trials_run == trials
@@ -118,9 +120,16 @@ def test_ultra_log_concavity_preserved():
 
 
 def test_ultra_log_concavity_preserved_at_degree_12():
-    # the rejection rate of gen_ulc climbs steeply with the degree
+    # a wider degree range gives larger factors and products
     with criterion("ultra log-concavity preserved over 200 trials, degree <= 12", 5.0):
         _run_suite("ulc-preservation", max_degree=12)
+
+
+@pytest.mark.parametrize("name", ["ulc-preservation", "gamma-implies-ulc", "mixed-logconcave"])
+def test_ulc_suites_at_degree_32(name):
+    with criterion(f"{name} holds over 200 trials, degree <= 32, seeds 1-3", 2.0):
+        for seed in (1, 2, 3):
+            _run_suite(name, max_degree=32, seed=seed)
 
 
 def test_gamma_positivity_preserved_with_matching_defect():

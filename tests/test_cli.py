@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from hadpoly import generators
 from hadpoly.cli import main, parse_poly, poly_to_csv
 from hadpoly.poly import Poly
 
@@ -488,13 +487,6 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "wagner", "--kmax", kmax)
         assert (code, out) == (2, "")
         assert err == "error: --kmax applies only to reeve, not to wagner\n"
-
-    def test_exhausted_generator_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(generators, "REJECTION_BUDGET", 0)
-        code, out, err = run(capsys, "verify", "ulc-preservation", "--trials", "1")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: instance generation exhausted: no ULC instance")
-        assert err.endswith("(suite ulc-preservation, seed 1, trial 0)\n")
 
 
 class TestScanCommand:

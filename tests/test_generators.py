@@ -1,12 +1,12 @@
 import inspect
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hadpoly.analysis import (
-    PropertyReport,
     gamma_contract,
     has_internal_zeros,
     is_gamma_positive,
@@ -23,8 +23,8 @@ from hadpoly.decomp import (
     decomposition_is_nonnegative,
 )
 from hadpoly.generators import (
-    REJECTION_BUDGET,
     TrialConfig,
+    _descending_ratio_vector,
     _linear_product,
     gen_contiguous_nonneg,
     gen_gamma_positive_symdec,
@@ -35,7 +35,7 @@ from hadpoly.generators import (
     gen_symmetric,
     gen_ulc,
 )
-from hadpoly import generators, harness
+from hadpoly import harness
 from hadpoly import rng as rng_module
 from hadpoly.poly import Poly, TaggedPoly
 from hadpoly.rng import SplitMix64
@@ -230,69 +230,65 @@ class TestLinearProduct:
         assert Poly._from_ints(v, den).coeffs == (Fraction(1, 3), Fraction(5, 3), 2)
 
 
+def fraction_log_concave_window(rng, degree, max_coeff):
+    """The window draw of ``gen_logconcave`` and ``gen_ulc`` on ``Fraction``
+    values: zero below u, then a scale and its products with the drawn
+    ratios, largest ratio first."""
+    u = rng.randint(0, degree)
+    b = [positive_rational(rng, max_coeff, max_coeff)]
+    ratios = [positive_rational(rng, max_coeff, max_coeff) for _ in range(degree - u)]
+    for r in sorted(ratios, reverse=True):
+        b.append(b[-1] * r)
+    return [Fraction(0)] * u + b
+
+
+def fraction_gen_logconcave(rng, degree, max_coeff):
+    return TaggedPoly(Poly(fraction_log_concave_window(rng, degree, max_coeff)), degree)
+
+
 def fraction_gen_ulc(rng, degree, max_coeff):
-    """``gen_ulc`` as it was written on ``Fraction`` draws, kept as the
-    reference for the integer version: same stream, same instance."""
-    for _ in range(REJECTION_BUDGET):
-        shifts = [rational(rng, max_coeff, max_coeff) for _ in range(degree)]
-        h = Poly([1])
-        for r in shifts:
-            h = h * Poly([r, 1])
-        v, den = h._num, h._den
-        for j in range(1, len(v) - 1):
-            if v[j] and rng.chance(1, 2):
-                a = rng.randint(1, max_coeff)
-                b = rng.randint(1, max_coeff)
-                r = Fraction(min(a, b), max(a, b))
-                v = [c * (r.numerator if i == j else r.denominator) for i, c in enumerate(v)]
-                den *= r.denominator
-        candidate = Poly._from_ints(v, den)
-        if is_ulc(candidate, degree).holds:
-            return TaggedPoly(candidate, degree)
-    raise AssertionError("reference exhausted its budget")
+    b = fraction_log_concave_window(rng, degree, max_coeff)
+    return TaggedPoly(Poly([comb(degree, j) * c for j, c in enumerate(b)]), degree)
 
 
 class TestGenUlcStream:
     def test_matches_the_fraction_reference(self):
-        """Same instance and same stream position on 2600 (seed, degree, max_coeff)
-        triples, degrees 0 to 12 and max_coeff 1, 2, 3 and 9."""
+        """``gen_ulc`` and ``gen_logconcave``: same instance and same stream
+        position on 2600 (seed, degree, max_coeff) triples, degrees 0 to 12
+        and max_coeff 1, 2, 3 and 9."""
         triples = [(seed, d, m) for seed in range(50) for d in range(13) for m in (1, 2, 3, 9)]
-        for seed, d, m in triples:
-            new, ref = SplitMix64(seed).derive(d, m), SplitMix64(seed).derive(d, m)
-            assert gen_ulc(new, d, m) == fraction_gen_ulc(ref, d, m), (seed, d, m)
-            assert new.next_u64() == ref.next_u64(), (seed, d, m)
+        pairs = ((gen_ulc, fraction_gen_ulc), (gen_logconcave, fraction_gen_logconcave))
+        for new_gen, ref_gen in pairs:
+            for seed, d, m in triples:
+                new, ref = SplitMix64(seed).derive(d, m), SplitMix64(seed).derive(d, m)
+                assert new_gen(new, d, m) == ref_gen(ref, d, m), (new_gen.__name__, seed, d, m)
+                assert new.next_u64() == ref.next_u64(), (new_gen.__name__, seed, d, m)
 
-    def test_checks_each_attempt_once(self, monkeypatch):
-        """One ``is_ulc_sequence`` call per rejection attempt, which keeps the
-        bench's count of generator attempts a count of candidates, and one
-        ``Poly``, for the accepted candidate only: no rejected attempt builds
-        a ``Poly`` or a ``PropertyReport``."""
-        calls, built, reports = [], [], []
 
-        def counting_is_ulc_sequence(v, m):
-            holds = is_ulc_sequence(v, m)
-            calls.append((tuple(v), holds))
-            return holds
+class TestDescendingRatioBoundary:
+    """Tied ratios are the equality cases of Newton's inequality, where
+    ``<``/``<=`` slips in a checker would show."""
 
-        def counting_store(self, v, den):
-            built.append(tuple(v))
-            store(self, v, den)
-
-        def counting_report(self, *args):
-            reports.append(args)
-            report_init(self, *args)
-
-        store, report_init = Poly._store, PropertyReport.__init__
-        monkeypatch.setattr(generators, "is_ulc_sequence", counting_is_ulc_sequence)
-        monkeypatch.setattr(Poly, "_store", counting_store)
-        monkeypatch.setattr(PropertyReport, "__init__", counting_report)
-        out = gen_ulc(SplitMix64(0), 8, 9)
-        candidates = [v for v, _ in calls]
-        assert len(calls) > 1
-        assert [holds for _, holds in calls] == [False] * (len(calls) - 1) + [True]
-        assert built == candidates[-1:] and reports == []
-        assert Poly(candidates[-1]) * (out.poly.coeffs[-1] / candidates[-1][-1]) == out.poly
-        assert len(set(candidates)) == len(candidates)
+    @settings(max_examples=300)
+    @example((1, 1), [(1, 1)] * 6)  # (1 + x)^6: equality at every index
+    @example((2, 3), [(1, 2), (2, 4), (3, 1), (6, 2), (3, 6)])
+    @given(
+        st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=12),
+    )
+    def test_newton_equality_exactly_at_ties(self, scale, ratios):
+        v, den = _descending_ratio_vector(scale, ratios)
+        m = len(ratios)
+        a = [comb(m, j) * c for j, c in enumerate(v)]
+        assert is_log_concave(Poly._from_ints(v, den)).holds
+        assert is_ulc_sequence(a, m)
+        r = sorted((Fraction(n, q) for n, q in ratios), reverse=True)
+        ties = [r[j - 1] == r[j] for j in range(1, m)]
+        equal = [
+            a[j] ** 2 * j * (m - j) == a[j - 1] * a[j + 1] * (j + 1) * (m - j + 1)
+            for j in range(1, m)
+        ]
+        assert equal == ties
 
 
 MASK, GOLDEN = 2**64 - 1, 0x9E3779B97F4A7C15

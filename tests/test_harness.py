@@ -1,8 +1,8 @@
 import pytest
 
-from hadpoly import decomp, generators
+from hadpoly import decomp
 from hadpoly.decomp import SymDecomp
-from hadpoly.generators import GeneratorExhausted, TrialConfig
+from hadpoly.generators import TrialConfig
 from hadpoly.harness import (
     SUITES,
     SuiteResult,
@@ -79,24 +79,6 @@ class TestScan:
     def test_scan_reports_findings_or_open(self):
         result = scan_logconcave_pair(SMALL)
         assert ("counterexample" in result.summary) or ("open" in result.summary)
-
-
-class TestExhaustion:
-    """A generator out of attempts raises, naming the suite, seed and trial."""
-
-    @pytest.mark.parametrize(
-        "name, run",
-        [
-            ("ulc-preservation", SUITES["ulc-preservation"]),
-            ("scan-logconcave-pair", scan_logconcave_pair),
-        ],
-    )
-    def test_exhaustion_names_its_context(self, monkeypatch, name, run):
-        monkeypatch.setattr(generators, "REJECTION_BUDGET", 0)
-        with pytest.raises(GeneratorExhausted) as exc:
-            run(TrialConfig(seed=1, trials=3))
-        assert str(exc.value).startswith("no ")
-        assert str(exc.value).endswith(f"(suite {name}, seed 1, trial 0)")
 
 
 class TestSymdecInterlacingHypothesis:
