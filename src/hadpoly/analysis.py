@@ -111,27 +111,6 @@ def is_unimodal(h: Poly) -> PropertyReport:
     return PropertyReport.passed()
 
 
-def is_ulc_sequence(v: Sequence[int], m: int) -> bool:
-    """Is the nonnegative integer vector v = (a_0, ..., a_n) in ULC(m)?
-
-    ULC(m) asks for no internal zeros and a_j / C(m, j) log-concave.  Since
-    C(m, j-1) C(m, j+1) / C(m, j)^2 = j (m-j) / ((j+1) (m-j+1)), the second
-    condition is Newton's inequality at order m,
-
-        a_j^2 j (m-j) >= a_(j-1) a_(j+1) (j+1) (m-j+1),    0 < j < n,
-
-    cross-multiplied with no binomial coefficient.  A positive multiple of v
-    gets the same verdict, so v need not be reduced.  Requires m >= n.
-    """
-    if len(v) - 1 > m:
-        raise ValueError(f"order {m} is smaller than the degree {len(v) - 1}")
-    if 0 in v:  # only a zero can break the support
-        support = [j for j, c in enumerate(v) if c]
-        if support and support[-1] - support[0] >= len(support):
-            return False
-    return _newton_index(v, m) is None
-
-
 def _newton_index(v: Sequence[int], m: int) -> int | None:
     """The first 0 < j < len(v) - 1 with a_j^2 j (m-j) < a_(j-1) a_(j+1) (j+1) (m-j+1),
     or ``None``: Newton's inequality at order m >= len(v) - 1, for any signs."""
@@ -144,24 +123,30 @@ def _newton_index(v: Sequence[int], m: int) -> int | None:
 def is_ulc(h: Poly, m: int) -> PropertyReport:
     """Membership in ULC(m): a_j / C(m, j) log-concave and no internal zeros.
 
-    Requires m >= deg h, m >= 0 and nonnegative coefficients.  After the sign
-    check, decided by ``is_ulc_sequence`` on the numerators, in Newton form:
-    a_j^2 j (m-j) >= a_(j-1) a_(j+1) (j+1) (m-j+1) is the definition's
-    a_j^2 C(m,j-1) C(m,j+1) >= a_(j-1) a_(j+1) C(m,j)^2, because
-    C(m,j-1) C(m,j+1) / C(m,j)^2 = j (m-j) / ((j+1) (m-j+1)).  A failure
-    reports an internal zero ahead of the first failing index.
+    Raises unless m >= 0, no coefficient is negative and m >= deg h, tested
+    in that order.  As C(m, j-1) C(m, j+1) / C(m, j)^2 = j (m-j) / ((j+1) (m-j+1)),
+    the log-concavity is Newton's inequality at order m on the numerators,
+    cross-multiplied with no binomial coefficient:
+
+        a_j^2 j (m-j) >= a_(j-1) a_(j+1) (j+1) (m-j+1),    0 < j < deg h.
+
+    A failure reports an internal zero ahead of the first failing index.
     """
     if m < 0:
         raise ValueError(f"order must be nonnegative, got {m}")
     v = _require_nonnegative(h)
-    if is_ulc_sequence(v, m):
-        return PropertyReport.passed()
-    gaps = has_internal_zeros(h)
-    if not gaps.holds:
-        return PropertyReport.failed(
-            {**gaps.witness, "reason": "internal zeros"}, "support is not contiguous"
-        )
+    if len(v) - 1 > m:
+        raise ValueError(f"order {m} is smaller than the degree {len(v) - 1}")
+    if 0 in v:  # only a zero can break the support
+        support = [j for j, c in enumerate(v) if c]
+        if support[-1] - support[0] >= len(support):
+            return PropertyReport.failed(
+                {**has_internal_zeros(h).witness, "reason": "internal zeros"},
+                "support is not contiguous",
+            )
     bad = _newton_index(v, m)
+    if bad is None:
+        return PropertyReport.passed()
     return PropertyReport.failed(
         {"index": bad},
         f"normalized sequence fails log-concavity at index {bad}",

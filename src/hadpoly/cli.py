@@ -10,8 +10,8 @@ default ``--degree`` and must agree with an explicit one; the other checks
 hold an explicit ``--degree`` to the tag's rule.
 
 Exit codes: 0 a computation succeeded / a checked property holds / a verify
-suite met its expectation; 1 a checked property fails or a suite found a
-violation; 2 malformed input or a violated precondition.
+suite or the scan met its expectation; 1 a checked property fails or a suite
+or the scan found a violation; 2 malformed input or a violated precondition.
 """
 
 from __future__ import annotations
@@ -111,8 +111,9 @@ def _input_poly(args) -> Poly:
 
 
 def _add_output_flags(sub) -> None:
-    sub.add_argument("--json", action="store_true", help="emit a JSON object")
-    sub.add_argument("--pretty", action="store_true", help="human-readable output")
+    output = sub.add_mutually_exclusive_group()
+    output.add_argument("--json", action="store_true", help="emit a JSON object")
+    output.add_argument("--pretty", action="store_true", help="human-readable output")
 
 
 def _add_poly_input(sub) -> None:
@@ -257,21 +258,19 @@ def _trial_config(args) -> TrialConfig:
     )
 
 
-def cmd_verify(args) -> int:
+def cmd_suite(args) -> int:
+    """``verify`` and ``scan``: print the report; exit 1 if it failed."""
     config = _trial_config(args)
-    if args.theorem == "reeve":
-        result = verify_reeve(8 if args.kmax is None else args.kmax)
+    if args.command == "scan":
+        result = scan_logconcave_pair(config)
+    elif args.theorem == "reeve":
+        result = verify_reeve() if args.kmax is None else verify_reeve(args.kmax)
     elif args.kmax is not None:
         raise ValueError(f"--kmax applies only to reeve, not to {args.theorem}")
     else:
         result = SUITES[args.theorem](config)
     print(result.render())
     return 0 if result.ok else 1
-
-
-def cmd_scan(args) -> int:
-    print(scan_logconcave_pair(_trial_config(args)).render())
-    return 0
 
 
 def _add_trial_flags(sub) -> None:
@@ -358,12 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("theorem", choices=sorted(SUITES) + ["reeve"])
     _add_trial_flags(s)
     s.add_argument("--kmax", type=int, help="highest power (reeve only)")
-    s.set_defaults(fn=cmd_verify)
+    s.set_defaults(fn=cmd_suite)
 
     s = sub.add_parser("scan")
     s.add_argument("target", choices=["logconcave-pair"])
     _add_trial_flags(s)
-    s.set_defaults(fn=cmd_scan)
+    s.set_defaults(fn=cmd_suite)
 
     return parser
 
@@ -391,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_attach_poly_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,6 @@ from hadpoly.analysis import (
     is_nonnegative,
     is_real_rooted,
     is_ulc,
-    is_ulc_sequence,
     is_unimodal,
     newton_violation,
     symmetry_certificate,
@@ -183,10 +182,10 @@ class TestUlc:
         row = [comb(m, j) for j in range(m + 1)]
         for j in range(1, m):
             assert row[j] ** 2 * j * (m - j) == row[j - 1] * row[j + 1] * (j + 1) * (m - j + 1)
-        assert is_ulc_sequence(row, m)
+        assert is_ulc(Poly(row), m).holds
         for j in range(1, m):
             lowered = row[:j] + [row[j] - 1] + row[j + 1:]
-            assert not is_ulc_sequence(lowered, m)
+            assert not is_ulc(Poly(lowered), m).holds
             assert is_ulc(Poly(lowered), m).witness == {"index": j}
 
     @pytest.mark.parametrize("m", range(0, 9))
@@ -194,12 +193,11 @@ class TestUlc:
         # x^k (1+x)^(m-k) is real-rooted with nonpositive zeros, so in ULC(m)
         for k in range(m + 1):
             v = [0] * k + [comb(m - k, j) for j in range(m - k + 1)]
-            assert is_ulc_sequence(v, m)
             assert is_ulc(Poly(v), m).holds
 
     def test_internal_zero_is_reported_ahead_of_a_failing_index(self):
         # 1 + x^3 meets every Newton inequality at order 3; only its gap fails
-        assert not is_ulc_sequence([1, 0, 0, 1], 3)
+        assert not is_ulc(Poly([1, 0, 0, 1]), 3).holds
         assert is_ulc(GAP_CUBE, 3).witness == {"i": 0, "j": 1, "k": 3, "reason": "internal zeros"}
         # index 1 fails here as well, and the gap at 3 is still what is reported
         rep = is_ulc(P(1, 1, 9, 0, 1), 4)
@@ -210,7 +208,7 @@ class TestUlc:
     @given(st.lists(st.integers(0, 12), max_size=10), st.integers(0, 3))
     def test_newton_form_agrees_with_the_definition(self, v, extra):
         m = max(len(v) - 1, 0) + extra
-        assert is_ulc_sequence(v, m) == (ulc_failure_by_division(Poly(v), m) is None)
+        assert is_ulc(Poly(v), m).holds == (ulc_failure_by_division(Poly(v), m) is None)
 
     @given(st.integers(0, 10), st.integers(1, 4), st.integers(0, 2), st.data())
     def test_newton_form_agrees_near_equality(self, n, scale, extra, data):
@@ -218,7 +216,7 @@ class TestUlc:
         moves = data.draw(st.lists(st.integers(-1, 1), min_size=n + 1, max_size=n + 1))
         v = [max(0, scale * comb(n, j) + d) for j, d in enumerate(moves)]
         m = n + extra
-        assert is_ulc_sequence(v, m) == (ulc_failure_by_division(Poly(v), m) is None)
+        assert is_ulc(Poly(v), m).holds == (ulc_failure_by_division(Poly(v), m) is None)
 
     def test_newton_inequalities(self):
         # nonpositive real zeros put a polynomial in ULC(degree)

@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from hadpoly.analysis import is_ulc
 from hadpoly.cli import main, parse_poly, poly_to_csv
 from hadpoly.poly import Poly
 
@@ -90,6 +92,30 @@ class TestOperatorCommands:
     def test_pretty(self, capsys):
         code, out, _ = run(capsys, "f", "--poly", "1,0,7", "--degree", "3", "--pretty")
         assert code == 0 and out.strip() == "8x^3 + 10x^2 + 3x + 1"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("w", "--poly", "1,2"),
+            ("invw", "--poly", "1,2", "--degree", "2"),
+            ("f", "--poly", "1,0,7", "--degree", "3"),
+            ("h", "--poly", "1,3,10,8", "--degree", "3"),
+            ("subdiv", "--poly", "1,2"),
+            ("hadamard", "--a", "1,1", "--da", "1", "--b", "1,1", "--db", "1"),
+            ("diamond", "--a", "1,1", "--b", "1,1"),
+            ("gamma", "--poly", "1,2,1", "--center", "2"),
+            ("symdec", "--poly", "1,3,9,1", "--degree", "3"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_json_and_pretty_together_exit_2(self, capsys, argv):
+        assert main([*argv, "--json"]) == 0 and main([*argv, "--pretty"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--json", "--pretty"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "argument --pretty: not allowed with argument --json" in err
 
     @pytest.mark.parametrize("command, degree", [("invw", "-3"), ("f", "-3"), ("h", "-2")])
     def test_negative_degree_of_zero_exits_2(self, capsys, command, degree):
@@ -314,6 +340,18 @@ class TestCheckCommand:
     def test_ulc_negative_order_exits_2(self, capsys):
         code, out, err = run(capsys, "check", "ulc", "--poly", "", "--order", "-3")
         assert code == 2 and out == "" and "order must be nonnegative" in err
+
+    def test_ulc_errors_in_order(self, capsys):
+        # the order's sign, then the coefficients' signs, then the order against the degree
+        for p, m, message in [
+            (Poly([1, -2, 1]), -1, "order must be nonnegative, got -1"),
+            (Poly([1, -2, 1]), 1, "negative coefficient -2 at index 1"),
+            (Poly([1, 2, 1]), 1, "order 1 is smaller than the degree 2"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                is_ulc(p, m)
+        code, out, err = run(capsys, "check", "ulc", "--poly", "1,2,1", "--order", "1")
+        assert (code, out, err) == (2, "", "error: order 1 is smaller than the degree 2\n")
 
     def test_ulc_missing_order(self, capsys):
         code, _, err = run(capsys, "check", "ulc", "--poly", "1,2,1")

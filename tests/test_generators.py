@@ -13,7 +13,6 @@ from hadpoly.analysis import (
     is_log_concave,
     is_real_rooted,
     is_ulc,
-    is_ulc_sequence,
     symmetry_certificate,
 )
 from hadpoly.decomp import (
@@ -281,7 +280,7 @@ class TestDescendingRatioBoundary:
         m = len(ratios)
         a = [comb(m, j) * c for j, c in enumerate(v)]
         assert is_log_concave(Poly._from_ints(v, den)).holds
-        assert is_ulc_sequence(a, m)
+        assert is_ulc(Poly(a), m).holds
         r = sorted((Fraction(n, q) for n, q in ratios), reverse=True)
         ties = [r[j - 1] == r[j] for j in range(1, m)]
         equal = [

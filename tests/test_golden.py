@@ -38,8 +38,12 @@ def test_suite_reports_match_golden_file():
 FAILURES = Path(__file__).parent / "golden" / "suite_failures_seed3_trials6.txt"
 FAILURE_CONFIG = TrialConfig(seed=3, trials=6)
 
-#: the checkers the suites bind in ``hadpoly.harness``; section (c) makes each fail
-_CHECKERS = ("is_real_rooted", "is_ulc", "has_internal_zeros", "is_log_concave", "is_gamma_positive")
+#: the checkers the suites call through ``hadpoly.harness``; section (c) makes each fail
+_CHECKERS = (
+    "is_real_rooted", "is_ulc", "has_internal_zeros", "is_log_concave", "is_gamma_positive",
+    "decomposition_is_nonnegative", "decomposition_is_gamma_positive",
+    "decomposition_is_interlacing",
+)
 
 
 def _runs():

@@ -1,6 +1,8 @@
 import pytest
 
-from hadpoly import decomp
+from hadpoly import decomp, harness
+from hadpoly.analysis import PropertyReport
+from hadpoly.cli import main
 from hadpoly.decomp import SymDecomp
 from hadpoly.generators import TrialConfig
 from hadpoly.harness import (
@@ -79,6 +81,18 @@ class TestScan:
     def test_scan_reports_findings_or_open(self):
         result = scan_logconcave_pair(SMALL)
         assert ("counterexample" in result.summary) or ("open" in result.summary)
+
+    def test_factor_failing_its_hypothesis_is_a_failure(self, monkeypatch, capsys):
+        stub = PropertyReport.failed({}, "stubbed")
+        monkeypatch.setattr(harness, "is_log_concave", lambda p: stub)
+        result = scan_logconcave_pair(SMALL)
+        assert (result.ok, result.findings) == (False, ())
+        assert [f.stage for f in result.failures] == ["hypothesis"] * SMALL.trials
+        assert result.render().endswith(
+            "FAIL: a proved statement was violated; this indicates a bug in this package"
+        )
+        assert main(["scan", "logconcave-pair", "--trials", "6", "--seed", "3"]) == 1
+        assert "[hypothesis]: factor 0 not log-concave" in capsys.readouterr().out
 
 
 class TestSymdecInterlacingHypothesis:
