@@ -10,6 +10,11 @@ import pytest
 import hadpoly
 
 
+def test_every_export_resolves():
+    missing = [name for name in hadpoly.__all__ if not hasattr(hadpoly, name)]
+    assert missing == []
+
+
 # -- the public API -----------------------------------------------------------------
 #
 # ``hadpoly.__all__`` is derived from the names ``hadpoly/__init__.py`` imports;
@@ -34,7 +39,6 @@ def test_exported_names_are_fixed():
 
 
 def test_no_export_is_a_module_or_private():
-    # ``getattr`` also fails on a name that does not resolve
     for name in hadpoly.__all__:
         assert not name.startswith("_")
         assert not isinstance(getattr(hadpoly, name), types.ModuleType), name
