@@ -6,8 +6,8 @@ Results print in the same format by default, as a JSON object with
 ``--json``, or human-readable with ``--pretty``.  ``--in FILE`` reads a JSON
 object ``{"coeffs": [...], "degree_tag": n}`` instead of ``--poly``; for
 ``invw``, ``f``, ``h``, ``symdec`` and ``check symmetric`` the tag is the
-default ``--degree`` and must agree with an explicit one; the other checks
-hold an explicit ``--degree`` to the tag's rule.
+default ``--degree`` and must agree with an explicit one; no other check
+takes ``--degree``.
 
 Exit codes: 0 a computation succeeded / a checked property holds / a verify
 suite or the scan met its expectation; 1 a checked property fails or a suite
@@ -51,14 +51,6 @@ def poly_to_csv(p: Poly) -> str:
     return ",".join(str(c) for c in p.coeffs) if not p.is_zero else "0"
 
 
-def _check_degree(poly: Poly, degree, name: str) -> None:
-    """A reference degree is a nonnegative integer, not below the degree of ``poly``."""
-    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {degree!r}")
-    if not poly.is_zero and poly.degree > degree:
-        raise ValueError(f"{name} {degree} below the parsed degree")
-
-
 def _load_input_file(path: str) -> tuple[Poly, int | None]:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh, parse_float=Fraction)  # decimals read exactly, as in --poly
@@ -72,7 +64,10 @@ def _load_input_file(path: str) -> tuple[Poly, int | None]:
         raise ValueError(f"{path}: cannot parse 'coeffs': {exc}") from exc
     tag = data.get("degree_tag")
     if tag is not None:
-        _check_degree(poly, tag, f"{path}: degree_tag")
+        if isinstance(tag, bool) or not isinstance(tag, int) or tag < 0:
+            raise ValueError(f"{path}: degree_tag must be a nonnegative integer, got {tag!r}")
+        if not poly.is_zero and poly.degree > tag:
+            raise ValueError(f"{path}: degree_tag {tag} below the parsed degree")
     return poly, tag
 
 
@@ -91,7 +86,7 @@ def _input_with_degree(args, required: bool = True) -> tuple[Poly, int | None]:
     it is ``required``.
     """
     poly, tag = _read_input(args)
-    degree = getattr(args, "degree", None)
+    degree = args.degree
     if degree is None:
         if tag is None and required:
             raise ValueError("missing reference degree: pass --degree or a degree_tag")
@@ -102,12 +97,8 @@ def _input_with_degree(args, required: bool = True) -> tuple[Poly, int | None]:
 
 
 def _input_poly(args) -> Poly:
-    """The input polynomial of an operator or of a single-polynomial check; a
-    ``--degree`` given with it obeys the rule of a file's degree_tag."""
-    poly, degree = _input_with_degree(args, required=False)
-    if degree is not None:
-        _check_degree(poly, degree, "--degree")
-    return poly
+    """The input polynomial of an operator or of a single-polynomial check."""
+    return _read_input(args)[0]
 
 
 def _add_output_flags(sub) -> None:
@@ -140,7 +131,6 @@ _OPERATORS = {
         operators.hadamard(
             TaggedPoly(parse_poly(args.a), args.da),
             TaggedPoly(parse_poly(args.b), args.db),
-            route=args.route,
         )
     ),
     "diamond": lambda args: (operators.diamond(parse_poly(args.a), parse_poly(args.b)), None),
@@ -199,7 +189,7 @@ def _check_symmetric(args) -> analysis.PropertyReport:
 
 
 #: the options every single-polynomial check reads
-_SINGLE = ("poly", "infile", "degree")
+_SINGLE = ("poly", "infile")
 
 #: ``check`` property -> (its report on the parsed arguments, the options it
 #: needs, the other options it reads); any other option is an error
@@ -215,7 +205,7 @@ _CHECKS = {
         ("center",),
         _SINGLE,
     ),
-    "symmetric": (_check_symmetric, (), _SINGLE),
+    "symmetric": (_check_symmetric, (), _SINGLE + ("degree",)),
     "interlacing": (
         lambda args: analysis.interlaces(parse_poly(args.b), parse_poly(args.a)), ("b", "a"), ()
     ),
@@ -310,12 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--da", type=int, required=True, help="tag of the first factor")
     s.add_argument("--b", required=True)
     s.add_argument("--db", type=int, required=True, help="tag of the second factor")
-    s.add_argument(
-        "--route",
-        choices=["direct", "bullet", "diamond"],
-        default="direct",
-        help="computation route (bullet/diamond are verification routes)",
-    )
 
     s = sub.add_parser("diamond")
     s.add_argument("--a", required=True)
@@ -345,8 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--degree",
         type=int,
-        help="reference degree for symmetric (default: the --in file's degree_tag); "
-        "the other single-polynomial checks test it against that tag",
+        help="reference degree for symmetric (default: the --in file's degree_tag)",
     )
     s.add_argument("--a", help="interlaced polynomial (interlacing check)")
     s.add_argument("--b", help="interlacing polynomial (interlacing check)")

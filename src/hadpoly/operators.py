@@ -4,20 +4,19 @@ For a polynomial p of degree d, the series sum_j p(j) x^j is rational with
 denominator (1-x)^(d+1); its numerator h = w_transform(p) has degree at most
 d.  This module implements that transform and its inverse, the subdivision
 operator (binomial basis C(x,j) -> x^j), conversions between a numerator h
-and its f-polynomial f = sum_i h_i x^i (x+1)^(d-i), and three independent
-realizations of the Hadamard product of two tagged numerators:
+and its f-polynomial f = sum_i h_i x^i (x+1)^(d-i), and the Hadamard product
+of two tagged numerators: the coefficientwise product of the two series
+h/(1-x)^(d+1), over the integers.  Expand each to its first D+1 coefficients
+(D = d1+d2), multiply them pointwise and multiply the result by (1-x)^(D+1).
 
-* direct    -- the coefficientwise product of the two series
-               h/(1-x)^(d+1), over the integers: expand each to its first
-               D+1 coefficients (D = d1+d2), multiply them pointwise and
-               multiply the result by (1-x)^(D+1) (the production route),
+Two independent realizations of the same product serve as cross-checks,
+which the tests compare ``hadamard`` with:
+
 * bullet    -- the bilinear product that reads a numerator h tagged d as
                the form sum_i h_i x^i y^(d-i), given by an explicit binomial
                formula on monomials,
 * diamond   -- transport to f-polynomials, where the Hadamard product becomes
                (f <> g)(x) = sum_j f^(j) g^(j) / (j!)^2 * x^j (x+1)^j.
-
-All three agree exactly; the tests cross-check them against each other.
 """
 
 from __future__ import annotations
@@ -189,31 +188,22 @@ def diamond_power(f: Poly, k: int) -> Poly:
     return acc
 
 
-def hadamard(t1: TaggedPoly, t2: TaggedPoly, route: str = "direct") -> TaggedPoly:
+def hadamard(t1: TaggedPoly, t2: TaggedPoly) -> TaggedPoly:
     """Hadamard product of tagged numerators: (h1, d1) x (h2, d2) -> (h, d1+d2).
 
     The result is the numerator of sum_j p1(j) p2(j) x^j over
     (1-x)^(d1+d2+1), where p_i = w_inverse(h_i, d_i) has the series
-    h_i/(1-x)^(d_i+1).  The production path is ``route="direct"``: the
-    coefficientwise product of the two series, over the integers.  Since
-    p1 p2 has degree at most D = d1+d2, its first D+1 values fix the
-    numerator, which is their product with (1-x)^(D+1) truncated to degree
-    D.  ``"bullet"`` and ``"diamond"`` are independent routes kept for
-    cross-verification.
+    h_i/(1-x)^(d_i+1).  It is the coefficientwise product of the two
+    series, over the integers.  Since p1 p2 has degree at most D = d1+d2,
+    its first D+1 values fix the numerator, which is their product with
+    (1-x)^(D+1) truncated to degree D.
     """
     d1, d2 = t1.ref_degree, t2.ref_degree
-    if route == "direct":
-        top = d1 + d2
-        p1, p2 = t1.poly, t2.poly
-        s1, s2 = _series_values(p1._num, d1, top + 1), _series_values(p2._num, d2, top + 1)
-        coeffs = _difference([a * b for a, b in zip(s1, s2)], top + 1)
-        return TaggedPoly(Poly._from_ints(coeffs, p1._den * p2._den), top)
-    if route == "bullet":
-        return bullet(t1, t2)
-    if route == "diamond":
-        prod = diamond(f_from_h(t1.poly, d1), f_from_h(t2.poly, d2))
-        return TaggedPoly(h_from_f(prod, d1 + d2), d1 + d2)
-    raise ValueError(f"unknown hadamard route: {route!r}")
+    top = d1 + d2
+    p1, p2 = t1.poly, t2.poly
+    s1, s2 = _series_values(p1._num, d1, top + 1), _series_values(p2._num, d2, top + 1)
+    coeffs = _difference([a * b for a, b in zip(s1, s2)], top + 1)
+    return TaggedPoly(Poly._from_ints(coeffs, p1._den * p2._den), top)
 
 
 def msupp(f: Poly, d: int) -> frozenset[int]:

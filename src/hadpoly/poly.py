@@ -10,7 +10,7 @@ read the numerators and build results through ``Poly._from_ints``, the one
 place that strips and reduces them.  Root work (gcd here, Sturm chains and
 square-free factorization in ``roots``) runs on primitive integer vectors,
 combined by pseudo-division.  ``_check_tag`` is the one check of the tag
-rule: a numerator tagged d needs d >= 0 and degree at most d.
+rule: a numerator tagged d needs an ``int`` d >= 0 and degree at most d.
 """
 
 from __future__ import annotations
@@ -243,7 +243,10 @@ def format_poly(p: Poly) -> str:
 
 
 def _check_tag(p: Poly, d: int, name: str) -> None:
-    """The tag rule of a numerator ``p`` at reference degree ``d``: d >= 0 and deg p <= d."""
+    """The tag rule of a numerator ``p`` at reference degree ``d``: an ``int``
+    d >= 0 and deg p <= d."""
+    if type(d) is not int:
+        raise TypeError(f"reference degree {d!r} is not an int")
     if d < 0:
         raise ValueError("reference degree must be nonnegative")
     if len(p._num) > d + 1:

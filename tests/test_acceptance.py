@@ -25,6 +25,7 @@ from hadpoly.ehrhart import product_f
 from hadpoly.generators import TrialConfig
 from hadpoly.harness import SUITES, verify_reeve
 from hadpoly.operators import (
+    bullet,
     f_from_h,
     h_from_f,
     hadamard,
@@ -34,7 +35,7 @@ from hadpoly.operators import (
 from hadpoly.poly import Poly, TaggedPoly, reflect, reverse
 from hadpoly.rng import SplitMix64
 
-from helpers import closed_form, rational
+from helpers import closed_form, diamond_route, rational
 
 
 def P(*coeffs):
@@ -186,9 +187,9 @@ def test_hadamard_routes_agree():
             h1 = Poly([rational(r, 9, 9) for _ in range(r.randint(0, d1) + 1)])
             h2 = Poly([rational(r, 9, 9) for _ in range(r.randint(0, d2) + 1)])
             t1, t2 = TaggedPoly(h1, d1), TaggedPoly(h2, d2)
-            direct = hadamard(t1, t2, route="direct")
-            assert hadamard(t1, t2, route="bullet") == direct
-            assert hadamard(t1, t2, route="diamond") == direct
+            direct = hadamard(t1, t2)
+            assert bullet(t1, t2) == direct
+            assert diamond_route(t1, t2) == direct
 
 
 def test_hadamard_at_degree_80_with_large_heights():

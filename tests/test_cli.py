@@ -56,17 +56,13 @@ class TestOperatorCommands:
         assert code == 0
         assert out.strip() == "1,18,45,40,45,18,1"
 
-    def test_hadamard_routes_agree(self, capsys):
-        outputs = set()
-        for route in ("direct", "bullet", "diamond"):
-            code, out, _ = run(
-                capsys,
-                "hadamard", "--a", "1,3,9,1", "--da", "3",
-                "--b", "1,3,9,1", "--db", "3", "--route", route,
-            )
-            assert code == 0
-            outputs.add(out.strip())
-        assert outputs == {"1,42,639,1836,1239,162,1"}
+    def test_hadamard_route_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["hadamard", "--a", "1,1", "--da", "1", "--b", "1,1", "--db", "1",
+                  "--route", "bullet"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "unrecognized arguments: --route bullet" in captured.err
 
     def test_gamma_example(self, capsys):
         code, out, _ = run(
@@ -279,7 +275,7 @@ class TestOperatorCommands:
         assert code == 0 and out.strip() == "holds: axis 3"
 
 
-#: the checks that read ``--poly``, ``--in`` and ``--degree``
+#: the checks that read ``--poly`` and ``--in``
 _SINGLE_CHECKS = "nonneg, internal-zeros, unimodal, logconcave, ulc, realrooted, gammapos, symmetric"
 
 
@@ -378,30 +374,6 @@ class TestCheckCommand:
         flags = {"ulc": ("--order", "2"), "gammapos": ("--center", "2")}.get(prop, ())
         code, out, _ = run(capsys, "check", prop, "--in", str(spec), *flags)
         assert code == 0 and out.startswith("holds")
-        code, out, err = run(capsys, "check", prop, "--in", str(spec), "--degree", "5", *flags)
-        assert code == 2 and out == "" and "conflicts with the file's degree_tag 2" in err
-
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (("nonneg", "--poly", "1,2,1", "--degree", "-5"),
-             "--degree must be a nonnegative integer, got -5"),
-            (("logconcave", "--poly", "1,2,1", "--degree", "0"),
-             "--degree 0 below the parsed degree"),
-            (("ulc", "--poly", "1,2,1", "--order", "2", "--degree", "1"),
-             "--degree 1 below the parsed degree"),
-            (("realrooted", "--poly", "", "--degree", "-1"),
-             "--degree must be a nonnegative integer, got -1"),
-        ],
-    )
-    def test_degree_obeys_the_file_tag_rule(self, capsys, argv, message):
-        code, out, err = run(capsys, "check", *argv)
-        assert (code, out, err) == (2, "", f"error: {message}\n")
-
-    @pytest.mark.parametrize("degree", ["2", "7"])
-    def test_degree_at_or_above_the_parsed_degree_is_accepted(self, capsys, degree):
-        code, out, _ = run(capsys, "check", "logconcave", "--poly", "1,2,1", "--degree", degree)
-        assert (code, out) == (0, "holds\n")
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -419,7 +391,33 @@ class TestCheckCommand:
             (("interlacing", "--in", "poly.json", "--a", "2,3,1", "--b", "1,1"),
              f"--in applies only to {_SINGLE_CHECKS}, not to interlacing"),
             (("interlacing", "--degree", "2", "--a", "2,3,1", "--b", "1,1"),
-             f"--degree applies only to {_SINGLE_CHECKS}, not to interlacing"),
+             "--degree applies only to symmetric, not to interlacing"),
+            (("nonneg", "--poly", "1,2,1", "--degree", "-5"),
+             "--degree applies only to symmetric, not to nonneg"),
+            (("logconcave", "--poly", "1,2,1", "--degree", "0"),
+             "--degree applies only to symmetric, not to logconcave"),
+            (("ulc", "--poly", "1,2,1", "--order", "2", "--degree", "1"),
+             "--degree applies only to symmetric, not to ulc"),
+            (("realrooted", "--poly", "", "--degree", "-1"),
+             "--degree applies only to symmetric, not to realrooted"),
+            (("logconcave", "--poly", "1,2,1", "--degree", "2"),
+             "--degree applies only to symmetric, not to logconcave"),
+            (("logconcave", "--poly", "1,2,1", "--degree", "7"),
+             "--degree applies only to symmetric, not to logconcave"),
+            (("nonneg", "--in", "poly.json", "--degree", "5"),
+             "--degree applies only to symmetric, not to nonneg"),
+            (("internal-zeros", "--in", "poly.json", "--degree", "5"),
+             "--degree applies only to symmetric, not to internal-zeros"),
+            (("unimodal", "--in", "poly.json", "--degree", "5"),
+             "--degree applies only to symmetric, not to unimodal"),
+            (("logconcave", "--in", "poly.json", "--degree", "5"),
+             "--degree applies only to symmetric, not to logconcave"),
+            (("ulc", "--in", "poly.json", "--degree", "5", "--order", "2"),
+             "--degree applies only to symmetric, not to ulc"),
+            (("realrooted", "--in", "poly.json", "--degree", "5"),
+             "--degree applies only to symmetric, not to realrooted"),
+            (("gammapos", "--in", "poly.json", "--degree", "5", "--center", "2"),
+             "--degree applies only to symmetric, not to gammapos"),
         ],
     )
     def test_option_the_property_does_not_read_exits_2(self, capsys, argv, message):

@@ -73,7 +73,7 @@ class TestRender:
 
 
 class TestScan:
-    def test_scan_always_succeeds_as_process(self):
+    def test_scan_passes_on_valid_draws(self):
         result = scan_logconcave_pair(SMALL)
         assert result.ok
         assert result.suite == "scan-logconcave-pair"

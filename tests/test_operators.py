@@ -22,7 +22,7 @@ from hadpoly.operators import (
 from hadpoly.poly import Poly, TaggedPoly, comb0, reflect, reverse
 from hadpoly.rng import SplitMix64
 
-from helpers import rational
+from helpers import diamond_route, rational
 
 
 def P(*coeffs):
@@ -263,8 +263,8 @@ class TestHadamard:
             h2 = Poly([rational(rng, 9, 9) for _ in range(rng.randint(0, d2) + 1)])
             t1, t2 = TaggedPoly(h1, d1), TaggedPoly(h2, d2)
             direct = hadamard(t1, t2)
-            assert hadamard(t1, t2, route="bullet") == direct
-            assert hadamard(t1, t2, route="diamond") == direct
+            assert bullet(t1, t2) == direct
+            assert diamond_route(t1, t2) == direct
 
     def test_bilinear(self):
         rng = SplitMix64(31)
@@ -281,15 +281,11 @@ class TestHadamard:
             rhs = hadamard(TaggedPoly(h2, d1), TaggedPoly(g, d2)).poly.scale(b)
             assert combo.poly == lhs + rhs
 
-    def test_unknown_route(self):
-        with pytest.raises(ValueError):
-            hadamard(TaggedPoly(P(1), 0), TaggedPoly(P(1), 0), route="fast")
-
     def test_zero_factor_on_every_route(self):
         z = TaggedPoly(Poly(), 4)
         t = TaggedPoly(P(1, 2, 1), 3)
-        for route in ("direct", "bullet", "diamond"):
-            out = hadamard(z, t, route=route)
+        for route in (hadamard, bullet, diamond_route):
+            out = route(z, t)
             assert out.poly.is_zero and out.ref_degree == 7
 
     @settings(max_examples=60, deadline=None)
@@ -297,8 +293,8 @@ class TestHadamard:
     def test_direct_route_matches_bullet_and_diamond(self, t1, t2):
         direct = hadamard(t1, t2)
         assert direct.ref_degree == t1.ref_degree + t2.ref_degree
-        assert hadamard(t1, t2, route="bullet") == direct
-        assert hadamard(t1, t2, route="diamond") == direct
+        assert bullet(t1, t2) == direct
+        assert diamond_route(t1, t2) == direct
 
     def test_direct_route_matches_series_oracle_at_forty_by_twenty(self):
         rng = SplitMix64(37)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -331,6 +332,14 @@ class TestTaggedPoly:
     def test_equality(self):
         assert TaggedPoly(P(1), 3) == TaggedPoly(P(1), 3)
         assert TaggedPoly(P(1), 3) != TaggedPoly(P(1), 4)
+
+    def test_tag_that_is_not_an_int_rejected(self):
+        # the type is checked before the sign, so -1.0 is not a negative degree
+        for call in (TaggedPoly, reverse, i_decompose, f_from_h):
+            for tag in (True, 2.5, Fraction(2), -1.0):
+                message = f"reference degree {tag!r} is not an int"
+                with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+                    call(P(1, 2), tag)
 
 
 #: every public function that takes a numerator and its reference degree, as a call on (p, d)
