@@ -280,8 +280,10 @@ def symmetry_certificate(h: Poly, ref_degree: int | None = None):
     """Return a certificate iff ``h`` equals its own reversal, else ``None``.
 
     The only candidate axis is s = min supp + max supp; the defect is
-    computed only when a reference degree is supplied.
+    computed only when a reference degree is supplied, held to the tag rule.
     """
+    if ref_degree is not None:
+        _check_tag(h, ref_degree, "h")
     if h.is_zero:
         raise ValueError("symmetry of the zero polynomial is undefined")
     supp = h.support

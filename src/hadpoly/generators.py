@@ -3,7 +3,7 @@
 Every generator draws only from a ``SplitMix64`` stream, so a (seed, trial)
 pair reproduces the instance exactly.  Rationals are drawn as integer pairs
 (n, q) in the order of ``rng.rational``, with no ``Fraction``; linear
-factors x + n/q multiply as one integer at x = 2^k (``_linear_product``).
+factors x + n/q multiply one at a time as q x + n (``_linear_product``).
 Every instance holds by construction: products of linear factors;
 gamma-basis combinations; paired-root palindromes; and, for log-concave and
 ULC instances, successive coefficient ratios drawn and sorted so that they
@@ -70,24 +70,12 @@ def _pairs_poly(pairs: list[tuple[int, int]]) -> Poly:
 
 
 def _linear_product(scale: Fraction | int, shifts: list[tuple[int, int]]) -> tuple[list[int], int]:
-    """scale * prod (x + n/q) over the pairs (n, q), q > 0, as (q x + n) on one
-    integer vector: that vector and its denominator, neither reduced.  The
-    product is taken at x = 2^k with 2^(k-1) above |scale numerator| *
-    prod (|n| + q), which bounds every coefficient, so its signed k-bit digits
-    are the coefficients."""
-    p, den, bound = scale.numerator, scale.denominator, abs(scale.numerator)
+    """scale * prod (x + n/q) over the pairs (n, q), q > 0, as prod (q x + n) on
+    one integer vector: that vector and its denominator, neither reduced."""
+    v, den = [scale.numerator], scale.denominator
     for n, q in shifts:
-        bound *= abs(n) + q
+        v = [n * a + q * b for a, b in zip(v + [0], [0] + v)]
         den *= q
-    k = bound.bit_length() + 1
-    for n, q in shifts:
-        p *= (q << k) + n
-    half, mask = 1 << (k - 1), (1 << k) - 1
-    v = []
-    for _ in range(len(shifts) + 1):
-        p += half
-        v.append((p & mask) - half)
-        p >>= k
     return v, den
 
 

@@ -31,8 +31,8 @@ def comb0(n: int, k: int) -> int:
 
 
 def _rational(c: object, what: str = "coefficient") -> Coefficient:
-    """``c`` if it is an ``int`` or a ``Fraction``; else a ``TypeError`` naming ``what``."""
-    if not isinstance(c, (int, Fraction)):
+    """``c`` if it is an ``int`` (not a ``bool``) or a ``Fraction``; else a ``TypeError``."""
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
         raise TypeError(f"{what} {c!r} is not an int or a Fraction")
     return c
 

@@ -130,8 +130,35 @@ class TestOperatorCommands:
                 ("hadamard", "--a", "1,2,3", "--da", "1", "--b", "1", "--db", "0"),
                 "degree overflow: deg h = 2 > d = 1",
             ),
+            (
+                ("check", "symmetric", "--poly", "1,2", "--degree", "-1"),
+                "reference degree must be nonnegative",
+            ),
+            (
+                ("check", "symmetric", "--poly", "1,2,1", "--degree", "-1"),
+                "reference degree must be nonnegative",
+            ),
+            (
+                ("check", "symmetric", "--poly", "", "--degree", "-1"),
+                "reference degree must be nonnegative",
+            ),
+            (
+                ("check", "symmetric", "--poly", "1,2,3", "--degree", "1"),
+                "degree overflow: deg h = 2 > d = 1",
+            ),
         ],
-        ids=["invw", "f", "h", "symdec", "symdec-zero", "hadamard"],
+        ids=[
+            "invw",
+            "f",
+            "h",
+            "symdec",
+            "symdec-zero",
+            "hadamard",
+            "symmetric",
+            "symmetric-palindrome",
+            "symmetric-zero",
+            "symmetric-overflow",
+        ],
     )
     def test_tag_error_exits_2(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")

@@ -173,6 +173,18 @@ class TestPredicates:
         dec = SymDecomp(P(1, 2, 1), Poly(), 2)
         assert decomposition_is_interlacing(dec).holds
 
+    @pytest.mark.parametrize(
+        "dec, part",
+        [(SymDecomp(P(1, 1, 1), Poly(), 2), "a"), (SymDecomp(Poly(), P(1, 0, 1), 3), "b")],
+        ids=["zero-b", "zero-a"],
+    )
+    def test_interlacing_zero_part_needs_the_other_real_rooted(self, dec, part):
+        # ``interlaces`` alone passes any pair with a zero member
+        assert interlaces(dec.b, dec.a).detail == "zero polynomial convention"
+        report = decomposition_is_interlacing(dec)
+        assert not report.holds
+        assert report.witness == {"part": part, "reason": "not real-rooted"}
+
     def test_interlacing_square_example_fails(self):
         dec = i_decompose(SQUARE_EX, 6)
         assert not decomposition_is_interlacing(dec).holds

@@ -45,7 +45,7 @@ class TestCanonicalForm:
         assert kept == half and type(kept) is Fraction
         assert P(3).coeffs == (Fraction(3),)
 
-    @pytest.mark.parametrize("bad", [0.1, "1/2"], ids=["float", "string"])
+    @pytest.mark.parametrize("bad", [0.1, "1/2", True], ids=["float", "string", "bool"])
     def test_coefficient_neither_int_nor_fraction_rejected(self, bad):
         calls = (
             ("coefficient", lambda: P(1, bad)),
