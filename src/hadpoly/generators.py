@@ -37,6 +37,10 @@ class TrialConfig:
     max_coefficient: int = 9
 
     def __post_init__(self):
+        for name in ("seed", "trials", "max_degree", "max_coefficient"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
         if self.trials < 1:

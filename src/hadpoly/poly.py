@@ -9,8 +9,10 @@ Arithmetic here and the coefficient checks and basis changes elsewhere
 read the numerators and build results through ``Poly._from_ints``, the one
 place that strips and reduces them.  Root work (gcd here, Sturm chains and
 square-free factorization in ``roots``) runs on primitive integer vectors,
-combined by pseudo-division.  ``_check_tag`` is the one check of the tag
-rule: a numerator tagged d needs an ``int`` d >= 0 and degree at most d.
+combined by one pseudo-remainder, ``_prem``, which ``divmod`` also uses; its
+multiplier is |lc(b)| ** (deg a - deg b + 1).  ``_check_tag`` is the one check
+of the tag rule: a numerator tagged d needs an ``int`` d >= 0 and degree at
+most d.
 """
 
 from __future__ import annotations
@@ -200,7 +202,10 @@ class Poly:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         # m a = q b + r on the numerators; a/da = (q db / (m da)) (b/db) + r / (m da)
-        q, r, m = _pdivmod(self._num, other._num)
+        a, b = self._num, other._num
+        m = abs(b[-1]) ** max(len(a) - len(b) + 1, 0)
+        r = _prem(a, b)
+        q = _int_exact_div(_int_sub([m * c for c in a], r), b)
         den = m * self._den
         return Poly._from_ints([c * other._den for c in q], den), Poly._from_ints(r, den)
 
@@ -326,47 +331,31 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _int_sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+def _int_sub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(_strip([x - y for x, y in zip_longest(a, b, fillvalue=0)]))
 
 
-def _pdivmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
-    """Pseudo-division ``(q, r, m)``: ``m a = q b + r`` with deg r < deg b and ``m > 0``.
-
-    Each step multiplies the running remainder by ``|lc(b)| / g`` with
-    ``g = gcd(|lc(b)|, top coefficient)``, so ``m`` is a positive divisor of
-    ``|lc(b)|**delta`` and every sign of the true remainder is kept.
-    Trailing zeros of ``r`` are dropped.
+def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Pseudo-remainder ``m a - q b`` of degree below deg b, for nonzero ``b`` and
+    ``m = |lc(b)| ** max(deg a - deg b + 1, 0)``: positive, so every sign of the
+    true remainder is kept, and large enough that ``q`` is integral.  Trailing
+    zeros are dropped.
     """
     n = len(b) - 1
-    low, lead = b[:-1], abs(b[-1])
-    sign = 1 if b[-1] > 0 else -1
+    lead = abs(b[-1])
+    low = b[:-1] if b[-1] > 0 else [-c for c in b[:-1]]
     r = list(a)
-    q = [0] * max(len(a) - n, 0)
-    m = 1
-    while len(r) > n:
+    for i in range(len(r) - 1 - n, -1, -1):
         top = r.pop()
-        if not top:
-            continue
-        g = math.gcd(lead, top)
-        k, top = lead // g, sign * (top // g)
-        if k != 1:
-            r = [k * c for c in r]
-            q = [k * c for c in q]
-            m *= k
-        i = len(r) - n
-        q[i] = top
-        for j, c in enumerate(low):
-            if c:
-                r[i + j] -= top * c
-    return q, _strip(r), m
+        r = [lead * x for x in r[:i]] + [lead * x - top * c for x, c in zip(r[i:], low)]
+    return _strip(r)
 
 
 def _int_exact_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Quotient ``a / b`` for primitive ``b`` dividing ``a``.
-
-    By Gauss's lemma the quotient has integer coefficients, so each long
-    division step divides exactly; a remainder signals an internal error.
+    """Quotient ``a / b`` for ``b`` dividing ``a`` with an integral quotient:
+    for a primitive ``b`` by Gauss's lemma, or for ``m a - r`` with ``r =
+    _prem(a, b)``.  Each long division step divides exactly; a remainder
+    signals an internal error.
     """
     n = len(b) - 1
     r = list(a)
@@ -387,7 +376,7 @@ def _int_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         a, b = b, a
     a, b = _primitive(a), _primitive(b)
     while b:
-        a, b = b, _primitive(_pdivmod(a, b)[1])
+        a, b = b, _primitive(_prem(a, b))
     if a and a[-1] < 0:
         a = tuple(-c for c in a)
     return a

@@ -22,6 +22,7 @@ vectors (primitive integer multiples of the polynomials, see ``poly``):
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from .poly import (
     _int_gcd,
     _int_mul,
     _int_sub,
-    _pdivmod,
+    _prem,
     _primitive,
     _rational,
 )
@@ -48,16 +49,17 @@ def _int_sturm_chain(
     """Sturm chain of the integer vector ``v``, as integer vectors.
 
     Element i is a positive multiple of the i-th element of the Euclidean
-    chain v, w, -rem(v, w), ..., where ``w`` (nonzero) defaults to v': the
-    multipliers are those of the pseudo-remainder and the contents divided
-    out.  The last element is a multiple of gcd(v, w), so ``v`` need not be
-    square-free.  A constant ``v`` is its own chain.
+    chain v, w, -rem(v, w), ..., where ``w`` (nonzero) defaults to v': each
+    remainder is ``poly._prem``'s, of the dividend times |lc(divisor)| to the
+    degree gap plus one, with its content divided out.  The last element is a
+    multiple of gcd(v, w), so ``v`` need not be square-free.  A constant ``v``
+    is its own chain.
     """
     if len(v) == 1:
         return [v]
     chain = [v, _primitive(list(_int_derivative(v) if w is None else w))]
     while True:
-        r = _primitive(_pdivmod(chain[-2], chain[-1])[1])
+        r = _primitive(_prem(chain[-2], chain[-1]))
         if not r:
             return chain
         chain.append(tuple(-c for c in r))
@@ -79,7 +81,7 @@ def sturm_chain(p: Poly) -> list[Poly]:
 
 
 def _variations(signs: list[int]) -> int:
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return sum(map(operator.ne, signs, signs[1:]))
 
 
 def _sign_right_of(v: tuple[int, ...], x: Fraction) -> int:
@@ -107,13 +109,9 @@ def _variations_right_of(chain: list[tuple[int, ...]], x: Fraction) -> int:
 
 
 def _variations_at_infinity(chain: list[tuple[int, ...]], positive: bool) -> int:
-    signs = []
-    for q in chain:
-        s = (q[-1] > 0) - (q[-1] < 0)
-        if not positive and len(q) % 2 == 0:
-            s = -s
-        signs.append(s)
-    return _variations(signs)
+    """Sign variations of the chain at +oo (``positive``) or -oo, with each
+    sign read as a bool: is the element positive there?"""
+    return _variations([(q[-1] > 0) is (positive or len(q) % 2 == 1) for q in chain])
 
 
 def _sturm_count(

@@ -57,6 +57,14 @@ class TestTrialConfig:
         with pytest.raises(ValueError):
             TrialConfig(max_degree=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", True), ("trials", True), ("max_degree", 2.5), ("max_coefficient", 2.5), ("seed", 1.5)],
+    )
+    def test_rejects_a_non_int(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be an int"):
+            TrialConfig(**{field: value})
+
 
 class TestSplitMix:
     def test_deterministic(self):

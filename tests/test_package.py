@@ -139,7 +139,7 @@ def test_static_guard_flags_each_rule():
 PRIVATE_IMPORTS = {
     ("roots", "poly"): {
         "_horner", "_int_derivative", "_int_exact_div", "_int_gcd", "_int_mul", "_int_sub",
-        "_pdivmod", "_primitive", "_rational",
+        "_prem", "_primitive", "_rational",
     },
     ("operators", "poly"): {"_check_tag"},
     ("decomp", "poly"): {"_check_tag"},

@@ -3,14 +3,14 @@ from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hadpoly.analysis import gamma_contract
 from hadpoly.decomp import SymDecomp, i_decompose, r_decompose
 from hadpoly.ehrhart import counterexample_report, low_coefficients, powers
 from hadpoly.operators import f_from_h, h_from_f, msupp, numerator_at, w_inverse
-from hadpoly.poly import Poly, TaggedPoly, gcd, reflect, reverse
+from hadpoly.poly import Poly, TaggedPoly, _prem, gcd, reflect, reverse
 from hadpoly.roots import count_real_roots, isolate_roots
 
 
@@ -262,6 +262,24 @@ def _ref_divmod(a, b):
         for j, c in enumerate(b):
             rem[i + j] -= q * c
     return quo, rem
+
+
+int_lists = st.lists(st.integers(-20, 20), max_size=7)
+nonzero_ints = st.integers(-20, 20).filter(bool)
+
+
+@given(int_lists, int_lists, nonzero_ints)
+@example([1, 2, 3, 4], [5], -3)
+@example([1, 2, 3, 4], [0, 1], -2)
+@example([7, -1], [1, 2, 3], -4)
+@example([], [1], 2)
+@settings(max_examples=150, deadline=None)
+def test_prem_is_the_scaled_remainder(a, low, lead):
+    """``_prem(a, b)`` is |lc b| ** max(len a - len b + 1, 0) times the remainder."""
+    b = low + [lead]
+    m = abs(lead) ** max(len(a) - len(b) + 1, 0)
+    rem = _ref_divmod([Fraction(c) for c in a], [Fraction(c) for c in b])[1]
+    assert tuple(_prem(a, b)) == _trim(m * c for c in rem)
 
 
 def _is_fraction_tuple(cs):
