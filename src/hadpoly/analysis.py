@@ -12,6 +12,7 @@ pair, to build its witness.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -37,11 +38,14 @@ class PropertyReport:
 
     @staticmethod
     def passed(detail: str = "") -> "PropertyReport":
-        return PropertyReport(True, None, detail)
+        return PropertyReport(True, None, detail) if detail else _PASSED
 
     @staticmethod
     def failed(witness: dict, detail: str = "") -> "PropertyReport":
         return PropertyReport(False, witness, detail)
+
+
+_PASSED = PropertyReport(True)  # shared by every detail-less pass; safe while frozen
 
 
 def is_nonnegative(p: Poly) -> PropertyReport:
@@ -347,11 +351,16 @@ def gamma_expand(h: Poly, s: int) -> Poly:
     return Poly._from_ints(coeffs, h._den)
 
 
+@functools.lru_cache(maxsize=64)
+def _binomial_row(n: int) -> tuple[int, ...]:
+    """C(n, 0..n); a suite pass asks for the same few rows thousands of times."""
+    return tuple([math.comb(n, j) for j in range(n + 1)])
+
+
 def _add_gamma_term(acc: list[int], c: int, i: int, s: int) -> None:
     """Add c x^i (1+x)^(s-2i) to the coefficient list ``acc`` in place."""
-    n = s - 2 * i
-    for j in range(n + 1):
-        acc[i + j] += c * math.comb(n, j)
+    end = s - i + 1
+    acc[i:end] = [a + c * b for a, b in zip(acc[i:end], _binomial_row(s - 2 * i))]
 
 
 def gamma_contract(g: Poly, s: int) -> Poly:

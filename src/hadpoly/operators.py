@@ -22,6 +22,7 @@ which the tests compare ``hadamard`` with:
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
@@ -42,7 +43,7 @@ def _difference(values: list, times: int) -> list:
     """Coefficients 0..len(values)-1 of values(x) * (1-x)^times, by ``times``
     backward differences."""
     for _ in range(times):
-        values = [b - a for a, b in zip([0] + values, values)]
+        values = list(map(operator.sub, values, [0] + values))
     return values
 
 

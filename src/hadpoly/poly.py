@@ -10,9 +10,9 @@ read the numerators and build results through ``Poly._from_ints``, the one
 place that strips and reduces them.  Root work (gcd here, Sturm chains and
 square-free factorization in ``roots``) runs on primitive integer vectors,
 combined by one pseudo-remainder, ``_prem``, which ``divmod`` also uses; its
-multiplier is |lc(b)| ** (deg a - deg b + 1).  ``_check_tag`` is the one check
-of the tag rule: a numerator tagged d needs an ``int`` d >= 0 and degree at
-most d.
+multiplier is |lc(b)| ** (deg a - deg b + 1), and the normal step, deg a =
+deg b + 1, is one pass.  ``_check_tag`` is the one check of the tag rule: a
+numerator tagged d needs an ``int`` d >= 0 and degree at most d.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class Poly:
         while n and not v[n - 1]:
             n -= 1
         g = math.gcd(den, *v)
-        self._num: tuple[int, ...] = tuple(v[:n]) if g == 1 else tuple(c // g for c in v[:n])
+        self._num: tuple[int, ...] = tuple(v[:n]) if g == 1 else tuple([c // g for c in v[:n]])
         self._den: int = den // g
 
     @staticmethod
@@ -299,7 +299,7 @@ def _primitive(v: Sequence[int]) -> tuple[int, ...]:
     """``v`` (without trailing zeros) divided by its positive content."""
     content = math.gcd(*v) if v else 0
     if content > 1:
-        return tuple(c // content for c in v)
+        return tuple([c // content for c in v])
     return tuple(v)
 
 
@@ -339,11 +339,17 @@ def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Pseudo-remainder ``m a - q b`` of degree below deg b, for nonzero ``b`` and
     ``m = |lc(b)| ** max(deg a - deg b + 1, 0)``: positive, so every sign of the
     true remainder is kept, and large enough that ``q`` is integral.  Trailing
-    zeros are dropped.
+    zeros are dropped.  The normal step, deg a = deg b + 1, is one pass.
     """
     n = len(b) - 1
     lead = abs(b[-1])
     low = b[:-1] if b[-1] > 0 else [-c for c in b[:-1]]
+    if len(a) == n + 2 and n:
+        # q = lead t x + u for a nonconstant b, so the remainder is lead^2 a
+        # - lead t x b~ - u b~, where b~ = low + [lead] and t = lc(a).
+        t = a[-1]
+        square, shift, u = lead * lead, lead * t, lead * a[-2] - t * low[-1]
+        return _strip([square * x - shift * c - u * d for x, c, d in zip(a, [0, *low], low)])
     r = list(a)
     for i in range(len(r) - 1 - n, -1, -1):
         top = r.pop()

@@ -22,6 +22,7 @@ vectors (primitive integer multiples of the polynomials, see ``poly``):
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,18 +52,18 @@ def _int_sturm_chain(
     Element i is a positive multiple of the i-th element of the Euclidean
     chain v, w, -rem(v, w), ..., where ``w`` (nonzero) defaults to v': each
     remainder is ``poly._prem``'s, of the dividend times |lc(divisor)| to the
-    degree gap plus one, with its content divided out.  The last element is a
-    multiple of gcd(v, w), so ``v`` need not be square-free.  A constant ``v``
-    is its own chain.
+    degree gap plus one, divided by its negated content (the Sturm sign).
+    The last element is a multiple of gcd(v, w), so ``v`` need not be
+    square-free.  A constant ``v`` is its own chain.
     """
     if len(v) == 1:
         return [v]
     chain = [v, _primitive(list(_int_derivative(v) if w is None else w))]
-    while True:
-        r = _primitive(_prem(chain[-2], chain[-1]))
-        if not r:
-            return chain
-        chain.append(tuple(-c for c in r))
+    while r := _prem(chain[-2], chain[-1]):
+        content = -math.gcd(*r)
+        r = tuple([c // content for c in r])  # frees the undivided r before the next _prem
+        chain.append(r)
+    return chain
 
 
 def _chain_of(p: Poly) -> list[tuple[int, ...]]:

@@ -1,5 +1,5 @@
 """Test-only helpers: rational draws for seeded tests, the diamond route of
-the Hadamard product and the Reeve closed form.
+the Hadamard product, a rational Euclidean chain and the Reeve closed form.
 
 The draws take the numerator, then the denominator, from a ``SplitMix64``:
 the order in which the generators draw their integer pairs (n, q), so a
@@ -30,6 +30,36 @@ def diamond_route(t1: TaggedPoly, t2: TaggedPoly) -> TaggedPoly:
     d1, d2 = t1.ref_degree, t2.ref_degree
     prod = diamond(f_from_h(t1.poly, d1), f_from_h(t2.poly, d2))
     return TaggedPoly(h_from_f(prod, d1 + d2), d1 + d2)
+
+
+def _fraction_remainder(a: list, b: list) -> list:
+    """The remainder of ``a`` by ``b`` over the rationals, by long division;
+    neither ``b`` nor the result has a trailing zero."""
+    r = list(a)
+    while len(r) >= len(b):
+        q = r[-1] / b[-1]
+        shift = len(r) - len(b)
+        for j, c in enumerate(b):
+            r[shift + j] -= q * c
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def euclidean_chain(v, w=None) -> list[list[Fraction]]:
+    """The Sturm sequence v, w, -rem(v, w), ... over the rationals, up to the
+    last nonzero element; ``w`` defaults to v'.  A constant ``v`` is its own
+    chain."""
+    chain = [[Fraction(c) for c in v]]
+    if len(v) == 1:
+        return chain
+    if w is None:
+        w = [i * c for i, c in enumerate(v) if i]
+    chain.append([Fraction(c) for c in w])
+    while r := _fraction_remainder(chain[-2], chain[-1]):
+        chain.append([-c for c in r])
+    return chain
 
 
 def closed_form(k: int) -> tuple[int, int, int]:

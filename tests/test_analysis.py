@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from math import comb
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hadpoly.analysis import (
+    PropertyReport,
     _root_order,
     check_functional_eq,
     gamma_contract,
@@ -64,6 +66,22 @@ def ulc_failure_by_division(h, m):
         return "gap"
     a = [c / comb(m, j) for j, c in enumerate(cs)]
     return next((j for j in range(1, len(a) - 1) if a[j] ** 2 < a[j - 1] * a[j + 1]), None)
+
+
+class TestPropertyReport:
+    def test_a_pass_without_detail_is_the_plain_pass(self):
+        assert PropertyReport.passed() == PropertyReport(True, None, "")
+        assert PropertyReport.passed() is PropertyReport.passed()
+
+    def test_the_shared_pass_is_frozen(self):
+        # every detail-less pass is one instance, which is safe only while frozen
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            PropertyReport.passed().holds = False
+        assert PropertyReport.passed().holds is True
+
+    def test_a_pass_keeps_its_detail(self):
+        assert PropertyReport.passed("x").detail == "x"
+        assert PropertyReport.passed("x") == PropertyReport(True, None, "x")
 
 
 class TestNonnegative:

@@ -2,10 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hadpoly.operators import (
+    _difference,
     bullet,
     bullet_monomial,
     diamond,
@@ -91,6 +92,17 @@ def tagged_factor(draw, max_tag=12):
     d = draw(st.integers(min_value=0, max_value=max_tag))
     coeffs = draw(st.lists(rationals, min_size=0, max_size=d + 1))
     return TaggedPoly(Poly(coeffs), d)
+
+
+@given(st.lists(st.one_of(st.integers(-20, 20), rationals), max_size=10), st.integers(0, 6))
+@example([], 0)
+@example([], 6)
+@example([1, 2, 3], 6)
+@settings(max_examples=100, deadline=None)
+def test_difference_is_the_truncated_product_with_a_power_of_one_minus_x(v, t):
+    """``_difference(v, t)`` is v(x) (1-x)^t below x^len(v)."""
+    product = Poly(v) * Poly([1, -1]) ** t
+    assert _difference(v, t) == [product.coefficient(i) for i in range(len(v))]
 
 
 class TestWTransform:

@@ -264,7 +264,7 @@ def _ref_divmod(a, b):
     return quo, rem
 
 
-int_lists = st.lists(st.integers(-20, 20), max_size=7)
+int_lists = st.lists(st.integers(-20, 20), max_size=10)
 nonzero_ints = st.integers(-20, 20).filter(bool)
 
 
@@ -273,6 +273,10 @@ nonzero_ints = st.integers(-20, 20).filter(bool)
 @example([1, 2, 3, 4], [0, 1], -2)
 @example([7, -1], [1, 2, 3], -4)
 @example([], [1], 2)
+# deg a = deg b + 1, the one-pass step: a negative lc b, len b == 2, a zero a_(n-1)
+@example([3, -1, 4, 2, 5], [5, -2, 1], -3)
+@example([2, -7, 3], [4], 5)
+@example([1, 4, 0, 6], [-2, 3], 2)
 @settings(max_examples=150, deadline=None)
 def test_prem_is_the_scaled_remainder(a, low, lead):
     """``_prem(a, b)`` is |lc b| ** max(len a - len b + 1, 0) times the remainder."""

@@ -1,8 +1,9 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hadpoly import poly as poly_module
@@ -17,6 +18,8 @@ from hadpoly.roots import (
     sturm_chain,
     yun_decomposition,
 )
+
+from helpers import euclidean_chain
 
 
 def P(*coeffs):
@@ -37,6 +40,28 @@ def exact_roots(iso):
 
 
 small_roots = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+factor = st.lists(st.integers(-4, 4), min_size=2, max_size=3).filter(lambda f: f[-1])
+
+
+@st.composite
+def chain_inputs(draw):
+    """(v, w): a primitive integer v of degree 1-10, of either leading sign and
+    often with a repeated factor, and w absent or of degree deg v or deg v - 1."""
+    factors = draw(st.lists(factor, min_size=1, max_size=4))
+    p = P(draw(st.sampled_from([-1, 1])))
+    for f in factors + factors[: draw(st.integers(0, 2))]:
+        p = p * Poly(f)
+    v = [int(c) for c in p.coeffs]
+    if len(v) > 11:
+        v = draw(st.lists(st.integers(-9, 9), min_size=2, max_size=11).filter(lambda u: u[-1]))
+    content = math.gcd(*v)
+    v = [c // content for c in v]
+    size = draw(st.sampled_from([None, len(v), len(v) - 1]))
+    if size is None:
+        return v, None
+    w = st.lists(st.integers(-9, 9), min_size=size, max_size=size).filter(lambda u: u[-1])
+    return v, draw(w)
 
 #: (x^2 - 2)(x - 1/3)(x + 5): the sweep finds both rationals
 IRRATIONAL_AND_SWEPT = P(-2, 0, 1) * linear_product(Fraction(1, 3), -5)
@@ -100,6 +125,22 @@ class TestSturm:
     def test_chain_of_zero_raises(self):
         with pytest.raises(ValueError):
             sturm_chain(P())
+
+    @given(chain_inputs())
+    @example(([-1, 0, 1], None))  # a normal chain
+    @example(([1, -2, 1], None))  # a double root: the chain stops at v'
+    @example(([-2, 1, 2], [3, 1, -1]))  # w of the same degree as v
+    @example(([1, 0, 0, 0, 1], [0, 0, 1]))  # a step that lowers the degree by two
+    @settings(max_examples=200, deadline=None)
+    def test_integer_chain_is_the_euclidean_chain(self, inputs):
+        v, w = inputs
+        got = roots_module._int_sturm_chain(tuple(v), None if w is None else tuple(w))
+        ref = euclidean_chain(v, w)
+        assert len(got) == len(ref)
+        for e, q in zip(got, ref):
+            assert type(e) is tuple and len(e) == len(q) and math.gcd(*e) == 1
+            ratio = Fraction(e[-1]) / q[-1]
+            assert ratio > 0 and list(e) == [ratio * c for c in q]
 
     @given(st.lists(small_roots, min_size=1, max_size=5))
     @settings(max_examples=50, deadline=None)
