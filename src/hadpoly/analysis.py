@@ -17,7 +17,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .poly import Poly, _check_tag, reverse
+from .poly import Poly, _check_tag, _is_palindrome
 from .roots import (
     distinct_root_counts,
     real_rooted_interlacing,
@@ -290,9 +290,9 @@ def symmetry_certificate(h: Poly, ref_degree: int | None = None):
         _check_tag(h, ref_degree, "h")
     if h.is_zero:
         raise ValueError("symmetry of the zero polynomial is undefined")
-    supp = h.support
-    s = supp[0] + supp[-1]
-    if reverse(h, s) != h:
+    v = h._num
+    s = next(i for i, c in enumerate(v) if c) + len(v) - 1
+    if not _is_palindrome(h, s):
         return None
     defect = None
     if ref_degree is not None:
@@ -326,29 +326,12 @@ def check_functional_eq(p: Poly, s: int) -> PropertyReport:
     )
 
 
-def gamma_expand(h: Poly, s: int) -> Poly:
-    """Coordinates of a symmetric polynomial in the basis x^i (1+x)^(s-2i).
-
-    Requires reverse(h, s) == h; the result has degree at most floor(s/2).
-    Computed by subtracting gamma_i x^i (1+x)^(s-2i) from the lowest index up,
-    in place on the list of numerators, which the integer basis keeps integral.
-    """
+def _check_axis(s: int) -> None:
+    """A gamma axis is an ``int`` s >= 0."""
+    if type(s) is not int:
+        raise TypeError(f"axis {s!r} is not an int")
     if s < 0:
         raise ValueError("axis must be nonnegative")
-    if h.is_zero:
-        return Poly()
-    if h.degree > s or reverse(h, s) != h:
-        raise ValueError(f"asymmetric input: reverse at degree {s} differs")
-    rem = list(h._num) + [0] * (s - h.degree)
-    coeffs = []
-    for i in range(s // 2 + 1):
-        g = rem[i]
-        coeffs.append(g)
-        if g != 0:
-            _add_gamma_term(rem, -g, i, s)
-    if any(rem):
-        raise RuntimeError("internal error: gamma expansion left a remainder")
-    return Poly._from_ints(coeffs, h._den)
 
 
 @functools.lru_cache(maxsize=64)
@@ -357,26 +340,48 @@ def _binomial_row(n: int) -> tuple[int, ...]:
     return tuple([math.comb(n, j) for j in range(n + 1)])
 
 
-def _add_gamma_term(acc: list[int], c: int, i: int, s: int) -> None:
-    """Add c x^i (1+x)^(s-2i) to the coefficient list ``acc`` in place."""
-    end = s - i + 1
-    acc[i:end] = [a + c * b for a, b in zip(acc[i:end], _binomial_row(s - 2 * i))]
+def _gamma_coordinates(h: Poly, s: int) -> list[int]:
+    """The numerators of ``gamma_expand(h, s)`` over the denominator of h, from the
+    lower half of h: h_j = sum_(i<=j) gamma_i C(s-2i, j-i) for j <= floor(s/2) is
+    unitriangular, solved from the lowest index up."""
+    _check_axis(s)
+    v = h._num
+    if len(v) > s + 1 or not _is_palindrome(h, s):
+        raise ValueError(f"asymmetric input: reverse at degree {s} differs")
+    g = list(v[: s // 2 + 1])
+    for i in range(len(g)):
+        c = g[i]
+        if c:
+            row = _binomial_row(s - 2 * i)
+            for j in range(i + 1, len(g)):
+                g[j] -= c * row[j - i]
+    return g
+
+
+def gamma_expand(h: Poly, s: int) -> Poly:
+    """Coordinates of a symmetric polynomial in the basis x^i (1+x)^(s-2i), of degree
+    at most floor(s/2); requires an ``int`` axis s >= 0 and reverse(h, s) == h."""
+    return Poly._from_ints(_gamma_coordinates(h, s), h._den)
 
 
 def gamma_contract(g: Poly, s: int) -> Poly:
-    """sum_i g_i x^i (1+x)^(s-2i), exact inverse of ``gamma_expand``; g is tagged floor(s/2)."""
+    """sum_i g_i x^i (1+x)^(s-2i), exact inverse of ``gamma_expand``; g is tagged
+    floor(s/2).  Coefficients 0..floor(s/2) are summed, then mirrored at s."""
+    _check_axis(s)
     _check_tag(g, s // 2, "g")
-    acc = [0] * (s + 1)
+    low = [0] * (s // 2 + 1)
     for i, c in enumerate(g._num):
         if c:
-            _add_gamma_term(acc, c, i, s)
-    return Poly._from_ints(acc, g._den)
+            row = _binomial_row(s - 2 * i)
+            for j in range(i, len(low)):
+                low[j] += c * row[j - i]
+    return Poly._from_ints(low + low[: s + 1 - len(low)][::-1], g._den)
 
 
 def is_gamma_positive(h: Poly, s: int) -> PropertyReport:
     """All coordinates of the degree-s gamma expansion are nonnegative."""
-    report = is_nonnegative(gamma_expand(h, s))
-    if report.holds:
-        return report
-    w = report.witness
+    g = _gamma_coordinates(h, s)
+    if min(g, default=0) >= 0:
+        return PropertyReport.passed()
+    w = is_nonnegative(Poly._from_ints(g, h._den)).witness
     return PropertyReport.failed(w, f"gamma coordinate {w['index']} is {w['value']}")

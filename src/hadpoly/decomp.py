@@ -11,7 +11,9 @@ names a part that is not real-rooted or reports as ``analysis.interlaces``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .analysis import (
     PropertyReport,
@@ -22,28 +24,36 @@ from .analysis import (
     is_real_rooted,
 )
 from .operators import diamond
-from .poly import Poly, _check_tag, reflect, reverse
+from .poly import Poly, _check_tag, _is_palindrome, reflect
 from .roots import real_rooted_interlacing
 
 
 @dataclass(frozen=True)
 class SymDecomp:
-    """Pair (a, b) with h = a + x*b, reverse(a, d) = a, reverse(b, d-1) = b."""
+    """Pair (a, b) with h = a + x*b, reverse(a, d) = a, reverse(b, d-1) = b; each
+    part is held to the tag rule, then its symmetry is decided on its numerators."""
 
     a: Poly
     b: Poly
     d: int
 
     def __post_init__(self):
-        if reverse(self.a, self.d) != self.a:
+        _check_tag(self.a, self.d, "h")
+        if not _is_palindrome(self.a, self.d):
             raise ValueError(f"a is not its own reversal at degree {self.d}")
-        if self.d >= 1 and reverse(self.b, self.d - 1) != self.b:
-            raise ValueError(f"b is not its own reversal at degree {self.d - 1}")
-        if self.d == 0 and not self.b.is_zero:
+        if self.d >= 1:
+            _check_tag(self.b, self.d - 1, "h")
+            if not _is_palindrome(self.b, self.d - 1):
+                raise ValueError(f"b is not its own reversal at degree {self.d - 1}")
+        elif not self.b.is_zero:
             raise ValueError("a degree-0 decomposition forces b = 0")
 
     def reconstruct(self) -> Poly:
-        return self.a + self.b.shift_up(1)
+        """h = a + x*b, summed once over the lcm of the two denominators."""
+        den = math.lcm(self.a._den, self.b._den)
+        ma, mb = den // self.a._den, den // self.b._den
+        pairs = zip_longest(self.a._num, (0, *self.b._num), fillvalue=0)
+        return Poly._from_ints([x * ma + y * mb for x, y in pairs], den)
 
 
 def i_decompose(h: Poly, d: int) -> SymDecomp:
@@ -51,23 +61,18 @@ def i_decompose(h: Poly, d: int) -> SymDecomp:
 
     Solved on the numerators of h, over its denominator, by the triangular
     recurrence a_0 = h_0, b_i = h_(d-i) - a_i, a_i = h_i - b_(i-1); the
-    reconstruction h = a + x*b is re-checked.
+    reconstruction h_i = a_i + b_(i-1) is re-checked on those integers before
+    the two parts are built.
     """
     _check_tag(h, d, "h")
     v = h._num + (0,) * (d + 1 - len(h._num))
-    a = []
-    b = []
-    prev_b = 0
+    a, b = [], [0]  # b[i] holds b_(i-1)
     for i in range(d + 1):
-        ai = v[i] - prev_b
-        a.append(ai)
-        if i < d:
-            prev_b = v[d - i] - ai
-            b.append(prev_b)
-    dec = SymDecomp(Poly._from_ints(a, h._den), Poly._from_ints(b, h._den), d)
-    if dec.reconstruct() != h:
+        a.append(v[i] - b[i])
+        b.append(v[d - i] - a[i])
+    if any(ai + bi != hi for ai, bi, hi in zip(a, b, v)):
         raise RuntimeError("internal error: decomposition does not reconstruct input")
-    return dec
+    return SymDecomp(Poly._from_ints(a, h._den), Poly._from_ints(b[1:d + 1], h._den), d)
 
 
 def r_decompose(f: Poly, d: int) -> tuple[Poly, Poly]:

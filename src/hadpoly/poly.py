@@ -268,6 +268,12 @@ def reverse(h: Poly, d: int) -> Poly:
     return Poly._from_ints((h._num + (0,) * (d + 1 - len(h._num)))[::-1], h._den)
 
 
+def _is_palindrome(h: Poly, d: int) -> bool:
+    """``reverse(h, d) == h`` on the numerators, with no tag check: needs deg h <= d."""
+    v = h._num + (0,) * (d + 1 - len(h._num))
+    return v == v[::-1]
+
+
 def reflect(f: Poly, d: int) -> Poly:
     """The reflection (-1)^d * f(-x-1); requires deg f <= d.
 

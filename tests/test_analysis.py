@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from fractions import Fraction
 from math import comb
 
@@ -502,6 +503,46 @@ class TestGamma:
             s = rng.randint(0, 9)
             g = Poly([rational(rng, 9, 9) for _ in range(rng.randint(0, s // 2) + 1)])
             assert gamma_expand(gamma_contract(g, s), s) == g
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 40), st.data())
+    def test_basis_change_against_the_basis_sum(self, s, data):
+        entries = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=7))
+        g = Poly(data.draw(st.lists(entries, max_size=s // 2 + 1)))
+        oracle = Poly()
+        for i, c in enumerate(g.coeffs):
+            oracle = oracle + Poly.monomial(i, c) * P(1, 1) ** (s - 2 * i)
+        h = gamma_contract(g, s)
+        assert h == oracle
+        assert gamma_expand(h, s) == g
+        negative = [i for i, c in enumerate(g.coeffs) if c < 0]
+        rep = is_gamma_positive(h, s)
+        if not negative:
+            assert rep == PropertyReport(True)
+        else:
+            i, value = negative[0], str(g.coefficient(negative[0]))
+            assert rep.witness == {"index": i, "value": value}
+            assert rep.detail == f"gamma coordinate {i} is {value}"
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: gamma_contract(P(1), s),
+            lambda s: gamma_contract(P(1, 2), s),
+            lambda s: gamma_expand(P(), s),
+            lambda s: gamma_expand(P(1, 2, 1), s),
+            lambda s: is_gamma_positive(P(), s),
+            lambda s: is_gamma_positive(P(1, 2, 1), s),
+        ],
+        ids=["contract-one", "contract", "expand-zero", "expand", "positive-zero", "positive"],
+    )
+    def test_axis_checked_first(self, call):
+        for axis in (True, False, 2.0, 2.5, Fraction(2), -1.0):
+            with pytest.raises(TypeError, match=f"^axis {re.escape(repr(axis))} is not an int$"):
+                call(axis)
+        for axis in (-1, -2):
+            with pytest.raises(ValueError, match="^axis must be nonnegative$"):
+                call(axis)
 
     def test_positive_example(self):
         assert is_gamma_positive(SYMMETRIC_ULC, 6).holds

@@ -1,9 +1,10 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from hadpoly import analysis, decomp
-from hadpoly.analysis import interlaces, is_real_rooted, reverse
+from hadpoly.analysis import interlaces, is_real_rooted
 from hadpoly.decomp import (
     SymDecomp,
     decomposition_is_gamma_positive,
@@ -14,7 +15,7 @@ from hadpoly.decomp import (
     r_decompose,
 )
 from hadpoly.operators import diamond, f_from_h, hadamard
-from hadpoly.poly import Poly, TaggedPoly, reflect
+from hadpoly.poly import Poly, TaggedPoly, reflect, reverse
 from hadpoly.rng import SplitMix64
 
 from helpers import positive_rational, rational
@@ -69,6 +70,54 @@ class TestIDecompose:
     def test_degree_overflow(self):
         with pytest.raises(ValueError):
             i_decompose(P(1, 1, 1), 1)
+
+
+half = Fraction(1, 2)
+
+
+class TestSymDecomp:
+    @pytest.mark.parametrize(
+        "a, b, d, error, message",
+        [
+            (P(1, 2, 1), P(), True, TypeError, "reference degree True is not an int"),
+            (P(1, 2, 1), P(), 2.5, TypeError, "reference degree 2.5 is not an int"),
+            (P(1, 2, 1), P(), Fraction(2), TypeError, "reference degree Fraction(2, 1) is not an int"),
+            (P(), P(), -1, ValueError, "reference degree must be nonnegative"),
+            (P(1, 2, 1), P(1), -1, ValueError, "reference degree must be nonnegative"),
+            (P(1, 2, 1), P(), 1, ValueError, "degree overflow: deg h = 2 > d = 1"),
+            (P(1, 1), P(1, 1), 1, ValueError, "degree overflow: deg h = 1 > d = 0"),
+            (P(1, 2), P(1, 2, 1), 1, ValueError, "a is not its own reversal at degree 1"),
+            (P(half, 1), P(), 1, ValueError, "a is not its own reversal at degree 1"),
+            (P(0, 1), P(1, 2), 2, ValueError, "b is not its own reversal at degree 1"),
+            (P(1, 0, 1), P(1, 2), 2, ValueError, "b is not its own reversal at degree 1"),
+            (P(3), P(1), 0, ValueError, "a degree-0 decomposition forces b = 0"),
+        ],
+    )
+    def test_bad_degree_or_asymmetric_part(self, a, b, d, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            SymDecomp(a, b, d)
+
+    @pytest.mark.parametrize(
+        "a, b, d",
+        [
+            (P(half, half), P(Fraction(1, 3)), 1),
+            (P(0, Fraction(2, 3), 0), P(Fraction(5, 4), Fraction(5, 4)), 2),
+            (P(), P(Fraction(1, 6), 0, Fraction(1, 6)), 3),
+            (P(Fraction(-1, 9), 2, 2, Fraction(-1, 9)), P(), 3),
+        ],
+    )
+    def test_reconstruct_over_different_denominators(self, a, b, d):
+        dec = SymDecomp(a, b, d)
+        assert dec.reconstruct() == a + b.shift_up(1)
+        assert i_decompose(dec.reconstruct(), d) == dec
+
+    def test_reconstruct_random(self):
+        rng = SplitMix64(109)
+        for _ in range(40):
+            d = rng.randint(1, 9)
+            p, q = (Poly([rational(rng, 9, 9) for _ in range(k + 1)]) for k in (d, d - 1))
+            a, b = p + reverse(p, d), q + reverse(q, d - 1)
+            assert SymDecomp(a, b, d).reconstruct() == a + b.shift_up(1)
 
 
 class TestRDecompose:

@@ -142,8 +142,8 @@ PRIVATE_IMPORTS = {
         "_prem", "_primitive", "_rational",
     },
     ("operators", "poly"): {"_check_tag"},
-    ("decomp", "poly"): {"_check_tag"},
-    ("analysis", "poly"): {"_check_tag"},
+    ("decomp", "poly"): {"_check_tag", "_is_palindrome"},
+    ("analysis", "poly"): {"_check_tag", "_is_palindrome"},
     ("ehrhart", "poly"): {"_check_tag"},
     ("ehrhart", "operators"): {"_difference", "_forward_differences", "_series_values"},
     ("ehrhart", "analysis"): {"_newton_index"},

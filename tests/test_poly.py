@@ -10,7 +10,7 @@ from hadpoly.analysis import gamma_contract
 from hadpoly.decomp import SymDecomp, i_decompose, r_decompose
 from hadpoly.ehrhart import counterexample_report, low_coefficients, powers
 from hadpoly.operators import f_from_h, h_from_f, msupp, numerator_at, w_inverse
-from hadpoly.poly import Poly, TaggedPoly, _prem, gcd, reflect, reverse
+from hadpoly.poly import Poly, TaggedPoly, _is_palindrome, _prem, gcd, reflect, reverse
 from hadpoly.roots import count_real_roots, isolate_roots
 
 
@@ -152,6 +152,20 @@ class TestReverse:
     def test_involution(self, h, d):
         if h.is_zero or h.degree <= d:
             assert reverse(reverse(h, d), d) == h
+
+    @given(
+        st.lists(coefficients, max_size=4), st.lists(coefficients, max_size=1),
+        st.none() | st.lists(coefficients, max_size=4), st.integers(0, 3), st.integers(0, 3),
+    )
+    @example([], [], None, 0, 0)
+    @example([Fraction(1, 2), 3], [], None, 2, 3)
+    @example([1, 2], [], [2, 2], 1, 1)
+    def test_palindrome_test_is_reversal_equality(self, half, middle, tail, k, extra):
+        # h is x^k (half + middle + tail), tail defaulting to half reversed, so
+        # roots at 0, palindromes and near misses are all drawn often
+        h = Poly(half + middle + (half[::-1] if tail is None else tail)).shift_up(k)
+        d = (h.degree or 0) + extra
+        assert _is_palindrome(h, d) == (reverse(h, d) == h)
 
 
 class TestReflect:
@@ -390,7 +404,9 @@ class TestTagRule:
 
     @pytest.mark.parametrize("p", [P(), P(1, 2)], ids=["zero", "nonzero"])
     def test_negative_reference_degree(self, call, p):
-        with pytest.raises(ValueError, match="^reference degree must be nonnegative$"):
+        # gamma_contract checks its axis, here -2, before the tag floor(s/2) of g
+        what = "axis" if call is TAGGED_CALLS["gamma_contract"] else "reference degree"
+        with pytest.raises(ValueError, match=f"^{what} must be nonnegative$"):
             call(p, -1)
 
     @pytest.mark.parametrize("d", [0, 2])
