@@ -32,8 +32,6 @@ from .decomp import (
 from .ehrhart import ReeveData, counterexample_report, product_f, reeve
 from .generators import TrialConfig
 from .operators import (
-    bullet,
-    bullet_monomial,
     diamond,
     diamond_power,
     f_from_h,

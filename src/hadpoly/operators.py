@@ -9,14 +9,14 @@ of two tagged numerators: the coefficientwise product of the two series
 h/(1-x)^(d+1), over the integers.  Expand each to its first D+1 coefficients
 (D = d1+d2), multiply them pointwise and multiply the result by (1-x)^(D+1).
 
-Two independent realizations of the same product serve as cross-checks,
-which the tests compare ``hadamard`` with:
+Two independent realizations of the same product are test-only
+cross-checks of ``hadamard``, in ``tests/helpers.py``:
 
-* bullet    -- the bilinear product that reads a numerator h tagged d as
-               the form sum_i h_i x^i y^(d-i), given by an explicit binomial
-               formula on monomials,
-* diamond   -- transport to f-polynomials, where the Hadamard product becomes
-               (f <> g)(x) = sum_j f^(j) g^(j) / (j!)^2 * x^j (x+1)^j.
+* bullet        -- the bilinear product that reads a numerator h tagged d as
+                   the form sum_i h_i x^i y^(d-i), given by an explicit
+                   binomial formula on monomials,
+* diamond_route -- transport to f-polynomials, where the Hadamard product
+                   becomes (f <> g)(x) = sum_j f^(j) g^(j) / (j!)^2 * x^j (x+1)^j.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .analysis import is_nonnegative
-from .poly import Poly, TaggedPoly, _check_tag, comb0
+from .poly import Poly, TaggedPoly, _check_tag
 
 
 def _series_values(v: Sequence, d: int, count: int) -> list:
@@ -127,38 +127,6 @@ def _binomial_basis_change(p: Poly, d: int, sign: int) -> Poly:
             for j in range(d - i + 1):
                 out[i + j] += c * sign**j * math.comb(d - i, j)
     return Poly._from_ints(out, p._den)
-
-
-def bullet_monomial(k: int, a: int, l: int, b: int) -> tuple[int, ...]:
-    """Product of the basis monomials x^k y^(a-k) and x^l y^(b-l).
-
-    Entry i is the coefficient of x^i y^(a+b-i), namely
-    C(a-k+l, i-k) * C(b-l+k, i-l), with binomials vanishing outside their
-    range.
-    """
-    if not (0 <= k <= a):
-        raise ValueError(f"range violation: need 0 <= k <= a, got k={k}, a={a}")
-    if not (0 <= l <= b):
-        raise ValueError(f"range violation: need 0 <= l <= b, got l={l}, b={b}")
-    return tuple(comb0(a - k + l, i - k) * comb0(b - l + k, i - l) for i in range(a + b + 1))
-
-
-def bullet(t1: TaggedPoly, t2: TaggedPoly) -> TaggedPoly:
-    """Bilinear extension of ``bullet_monomial``: coefficient k of a numerator
-    tagged a multiplies x^k y^(a-k), and y = 1 reads the product back."""
-    a, b = t1.ref_degree, t2.ref_degree
-    out = [Fraction(0)] * (a + b + 1)
-    for k, ck in enumerate(t1.poly.coeffs):
-        if ck == 0:
-            continue
-        for l, cl in enumerate(t2.poly.coeffs):
-            if cl == 0:
-                continue
-            w = ck * cl
-            for i, t in enumerate(bullet_monomial(k, a, l, b)):
-                if t != 0:
-                    out[i] += w * t
-    return TaggedPoly(Poly(out), a + b)
 
 
 def diamond(f: Poly, g: Poly) -> Poly:

@@ -25,13 +25,6 @@ from typing import Iterable, Sequence, Union
 Coefficient = Union[int, Fraction]
 
 
-def comb0(n: int, k: int) -> int:
-    """Binomial coefficient with the convention C(n, k) = 0 outside 0 <= k <= n."""
-    if k < 0 or k > n or n < 0:
-        return 0
-    return math.comb(n, k)
-
-
 def _rational(c: object, what: str = "coefficient") -> Coefficient:
     """``c`` if it is an ``int`` (not a ``bool``) or a ``Fraction``; else a ``TypeError``."""
     if isinstance(c, bool) or not isinstance(c, (int, Fraction)):

@@ -4,10 +4,11 @@ Everything here is exact, with no floating point, and runs on integer
 vectors (primitive integer multiples of the polynomials, see ``poly``):
 
 * Sturm chains are primitive pseudo-remainder sequences.  One chain of p
-  itself, square-free or not, counts its distinct real roots on intervals
-  and on the whole line, and its last element is gcd(p, p').  A chain
-  starting a, b gives the Cauchy index of b/a and ends in gcd(a, b): with
-  the chain of that gcd, it decides interlacing.
+  itself, square-free or not, counts its distinct real roots on the whole
+  line, and its last element is gcd(p, p').  On an interval they are
+  counted on the chain of the square-free part p / gcd(p, p'), with zero
+  signs dropped.  A chain starting a, b gives the Cauchy index of b/a and
+  ends in gcd(a, b): with the chain of that gcd, it decides interlacing.
 * Square-free (Yun) decomposition recovers multiplicities.
 * Isolation bisects the square-free integer vector of a product of
   polynomials once, on Sturm counts of its chain, starting from a power of
@@ -85,28 +86,15 @@ def _variations(signs: list[int]) -> int:
     return sum(map(operator.ne, signs, signs[1:]))
 
 
-def _sign_right_of(v: tuple[int, ...], x: Fraction) -> int:
-    """Sign of the nonzero integer vector ``v`` just right of ``x``.
+def _variations_at(chain: list[tuple[int, ...]], x: Fraction) -> int:
+    """Sign variations of the chain at ``x``, zero signs dropped.
 
-    That is the sign of the first derivative not vanishing at ``x``.
+    On the chain of a square-free vector that is also the count just right
+    of ``x``: an element vanishing at x, other than the first, sits between
+    two of opposite sign, and at a root of the first, the first two agree
+    in sign just right of x.
     """
-    s = _sign_at(v, x)
-    while s == 0:
-        v = _int_derivative(v)
-        s = _sign_at(v, x)
-    return s
-
-
-def _variations_right_of(chain: list[tuple[int, ...]], x: Fraction) -> int:
-    """Sign variations of the chain just right of ``x``.
-
-    There every element of the chain of a non-square-free ``p`` has the sign
-    of gcd(p, p') times that of the matching element of the chain of the
-    square-free part, whose variations just right of ``x`` equal those at
-    ``x`` itself: what a Sturm count on (lo, hi] needs, even when ``x`` is a
-    multiple root.
-    """
-    return _variations([_sign_right_of(q, x) for q in chain])
+    return _variations([s for q in chain if (s := _sign_at(q, x))])
 
 
 def _variations_at_infinity(chain: list[tuple[int, ...]], positive: bool) -> int:
@@ -118,11 +106,11 @@ def _variations_at_infinity(chain: list[tuple[int, ...]], positive: bool) -> int
 def _sturm_count(
     chain: list[tuple[int, ...]], lo: Fraction | None = None, hi: Fraction | None = None
 ) -> int:
-    """V(lo) - V(hi) of a chain, sign variations just right of each end, ``None``
-    meaning -oo at ``lo`` and +oo at ``hi``: for the Sturm chain of p, its
-    distinct real roots in (lo, hi]."""
-    v_lo = _variations_at_infinity(chain, False) if lo is None else _variations_right_of(chain, lo)
-    v_hi = _variations_at_infinity(chain, True) if hi is None else _variations_right_of(chain, hi)
+    """V(lo) - V(hi) of a chain, ``None`` meaning -oo at ``lo`` and +oo at
+    ``hi``: for the Sturm chain of p, its distinct real roots in (lo, hi].
+    A finite end needs p square-free (see ``_variations_at``)."""
+    v_lo = _variations_at_infinity(chain, False) if lo is None else _variations_at(chain, lo)
+    v_hi = _variations_at_infinity(chain, True) if hi is None else _variations_at(chain, hi)
     return v_lo - v_hi
 
 
@@ -131,12 +119,14 @@ def count_real_roots(
 ) -> int:
     """Distinct real roots of ``p`` in (lo, hi], with ``None`` meaning +-infinity.
 
-    Raises on a reversed interval (lo > hi); (lo, lo] is empty.
+    Counted on the chain of the square-free part p / gcd(p, p').  Raises on
+    a reversed interval (lo > hi); (lo, lo] is empty.
     """
     lo, hi = (None if x is None else _rational(x, "interval end") for x in (lo, hi))
     if lo is not None and hi is not None and lo > hi:
         raise ValueError(f"reversed interval: lo = {lo} > hi = {hi}")
-    return _sturm_count(_chain_of(p), lo, hi)
+    chain = _chain_of(p)  # its last element is gcd(p, p'), primitive
+    return _sturm_count(_int_sturm_chain(_int_exact_div(chain[0], chain[-1])), lo, hi)
 
 
 def _index_and_reduced_degree(chain: list[tuple[int, ...]]) -> tuple[int, int]:

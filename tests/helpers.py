@@ -1,15 +1,17 @@
-"""Test-only helpers: rational draws for seeded tests, the diamond route of
-the Hadamard product, a rational Euclidean chain and the Reeve closed form.
+"""Test-only helpers: rational draws for seeded tests, the bullet and
+diamond routes of the Hadamard product, a rational Euclidean chain and the
+Reeve closed form.
 
 The draws take the numerator, then the denominator, from a ``SplitMix64``:
 the order in which the generators draw their integer pairs (n, q), so a
 test and a generator on the same seed see the same values.
 """
 
+import math
 from fractions import Fraction
 
 from hadpoly.operators import diamond, f_from_h, h_from_f
-from hadpoly.poly import TaggedPoly
+from hadpoly.poly import Poly, TaggedPoly
 
 
 def rational(rng, max_numerator: int, max_denominator: int) -> Fraction:
@@ -22,6 +24,45 @@ def positive_rational(rng, max_numerator: int, max_denominator: int) -> Fraction
     """Positive n/q with 1 <= n <= max_numerator and 1 <= q <= max_denominator."""
     num = rng.randint(1, max_numerator)
     return Fraction(num, rng.randint(1, max_denominator))
+
+
+def comb0(n: int, k: int) -> int:
+    """Binomial coefficient with the convention C(n, k) = 0 outside 0 <= k <= n."""
+    if k < 0 or k > n or n < 0:
+        return 0
+    return math.comb(n, k)
+
+
+def bullet_monomial(k: int, a: int, l: int, b: int) -> tuple[int, ...]:
+    """Product of the basis monomials x^k y^(a-k) and x^l y^(b-l).
+
+    Entry i is the coefficient of x^i y^(a+b-i), namely
+    C(a-k+l, i-k) * C(b-l+k, i-l), with binomials vanishing outside their
+    range.
+    """
+    if not (0 <= k <= a):
+        raise ValueError(f"range violation: need 0 <= k <= a, got k={k}, a={a}")
+    if not (0 <= l <= b):
+        raise ValueError(f"range violation: need 0 <= l <= b, got l={l}, b={b}")
+    return tuple(comb0(a - k + l, i - k) * comb0(b - l + k, i - l) for i in range(a + b + 1))
+
+
+def bullet(t1: TaggedPoly, t2: TaggedPoly) -> TaggedPoly:
+    """Bilinear extension of ``bullet_monomial``: coefficient k of a numerator
+    tagged a multiplies x^k y^(a-k), and y = 1 reads the product back."""
+    a, b = t1.ref_degree, t2.ref_degree
+    out = [Fraction(0)] * (a + b + 1)
+    for k, ck in enumerate(t1.poly.coeffs):
+        if ck == 0:
+            continue
+        for l, cl in enumerate(t2.poly.coeffs):
+            if cl == 0:
+                continue
+            w = ck * cl
+            for i, t in enumerate(bullet_monomial(k, a, l, b)):
+                if t != 0:
+                    out[i] += w * t
+    return TaggedPoly(Poly(out), a + b)
 
 
 def diamond_route(t1: TaggedPoly, t2: TaggedPoly) -> TaggedPoly:

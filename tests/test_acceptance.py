@@ -25,7 +25,6 @@ from hadpoly.ehrhart import product_f
 from hadpoly.generators import TrialConfig
 from hadpoly.harness import SUITES, verify_reeve
 from hadpoly.operators import (
-    bullet,
     f_from_h,
     h_from_f,
     hadamard,
@@ -35,7 +34,7 @@ from hadpoly.operators import (
 from hadpoly.poly import Poly, TaggedPoly, reflect, reverse
 from hadpoly.rng import SplitMix64
 
-from helpers import closed_form, diamond_route, rational
+from helpers import bullet, closed_form, diamond_route, rational
 
 
 def P(*coeffs):

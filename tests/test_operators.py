@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from hadpoly.operators import (
     _difference,
-    bullet,
-    bullet_monomial,
     diamond,
     diamond_power,
     f_from_h,
@@ -20,10 +18,10 @@ from hadpoly.operators import (
     w_inverse,
     w_transform,
 )
-from hadpoly.poly import Poly, TaggedPoly, comb0, reflect, reverse
+from hadpoly.poly import Poly, TaggedPoly, reflect, reverse
 from hadpoly.rng import SplitMix64
 
-from helpers import diamond_route, rational
+from helpers import bullet, bullet_monomial, comb0, diamond_route, rational
 
 
 def P(*coeffs):

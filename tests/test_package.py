@@ -23,7 +23,7 @@ def test_every_export_resolves():
 
 EXPORTS = [
     "Poly", "PropertyReport", "ReeveData", "SymDecomp", "SymmetryCertificate", "TaggedPoly",
-    "TrialConfig", "bullet", "bullet_monomial", "check_functional_eq", "counterexample_report",
+    "TrialConfig", "check_functional_eq", "counterexample_report",
     "decomposition_is_gamma_positive", "decomposition_is_interlacing",
     "decomposition_is_nonnegative", "defect1_ell", "diamond", "diamond_power", "f_from_h",
     "gamma_contract", "gamma_expand", "gcd", "h_from_f", "hadamard", "has_internal_zeros",

@@ -8,7 +8,7 @@ by the package.
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hadpoly.analysis import _root_order, interlaces, is_real_rooted, newton_violation
@@ -68,6 +68,43 @@ def test_real_root_counts_match_sympy(p, a, b):
     expected = sp.count_roots(lo, hi) - at_lo if lo < hi else 0
     assert count_real_roots(p, lo, hi) == expected
     assert count_real_roots(p) == len(isolate_roots(p))
+
+
+def _sturm_zeros(p: Poly) -> list[Fraction]:
+    """The rational roots of p, of p' and of each element of sympy's Sturm
+    sequence of the square-free part of p."""
+    sp = to_sympy(p)
+    zeros = set()
+    for q in [sp, sp.diff(X)] + sympy.sturm(sp.sqf_part()):
+        zeros.update(Fraction(int(r.p), int(r.q)) for r in q.ground_roots())
+    return sorted(zeros)
+
+
+@st.composite
+def sturm_zero_ends(draw):
+    """(p, lo, hi) with each end None, a small rational, or a rational root of
+    p or of a later element of its Sturm sequence, where p need not vanish."""
+    p = draw(products)
+    ends = st.one_of(st.none(), small, st.sampled_from(_sturm_zeros(p) or [Fraction(0)]))
+    lo, hi = draw(ends), draw(ends)
+    if lo is not None and hi is not None and lo > hi:
+        lo, hi = hi, lo
+    return p, lo, hi
+
+
+@given(sturm_zero_ends())
+@example((Poly([-1, 0, 1]), Fraction(-2), Fraction(0)))
+@example((Poly([-1, 0, 1]), Fraction(0), Fraction(1)))
+@example((Poly([-1, 0, 1]) ** 2, Fraction(-1), None))
+@settings(max_examples=150, deadline=None)
+def test_counts_with_an_end_on_a_chain_zero_match_sympy(case):
+    """Ends where an element of the chain vanishes: at a root of p, simple or
+    not, and at a rational root of p' or a later element where p does not
+    vanish.  sympy counts on [lo, hi], the Sturm count on (lo, hi]."""
+    p, lo, hi = case
+    at_lo = 1 if lo is not None and p.evaluate(lo) == 0 else 0
+    expected = 0 if lo is not None and lo == hi else to_sympy(p).count_roots(lo, hi) - at_lo
+    assert count_real_roots(p, lo, hi) == expected
 
 
 @given(products)
