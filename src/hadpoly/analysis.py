@@ -227,10 +227,11 @@ def interlacing_by_roots(b: Poly, a: Poly) -> PropertyReport:
     deg_a, deg_b = a.degree, b.degree
     if deg_a == 0 and deg_b == 0:
         return PropertyReport.passed("both constant")
-    if deg_b not in (deg_a - 1, deg_a):
+    allowed = [d for d in (deg_a - 1, deg_a) if d >= 0]
+    if deg_b not in allowed:
         return PropertyReport.failed(
             {"deg_a": deg_a, "deg_b": deg_b},
-            f"degree mismatch: deg b = {deg_b} not in {{{deg_a - 1}, {deg_a}}}",
+            f"degree mismatch: deg b = {deg_b} not in {{{', '.join(map(str, allowed))}}}",
         )
     report = _root_order(b, a)
     if report.holds:

@@ -1,27 +1,24 @@
 """Operator calculus on numerators of polynomial-interpolated power series.
 
-For a polynomial p of degree d, the series sum_j p(j) x^j is rational with
-denominator (1-x)^(d+1); its numerator h = w_transform(p) has degree at most
-d.  This module implements that transform and its inverse, the subdivision
-operator (binomial basis C(x,j) -> x^j), conversions between a numerator h
-and its f-polynomial f = sum_i h_i x^i (x+1)^(d-i), and the Hadamard product
-of two tagged numerators: the coefficientwise product of the two series
-h/(1-x)^(d+1), over the integers.  Expand each to its first D+1 coefficients
-(D = d1+d2), multiply them pointwise and multiply the result by (1-x)^(D+1).
+For p of degree at most d, sum_j p(j) x^j = h(x) / (1-x)^(d+1) for a
+numerator h tagged d, and p's f-polynomial is f = sum_i (Delta^i p)(0) x^i =
+sum_i h_i x^i (x+1)^(d-i).  Every operator composes four maps on integer
+sequences, read over their input's common denominator:
 
-Two independent realizations of the same product are test-only
-cross-checks of ``hadamard``, in ``tests/helpers.py``:
+* h -> values: ``_series_values``, p(0), p(1), ... by d+1 running prefix sums;
+* values -> h: ``_difference``, the product with (1-x)^(d+1), truncated;
+* values -> f: ``_forward_differences``, the (Delta^i p)(0);
+* f -> values: ``_newton_values``, p(j) = sum_i f_i C(j, i) by running sums.
 
-* bullet        -- the bilinear product that reads a numerator h tagged d as
-                   the form sum_i h_i x^i y^(d-i), given by an explicit
-                   binomial formula on monomials,
-* diamond_route -- transport to f-polynomials, where the Hadamard product
-                   becomes (f <> g)(x) = sum_j f^(j) g^(j) / (j!)^2 * x^j (x+1)^j.
+The Hadamard product (h1, d1) x (h2, d2), the numerator of sum_j p1(j) p2(j)
+x^j, and the diamond product f_p <> f_q = f_(pq) both multiply d1+d2+1 values
+pointwise.  Test-only cross-checks of ``hadamard`` are in ``tests/helpers.py``:
+``bullet``, a binomial formula on monomials, and ``diamond_route``, through
+Wagner's derivative formula for the diamond product and binomial sums.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 from itertools import accumulate
@@ -45,6 +42,24 @@ def _difference(values: list, times: int) -> list:
     for _ in range(times):
         values = list(map(operator.sub, values, [0] + values))
     return values
+
+
+def _forward_differences(values: list) -> list:
+    """(Delta^i v)(0) for i = 0..len(values)-1, where v(j) = values[j]."""
+    coeffs = []
+    while values:
+        coeffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return coeffs
+
+
+def _newton_values(v: Sequence, count: int) -> list:
+    """sum_i v_i C(j, i) for j = 0..count-1, the inverse of ``_forward_differences``:
+    each row is a constant v_i plus the running sums of the row before it."""
+    row = [0] * count
+    for c in reversed(v):
+        row = list(accumulate([c] + row[:-1]))
+    return row
 
 
 def numerator_at(p: Poly, d: int) -> Poly:
@@ -92,59 +107,32 @@ def subdivision(p: Poly) -> Poly:
     return Poly(_forward_differences([p.evaluate(j) for j in range(p.degree + 1)]))
 
 
-def _forward_differences(values: list) -> list:
-    """(Delta^i v)(0) for i = 0..len(values)-1, where v(j) = values[j]."""
-    coeffs = []
-    while values:
-        coeffs.append(values[0])
-        values = [b - a for a, b in zip(values, values[1:])]
-    return coeffs
-
-
 def f_from_h(h: Poly, d: int) -> Poly:
     """The f-polynomial sum_i h_i x^i (x+1)^(d-i) = (1+x)^d h(x/(1+x)).
 
-    Coefficient m is sum_i h_i C(d-i, m-i).
+    Coefficient m is sum_i h_i C(d-i, m-i): (Delta^m p)(0) for the values p(j) of h.
     """
     _check_tag(h, d, "h")
-    return _binomial_basis_change(h, d, 1)
+    return Poly._from_ints(_forward_differences(_series_values(h._num, d, d + 1)), h._den)
 
 
 def h_from_f(f: Poly, d: int) -> Poly:
     """Coordinates of f in the basis {x^i (x+1)^(d-i)}: (1-x)^d f(x/(1-x)).
 
-    Coefficient m is sum_i f_i (-1)^(m-i) C(d-i, m-i).
+    Coefficient m is sum_i f_i (-1)^(m-i) C(d-i, m-i): the numerator of f's values.
     """
     _check_tag(f, d, "f")
-    return _binomial_basis_change(f, d, -1)
-
-
-def _binomial_basis_change(p: Poly, d: int, sign: int) -> Poly:
-    """sum_i p_i x^i (1 + sign*x)^(d-i) by binomial sums over the integers."""
-    out = [0] * (d + 1)
-    for i, c in enumerate(p._num):
-        if c:
-            for j in range(d - i + 1):
-                out[i + j] += c * sign**j * math.comb(d - i, j)
-    return Poly._from_ints(out, p._den)
+    return Poly._from_ints(_difference(_newton_values(f._num, d + 1), d + 1), f._den)
 
 
 def diamond(f: Poly, g: Poly) -> Poly:
-    """(f <> g)(x) = sum_j f^(j)(x)/j! * g^(j)(x)/j! * x^j (x+1)^j."""
-    if f.is_zero or g.is_zero:
-        return Poly()
-    acc = Poly()
-    xj = Poly.one()
-    shift = Poly([0, 1]) * Poly([1, 1])  # x(x+1)
-    fj, gj = f, g
-    for j in range(min(f.degree, g.degree) + 1):
-        if j > 0:
-            xj = xj * shift
-            fj = fj.derivative()
-            gj = gj.derivative()
-        scale = Fraction(1, math.factorial(j) ** 2)
-        acc = acc + (fj * gj).scale(scale) * xj
-    return acc
+    """(f <> g)(x) = sum_j f^(j)(x)/j! * g^(j)(x)/j! * x^j (x+1)^j.
+
+    With f = f_p and g = f_q, this is f_(pq): the forward differences of the values p(j) q(j).
+    """
+    count = len(f._num) + len(g._num) - 1
+    values = map(operator.mul, _newton_values(f._num, count), _newton_values(g._num, count))
+    return Poly._from_ints(_forward_differences(list(values)), f._den * g._den)
 
 
 def diamond_power(f: Poly, k: int) -> Poly:

@@ -2,6 +2,11 @@
 diamond routes of the Hadamard product, a rational Euclidean chain and the
 Reeve closed form.
 
+Nothing here comes from ``hadpoly.operators``, so the routes are independent
+of the code they cross-check: ``diamond_route`` runs on Wagner's derivative
+formula for the diamond product and on binomial sums for the h <-> f basis
+changes, where ``operators`` works on value sequences.
+
 The draws take the numerator, then the denominator, from a ``SplitMix64``:
 the order in which the generators draw their integer pairs (n, q), so a
 test and a generator on the same seed see the same values.
@@ -10,7 +15,6 @@ test and a generator on the same seed see the same values.
 import math
 from fractions import Fraction
 
-from hadpoly.operators import diamond, f_from_h, h_from_f
 from hadpoly.poly import Poly, TaggedPoly
 
 
@@ -65,12 +69,33 @@ def bullet(t1: TaggedPoly, t2: TaggedPoly) -> TaggedPoly:
     return TaggedPoly(Poly(out), a + b)
 
 
+def binomial_basis_change(p: Poly, d: int, sign: int) -> Poly:
+    """sum_i p_i x^i (1 + sign*x)^(d-i) by binomial sums: ``f_from_h`` at
+    sign 1 and ``h_from_f`` at sign -1, for deg p <= d."""
+    out = [Fraction(0)] * (d + 1)
+    for i, c in enumerate(p.coeffs):
+        for j in range(d - i + 1):
+            out[i + j] += c * sign**j * math.comb(d - i, j)
+    return Poly(out)
+
+
+def diamond_by_derivatives(f: Poly, g: Poly) -> Poly:
+    """Wagner's diamond product, sum_j f^(j)(x)/j! * g^(j)(x)/j! * x^j (x+1)^j."""
+    if f.is_zero or g.is_zero:
+        return Poly()
+    acc = Poly()
+    for j in range(min(f.degree, g.degree) + 1):
+        term = f.derivative(j) * g.derivative(j) * Poly([0, 1, 1]) ** j
+        acc = acc + term.scale(Fraction(1, math.factorial(j) ** 2))
+    return acc
+
+
 def diamond_route(t1: TaggedPoly, t2: TaggedPoly) -> TaggedPoly:
     """The Hadamard product of two tagged numerators through the diamond
     product of their f-polynomials: a cross-check of ``hadamard``."""
     d1, d2 = t1.ref_degree, t2.ref_degree
-    prod = diamond(f_from_h(t1.poly, d1), f_from_h(t2.poly, d2))
-    return TaggedPoly(h_from_f(prod, d1 + d2), d1 + d2)
+    f1, f2 = binomial_basis_change(t1.poly, d1, 1), binomial_basis_change(t2.poly, d2, 1)
+    return TaggedPoly(binomial_basis_change(diamond_by_derivatives(f1, f2), d1 + d2, -1), d1 + d2)
 
 
 def _fraction_remainder(a: list, b: list) -> list:

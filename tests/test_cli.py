@@ -475,6 +475,8 @@ class TestNegativeLeadingValues:
             (["diamond", "--a", "-1,1", "--b", "-1"], 0, "1,-1"),
             (["check", "interlacing", "--b", "-1,1", "--a", "-2,0,1"], 0, "holds"),
             (["f", "--poly", "-1/2,1", "--degree", "1"], 0, "-1/2,1/2"),
+            (["check", "interlacing", "--b", "1,1", "--a", "-2"], 1,
+             "fails: degree mismatch: deg b = 1 not in {0}  witness={'deg_a': 0, 'deg_b': 1}"),
         ],
     )
     def test_value_read(self, capsys, argv, code, out):

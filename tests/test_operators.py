@@ -5,8 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hadpoly import operators
 from hadpoly.operators import (
     _difference,
+    _forward_differences,
+    _newton_values,
     diamond,
     diamond_power,
     f_from_h,
@@ -21,7 +24,16 @@ from hadpoly.operators import (
 from hadpoly.poly import Poly, TaggedPoly, reflect, reverse
 from hadpoly.rng import SplitMix64
 
-from helpers import bullet, bullet_monomial, comb0, diamond_route, rational
+import helpers
+from helpers import (
+    binomial_basis_change,
+    bullet,
+    bullet_monomial,
+    comb0,
+    diamond_by_derivatives,
+    diamond_route,
+    rational,
+)
 
 
 def P(*coeffs):
@@ -403,6 +415,63 @@ class TestDiamondPower:
     def test_zeroth_power_rejected(self):
         with pytest.raises(ValueError):
             diamond_power(REEVE_F, 0)
+
+
+# -- value maps against the formulas they replaced -------------------------------
+
+
+@st.composite
+def poly_and_tag(draw):
+    """A polynomial of degree at most 40, zero included, with a tag from its
+    degree to its degree + 3."""
+    p = Poly(draw(st.lists(rationals, max_size=draw(st.sampled_from([1, 6, 41])))))
+    return p, max(len(p.coeffs) - 1, 0) + draw(st.integers(0, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_and_tag(), poly_and_tag())
+@example((Poly(), 0), (Poly(), 3))
+@example((Poly(), 2), (P(-1, 2, 3), 2))
+@example((P(Fraction(-2, 3)), 0), (Poly([Fraction(k, 7) for k in range(-20, 21)]), 40))
+@example((P(5), 3), (Poly(range(1, 42)), 43))
+def test_value_maps_match_the_derivative_and_binomial_formulas(fd, ge):
+    (f, d), (g, e) = fd, ge
+    assert diamond(f, g) == diamond_by_derivatives(f, g)
+    assert diamond(g, f) == diamond_by_derivatives(g, f)
+    for p, tag in ((f, d), (g, e)):
+        assert f_from_h(p, tag) == binomial_basis_change(p, tag, 1)
+        assert h_from_f(p, tag) == binomial_basis_change(p, tag, -1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-(10**12), 10**12), max_size=12), st.integers(0, 5))
+@example([], 0)
+@example([], 3)
+@example([0, 0, 7], 0)
+def test_newton_values_invert_forward_differences(v, extra):
+    n = len(v) + extra
+    values = _newton_values(v, n)
+    assert len(values) == n
+    assert _forward_differences(values) == v + [0] * extra
+
+
+def _borrowed_from_operators(namespace):
+    """Names in ``namespace`` bound to ``hadpoly.operators`` or to one of its objects."""
+    bound = {
+        name: (getattr(v, "__module__", None), getattr(v, "__name__", None))
+        for name, v in namespace.items()
+    }
+    return [name for name, origin in bound.items() if "hadpoly.operators" in origin]
+
+
+def test_helpers_share_no_code_with_operators():
+    """``bullet`` and ``diamond_route`` stay independent of what they cross-check."""
+    assert _borrowed_from_operators(vars(helpers)) == []
+
+
+def test_borrow_guard_flags_an_operator_name():
+    namespace = {"diamond": diamond, "ops": operators, "Poly": Poly, "bullet": bullet}
+    assert _borrowed_from_operators(namespace) == ["diamond", "ops"]
 
 
 class TestMagicPositivity:
