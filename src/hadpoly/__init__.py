@@ -6,7 +6,6 @@ import types
 from .analysis import (
     PropertyReport,
     SymmetryCertificate,
-    check_functional_eq,
     gamma_contract,
     gamma_expand,
     has_internal_zeros,
@@ -32,17 +31,19 @@ from .decomp import (
 from .ehrhart import ReeveData, counterexample_report, product_f, reeve
 from .generators import TrialConfig
 from .operators import (
+    check_functional_eq,
     diamond,
     diamond_power,
     f_from_h,
     h_from_f,
     hadamard,
     msupp,
+    reflect,
     subdivision,
     w_inverse,
     w_transform,
 )
-from .poly import Poly, TaggedPoly, gcd, reflect, reverse
+from .poly import Poly, TaggedPoly, gcd, reverse
 from .roots import isolate_roots
 
 __version__ = "0.1.0"

@@ -127,15 +127,18 @@ def _newton_index(v: Sequence[int], m: int) -> int | None:
 def is_ulc(h: Poly, m: int) -> PropertyReport:
     """Membership in ULC(m): a_j / C(m, j) log-concave and no internal zeros.
 
-    Raises unless m >= 0, no coefficient is negative and m >= deg h, tested
-    in that order.  As C(m, j-1) C(m, j+1) / C(m, j)^2 = j (m-j) / ((j+1) (m-j+1)),
-    the log-concavity is Newton's inequality at order m on the numerators,
-    cross-multiplied with no binomial coefficient:
+    Raises unless m is an ``int`` (not a ``bool``), m >= 0, no coefficient is
+    negative and m >= deg h, tested in that order.  As C(m, j-1) C(m, j+1) /
+    C(m, j)^2 = j (m-j) / ((j+1) (m-j+1)), the log-concavity is Newton's
+    inequality at order m on the numerators, cross-multiplied with no
+    binomial coefficient:
 
         a_j^2 j (m-j) >= a_(j-1) a_(j+1) (j+1) (m-j+1),    0 < j < deg h.
 
     A failure reports an internal zero ahead of the first failing index.
     """
+    if type(m) is not int:
+        raise TypeError(f"order {m!r} is not an int")
     if m < 0:
         raise ValueError(f"order must be nonnegative, got {m}")
     v = _require_nonnegative(h)
@@ -301,30 +304,6 @@ def symmetry_certificate(h: Poly, ref_degree: int | None = None):
             raise ValueError(f"reference degree {ref_degree} is below the axis {s}")
         defect = ref_degree - s
     return SymmetryCertificate(center_numerator=s, defect=defect)
-
-
-def check_functional_eq(p: Poly, s: int) -> PropertyReport:
-    """Does p satisfy (-1)^d p(-(x + d + 1 - s)) = p(x), d = deg p?
-
-    This identity holds exactly when the numerator of p's generating function
-    equals its own degree-s reversal.
-    """
-    if p.is_zero:
-        raise ValueError("functional equation of the zero polynomial is undefined")
-    d = p.degree
-    if not 0 <= s <= d:
-        raise ValueError(f"axis {s} must satisfy 0 <= s <= deg p = {d}")
-    shifted = p.compose(Poly([-(d + 1 - s), -1]))
-    if d % 2 == 1:
-        shifted = -shifted
-    if shifted == p:
-        return PropertyReport.passed()
-    diff = shifted - p
-    j = diff.support[0]
-    return PropertyReport.failed(
-        {"index": j},
-        f"sides differ first at coefficient {j}",
-    )
 
 
 def _check_axis(s: int) -> None:

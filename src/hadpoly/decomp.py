@@ -23,8 +23,8 @@ from .analysis import (
     is_nonnegative,
     is_real_rooted,
 )
-from .operators import diamond
-from .poly import Poly, _check_tag, _is_palindrome, reflect
+from .operators import diamond, reflect
+from .poly import Poly, _check_tag, _is_palindrome
 from .roots import real_rooted_interlacing
 
 

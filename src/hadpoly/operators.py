@@ -2,17 +2,22 @@
 
 For p of degree at most d, sum_j p(j) x^j = h(x) / (1-x)^(d+1) for a
 numerator h tagged d, and p's f-polynomial is f = sum_i (Delta^i p)(0) x^i =
-sum_i h_i x^i (x+1)^(d-i).  Every operator composes four maps on integer
-sequences, read over their input's common denominator:
+sum_i h_i x^i (x+1)^(d-i).  Four maps on integer sequences, read over their
+input's common denominator, carry the basis changes and the products:
 
 * h -> values: ``_series_values``, p(0), p(1), ... by d+1 running prefix sums;
 * values -> h: ``_difference``, the product with (1-x)^(d+1), truncated;
 * values -> f: ``_forward_differences``, the (Delta^i p)(0);
 * f -> values: ``_newton_values``, p(j) = sum_i f_i C(j, i) by running sums.
 
-The Hadamard product (h1, d1) x (h2, d2), the numerator of sum_j p1(j) p2(j)
-x^j, and the diamond product f_p <> f_q = f_(pq) both multiply d1+d2+1 values
-pointwise.  Test-only cross-checks of ``hadamard`` are in ``tests/helpers.py``:
+``f_from_h`` and ``h_from_f`` compose two of them; ``reflect``, (-1)^d f(-x-1),
+is ``reverse`` between them, as it swaps the coordinates i and d-i of f.  The
+Hadamard product (h1, d1) x (h2, d2), the numerator of sum_j p1(j) p2(j) x^j,
+and the diamond product f_p <> f_q = f_(pq) both multiply d1+d2+1 values
+pointwise.  Four functions use exact ``Fraction``s instead: ``numerator_at``
+and ``subdivision`` take the values of p to h and to f, ``check_functional_eq``
+compares the values of its two sides, and ``w_inverse`` sums f_j C(x, j).
+Test-only cross-checks of ``hadamard`` are in ``tests/helpers.py``:
 ``bullet``, a binomial formula on monomials, and ``diamond_route``, through
 Wagner's derivative formula for the diamond product and binomial sums.
 """
@@ -24,8 +29,8 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
-from .analysis import is_nonnegative
-from .poly import Poly, TaggedPoly, _check_tag
+from .analysis import PropertyReport, is_nonnegative
+from .poly import Poly, TaggedPoly, _check_tag, reverse
 
 
 def _series_values(v: Sequence, d: int, count: int) -> list:
@@ -96,6 +101,26 @@ def w_inverse(h: Poly, d: int) -> Poly:
     return acc
 
 
+def check_functional_eq(p: Poly, s: int) -> PropertyReport:
+    """Does p satisfy (-1)^d p(-(x + d + 1 - s)) = p(x), d = deg p?
+
+    This identity holds exactly when the numerator of p's generating function
+    equals its own degree-s reversal.  Both sides have degree at most d, so
+    their values at x = 0..d decide it; a failure names the first coefficient
+    of their difference, read back from the difference values by ``w_inverse``.
+    """
+    if p.is_zero:
+        raise ValueError("functional equation of the zero polynomial is undefined")
+    d = p.degree
+    if not 0 <= s <= d:
+        raise ValueError(f"axis {s} must satisfy 0 <= s <= deg p = {d}")
+    diff = [(-1) ** d * p.evaluate(s - d - 1 - x) - p.evaluate(x) for x in range(d + 1)]
+    if not any(diff):
+        return PropertyReport.passed()
+    j = w_inverse(Poly(_difference(diff, d + 1)), d).support[0]
+    return PropertyReport.failed({"index": j}, f"sides differ first at coefficient {j}")
+
+
 def subdivision(p: Poly) -> Poly:
     """Rewrite p in the binomial basis C(x, j) and substitute x^j for C(x, j).
 
@@ -123,6 +148,15 @@ def h_from_f(f: Poly, d: int) -> Poly:
     """
     _check_tag(f, d, "f")
     return Poly._from_ints(_difference(_newton_values(f._num, d + 1), d + 1), f._den)
+
+
+def reflect(f: Poly, d: int) -> Poly:
+    """The reflection (-1)^d * f(-x-1); requires deg f <= d.
+
+    An involution at fixed d.  In the basis x^i (x+1)^(d-i) it swaps the
+    coordinates i and d-i: `reverse` of the coordinates ``h_from_f`` reads.
+    """
+    return f_from_h(reverse(h_from_f(f, d), d), d)
 
 
 def diamond(f: Poly, g: Poly) -> Poly:

@@ -74,13 +74,6 @@ class Poly:
     def x() -> "Poly":
         return Poly([0, 1])
 
-    @staticmethod
-    def monomial(power: int, coeff: Coefficient = 1) -> "Poly":
-        """coeff * x**power."""
-        if power < 0:
-            raise ValueError("monomial power must be nonnegative")
-        return Poly([0] * power + [coeff])
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self._den) for c in self._num)
@@ -150,12 +143,6 @@ class Poly:
             n >>= 1
         return result
 
-    def shift_up(self, k: int) -> "Poly":
-        """Multiply by x**k."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        return Poly._from_ints([0] * k + list(self._num), self._den)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
@@ -164,28 +151,12 @@ class Poly:
     def __hash__(self) -> int:
         return hash((self._num, self._den))
 
-    # -- calculus and evaluation ----------------------------------------------
-
-    def derivative(self, order: int = 1) -> "Poly":
-        """Exact derivative of the given order (zero when order > degree)."""
-        if order < 0:
-            raise ValueError("derivative order must be nonnegative")
-        v = self._num
-        for _ in range(order):
-            v = _int_derivative(v)
-        return Poly._from_ints(v, self._den)
+    # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, x: Coefficient) -> Fraction:
         """Exact Horner evaluation on the numerators, with one division at the end."""
         value, scale = _horner(self._num, _rational(x, "point"))
         return Fraction(value, self._den * scale)
-
-    def compose(self, inner: "Poly") -> "Poly":
-        """Exact composition self(inner(x)) by Horner's rule."""
-        acc = Poly()
-        for c in reversed(self._num):
-            acc = acc * inner + Poly._from_ints([c])
-        return Poly._from_ints(acc._num, acc._den * self._den)
 
     # -- division -------------------------------------------------------------
 
@@ -265,18 +236,6 @@ def _is_palindrome(h: Poly, d: int) -> bool:
     """``reverse(h, d) == h`` on the numerators, with no tag check: needs deg h <= d."""
     v = h._num + (0,) * (d + 1 - len(h._num))
     return v == v[::-1]
-
-
-def reflect(f: Poly, d: int) -> Poly:
-    """The reflection (-1)^d * f(-x-1); requires deg f <= d.
-
-    An involution at fixed d.  In the basis x^i (x+1)^(d-i) it swaps the
-    coordinates i and d-i, mirroring what `reverse` does for plain
-    coefficients.
-    """
-    _check_tag(f, d, "f")
-    composed = f.compose(Poly([-1, -1]))
-    return composed if d % 2 == 0 else -composed
 
 
 # -- integer vectors for root work ---------------------------------------------

@@ -114,21 +114,6 @@ def _sturm_count(
     return v_lo - v_hi
 
 
-def count_real_roots(
-    p: Poly, lo: Fraction | None = None, hi: Fraction | None = None
-) -> int:
-    """Distinct real roots of ``p`` in (lo, hi], with ``None`` meaning +-infinity.
-
-    Counted on the chain of the square-free part p / gcd(p, p').  Raises on
-    a reversed interval (lo > hi); (lo, lo] is empty.
-    """
-    lo, hi = (None if x is None else _rational(x, "interval end") for x in (lo, hi))
-    if lo is not None and hi is not None and lo > hi:
-        raise ValueError(f"reversed interval: lo = {lo} > hi = {hi}")
-    chain = _chain_of(p)  # its last element is gcd(p, p'), primitive
-    return _sturm_count(_int_sturm_chain(_int_exact_div(chain[0], chain[-1])), lo, hi)
-
-
 def _index_and_reduced_degree(chain: list[tuple[int, ...]]) -> tuple[int, int]:
     """(V(-oo) - V(+oo), deg of the first element - deg of the last) of a chain."""
     return _sturm_count(chain), len(chain[0]) - len(chain[-1])

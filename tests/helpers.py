@@ -1,11 +1,13 @@
 """Test-only helpers: rational draws for seeded tests, the bullet and
-diamond routes of the Hadamard product, a rational Euclidean chain and the
-Reeve closed form.
+diamond routes of the Hadamard product, a derivative, the Sturm interval
+count, a rational Euclidean chain and the Reeve closed form.
 
 Nothing here comes from ``hadpoly.operators``, so the routes are independent
 of the code they cross-check: ``diamond_route`` runs on Wagner's derivative
 formula for the diamond product and on binomial sums for the h <-> f basis
-changes, where ``operators`` works on value sequences.
+changes, where ``operators`` works on value sequences.  ``count_real_roots``
+counts distinct real roots on an interval with the Sturm chain of the
+square-free part, the second root-count method beside ``isolate_roots``.
 
 The draws take the numerator, then the denominator, from a ``SplitMix64``:
 the order in which the generators draw their integer pairs (n, q), so a
@@ -15,7 +17,8 @@ test and a generator on the same seed see the same values.
 import math
 from fractions import Fraction
 
-from hadpoly.poly import Poly, TaggedPoly
+from hadpoly.poly import Poly, TaggedPoly, _int_derivative, _int_exact_div, _rational
+from hadpoly.roots import _chain_of, _int_sturm_chain, _sturm_count
 
 
 def rational(rng, max_numerator: int, max_denominator: int) -> Fraction:
@@ -79,13 +82,21 @@ def binomial_basis_change(p: Poly, d: int, sign: int) -> Poly:
     return Poly(out)
 
 
+def derivative(p: Poly, order: int = 1) -> Poly:
+    """The derivative of p of the given order (zero when order > deg p)."""
+    v = p._num
+    for _ in range(order):
+        v = _int_derivative(v)
+    return Poly._from_ints(v, p._den)
+
+
 def diamond_by_derivatives(f: Poly, g: Poly) -> Poly:
     """Wagner's diamond product, sum_j f^(j)(x)/j! * g^(j)(x)/j! * x^j (x+1)^j."""
     if f.is_zero or g.is_zero:
         return Poly()
     acc = Poly()
     for j in range(min(f.degree, g.degree) + 1):
-        term = f.derivative(j) * g.derivative(j) * Poly([0, 1, 1]) ** j
+        term = derivative(f, j) * derivative(g, j) * Poly([0, 1, 1]) ** j
         acc = acc + term.scale(Fraction(1, math.factorial(j) ** 2))
     return acc
 
@@ -96,6 +107,19 @@ def diamond_route(t1: TaggedPoly, t2: TaggedPoly) -> TaggedPoly:
     d1, d2 = t1.ref_degree, t2.ref_degree
     f1, f2 = binomial_basis_change(t1.poly, d1, 1), binomial_basis_change(t2.poly, d2, 1)
     return TaggedPoly(binomial_basis_change(diamond_by_derivatives(f1, f2), d1 + d2, -1), d1 + d2)
+
+
+def count_real_roots(p: Poly, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
+    """Distinct real roots of ``p`` in (lo, hi], with ``None`` meaning +-infinity.
+
+    Counted on the Sturm chain of the square-free part p / gcd(p, p').
+    Raises on a reversed interval (lo > hi); (lo, lo] is empty.
+    """
+    lo, hi = (None if x is None else _rational(x, "interval end") for x in (lo, hi))
+    if lo is not None and hi is not None and lo > hi:
+        raise ValueError(f"reversed interval: lo = {lo} > hi = {hi}")
+    chain = _chain_of(p)  # its last element is gcd(p, p'), primitive
+    return _sturm_count(_int_sturm_chain(_int_exact_div(chain[0], chain[-1])), lo, hi)
 
 
 def _fraction_remainder(a: list, b: list) -> list:

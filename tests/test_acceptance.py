@@ -28,10 +28,11 @@ from hadpoly.operators import (
     f_from_h,
     h_from_f,
     hadamard,
+    reflect,
     w_inverse,
     w_transform,
 )
-from hadpoly.poly import Poly, TaggedPoly, reflect, reverse
+from hadpoly.poly import Poly, TaggedPoly, reverse
 from hadpoly.rng import SplitMix64
 
 from helpers import bullet, closed_form, diamond_route, rational

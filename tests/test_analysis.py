@@ -1,7 +1,7 @@
 import dataclasses
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hadpoly.analysis import (
     PropertyReport,
     _root_order,
-    check_functional_eq,
     gamma_contract,
     gamma_expand,
     has_internal_zeros,
@@ -24,7 +23,7 @@ from hadpoly.analysis import (
     newton_violation,
     symmetry_certificate,
 )
-from hadpoly.operators import w_inverse
+from hadpoly.operators import check_functional_eq, w_inverse
 from hadpoly.poly import Poly, reverse
 from hadpoly.rng import SplitMix64
 from hadpoly.roots import real_rooted_interlacing
@@ -171,6 +170,19 @@ class TestUlc:
         with pytest.raises(ValueError, match="^negative coefficient -1 at index 1$"):
             is_ulc(P(1, -1, 1, 1), 1)
 
+    @pytest.mark.parametrize("order", [2.0, Fraction(2), True, -1.0], ids=repr)
+    def test_order_that_is_not_an_int_rejected_first(self, order):
+        # a float order would decide the Newton comparison in float arithmetic:
+        # these coefficients fail at order 2 and would hold at 2.0, and the
+        # second polynomial overflows a float; -1.0 is no negative order
+        a0, a2 = 10**20 + 1, 10**20 + 3
+        near = P(a0, isqrt(4 * a0 * a2), a2)
+        assert not is_ulc(near, 2).holds
+        message = f"order {order!r} is not an int"
+        for h in (near, P(10**200, 10**200, 1), P(1, -1, 1, 1)):
+            with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+                is_ulc(h, order)
+
     @given(st.lists(st.fractions(min_value=0, max_value=9, max_denominator=6), max_size=9),
            st.integers(0, 3))
     def test_agrees_with_division_form(self, coeffs, extra):
@@ -300,7 +312,7 @@ class TestNewtonViolation:
     @settings(max_examples=400, deadline=None)
     @given(root_factors, st.integers(0, 3), st.sampled_from([1, -1, 3, -7]))
     def test_never_fires_on_real_rooted_polynomials(self, factors, zero_roots, lead):
-        p = Poly.monomial(zero_roots, lead)
+        p = Poly([0] * zero_roots + [lead])
         for num, den, mult in factors:
             p = p * Poly([-num, den]) ** mult
         assert all(c.denominator == 1 for c in p.coeffs)
@@ -511,7 +523,7 @@ class TestGamma:
         g = Poly(data.draw(st.lists(entries, max_size=s // 2 + 1)))
         oracle = Poly()
         for i, c in enumerate(g.coeffs):
-            oracle = oracle + Poly.monomial(i, c) * P(1, 1) ** (s - 2 * i)
+            oracle = oracle + Poly([0] * i + [c]) * P(1, 1) ** (s - 2 * i)
         h = gamma_contract(g, s)
         assert h == oracle
         assert gamma_expand(h, s) == g
@@ -557,7 +569,7 @@ class TestGamma:
         # single magic-style generators x^i (1+x)^(s-2i)
         for s in range(0, 9):
             for i in range(s // 2 + 1):
-                h = Poly.monomial(i) * P(1, 1) ** (s - 2 * i)
+                h = Poly([0] * i + [1]) * P(1, 1) ** (s - 2 * i)
                 assert is_gamma_positive(h, s).holds
         # palindromic products of (x + r)(x + 1/r) with (x + 1) padding
         for _ in range(30):

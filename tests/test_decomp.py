@@ -14,8 +14,8 @@ from hadpoly.decomp import (
     i_decompose,
     r_decompose,
 )
-from hadpoly.operators import diamond, f_from_h, hadamard
-from hadpoly.poly import Poly, TaggedPoly, reflect, reverse
+from hadpoly.operators import diamond, f_from_h, hadamard, reflect
+from hadpoly.poly import Poly, TaggedPoly, reverse
 from hadpoly.rng import SplitMix64
 
 from helpers import positive_rational, rational
@@ -108,7 +108,7 @@ class TestSymDecomp:
     )
     def test_reconstruct_over_different_denominators(self, a, b, d):
         dec = SymDecomp(a, b, d)
-        assert dec.reconstruct() == a + b.shift_up(1)
+        assert dec.reconstruct() == a + Poly.x() * b
         assert i_decompose(dec.reconstruct(), d) == dec
 
     def test_reconstruct_random(self):
@@ -117,7 +117,7 @@ class TestSymDecomp:
             d = rng.randint(1, 9)
             p, q = (Poly([rational(rng, 9, 9) for _ in range(k + 1)]) for k in (d, d - 1))
             a, b = p + reverse(p, d), q + reverse(q, d - 1)
-            assert SymDecomp(a, b, d).reconstruct() == a + b.shift_up(1)
+            assert SymDecomp(a, b, d).reconstruct() == a + Poly.x() * b
 
 
 class TestRDecompose:

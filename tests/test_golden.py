@@ -19,6 +19,8 @@ from hadpoly.poly import Poly, TaggedPoly
 from hadpoly.rng import SplitMix64
 from hadpoly.roots import isolate_roots
 
+from helpers import derivative
+
 GOLDEN = Path(__file__).parent / "golden" / "reports_seed1_trials20.txt"
 
 
@@ -165,9 +167,9 @@ def _interlacing_pair(rng: SplitMix64) -> tuple[Poly, Poly]:
     a = _product(rng, factors)
     kind = rng.randint(0, 4)
     if kind == 0:
-        return a.derivative(), a
+        return derivative(a), a
     if kind == 1:
-        return a.derivative() + a.scale(Fraction(rng.randint(-5, 5), rng.randint(1, 3))), a
+        return derivative(a) + a.scale(Fraction(rng.randint(-5, 5), rng.randint(1, 3))), a
     del factors[rng.randint(0, len(factors) - 1)]
     if kind > 2:
         factors += _root_factors(rng, 1)[:1]

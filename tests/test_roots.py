@@ -10,7 +10,6 @@ from hadpoly import poly as poly_module
 from hadpoly import roots as roots_module
 from hadpoly.poly import Poly
 from hadpoly.roots import (
-    count_real_roots,
     isolate_roots,
     real_rooted_interlacing,
     real_roots_of_product,
@@ -19,7 +18,7 @@ from hadpoly.roots import (
     yun_decomposition,
 )
 
-from helpers import euclidean_chain
+from helpers import count_real_roots, euclidean_chain
 
 
 def P(*coeffs):
