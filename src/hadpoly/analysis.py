@@ -92,10 +92,9 @@ def is_log_concave(h: Poly) -> PropertyReport:
     v = _require_nonnegative(h)
     for j in range(1, len(v) - 1):
         if v[j] * v[j] < v[j - 1] * v[j + 1]:
-            cs = h.coeffs
+            a, b, c = (h.coefficient(i) for i in (j - 1, j, j + 1))
             return PropertyReport.failed(
-                {"index": j},
-                f"a_{j}^2 = {cs[j] ** 2} < a_{j - 1} a_{j + 1} = {cs[j - 1] * cs[j + 1]}",
+                {"index": j}, f"a_{j}^2 = {b ** 2} < a_{j - 1} a_{j + 1} = {a * c}"
             )
     return PropertyReport.passed()
 

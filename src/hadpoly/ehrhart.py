@@ -24,7 +24,9 @@ then Newton's inequality at index 1 of the numerator, at the tag.  Full
 polynomials are built only as cross-checks, at k <= 3, at k = min(k_max, 60)
 and at any k that certificate misses: their low coefficients must be the
 sweep's, f must fail log-concavity, and the numerator some Newton inequality
-or else its Sturm chain.
+or else its Sturm chain.  Both are built over denominator 1, so every
+comparison reads integer numerators; ``Fraction``s appear only in the text
+of a failure.
 """
 
 from __future__ import annotations
@@ -179,7 +181,7 @@ def counterexample_report(
             continue
         f, numerator = _power(k, h, d)
         for full, lows in ((f, f_lows), (numerator, h_lows)):
-            got = tuple(full.coefficient(i) for i in range(3))
+            got = (full._num + (0, 0, 0))[:3]  # _power builds both over denominator 1
             if got != lows:
                 return _lows_differ(k, got)
         if is_log_concave(f).holds:

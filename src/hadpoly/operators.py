@@ -14,9 +14,10 @@ input's common denominator, carry the basis changes and the products:
 is ``reverse`` between them, as it swaps the coordinates i and d-i of f.  The
 Hadamard product (h1, d1) x (h2, d2), the numerator of sum_j p1(j) p2(j) x^j,
 and the diamond product f_p <> f_q = f_(pq) both multiply d1+d2+1 values
-pointwise.  Four functions use exact ``Fraction``s instead: ``numerator_at``
-and ``subdivision`` take the values of p to h and to f, ``check_functional_eq``
-compares the values of its two sides, and ``w_inverse`` sums f_j C(x, j).
+pointwise.  ``numerator_at`` and ``subdivision`` take the values of p to h
+and to f, and ``check_functional_eq`` compares the values of its two sides:
+each value is Horner's rule on p's integer numerators, read over their one
+denominator.  Only ``w_inverse``, which sums f_j C(x, j), uses ``Fraction``s.
 Test-only cross-checks of ``hadamard`` are in ``tests/helpers.py``:
 ``bullet``, a binomial formula on monomials, and ``diamond_route``, through
 Wagner's derivative formula for the diamond product and binomial sums.
@@ -30,7 +31,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .analysis import PropertyReport, is_nonnegative
-from .poly import Poly, TaggedPoly, _check_tag, reverse
+from .poly import Poly, TaggedPoly, _check_tag, _horner, reverse
 
 
 def _series_values(v: Sequence, d: int, count: int) -> list:
@@ -54,7 +55,7 @@ def _forward_differences(values: list) -> list:
     coeffs = []
     while values:
         coeffs.append(values[0])
-        values = [b - a for a, b in zip(values, values[1:])]
+        values = list(map(operator.sub, values[1:], values))
     return coeffs
 
 
@@ -75,7 +76,8 @@ def numerator_at(p: Poly, d: int) -> Poly:
     truncated to degree d; requires deg p <= d.
     """
     _check_tag(p, d, "p")
-    return Poly(_difference([p.evaluate(j) for j in range(d + 1)], d + 1))
+    values = [_horner(p._num, j)[0] for j in range(d + 1)]  # p(j) times p._den
+    return Poly._from_ints(_difference(values, d + 1), p._den)
 
 
 def w_transform(p: Poly) -> TaggedPoly:
@@ -111,13 +113,16 @@ def check_functional_eq(p: Poly, s: int) -> PropertyReport:
     """
     if p.is_zero:
         raise ValueError("functional equation of the zero polynomial is undefined")
+    if type(s) is not int:
+        raise TypeError(f"axis {s!r} is not an int")
     d = p.degree
     if not 0 <= s <= d:
         raise ValueError(f"axis {s} must satisfy 0 <= s <= deg p = {d}")
-    diff = [(-1) ** d * p.evaluate(s - d - 1 - x) - p.evaluate(x) for x in range(d + 1)]
+    v = p._num  # both sides over p._den, which changes neither the verdict nor the witness
+    diff = [(-1) ** d * _horner(v, s - d - 1 - x)[0] - _horner(v, x)[0] for x in range(d + 1)]
     if not any(diff):
         return PropertyReport.passed()
-    j = w_inverse(Poly(_difference(diff, d + 1)), d).support[0]
+    j = w_inverse(Poly._from_ints(_difference(diff, d + 1)), d).support[0]
     return PropertyReport.failed({"index": j}, f"sides differ first at coefficient {j}")
 
 
@@ -127,9 +132,8 @@ def subdivision(p: Poly) -> Poly:
     The coordinates are the iterated forward differences of p at 0, so the
     result is sum_j (Delta^j p)(0) x^j.
     """
-    if p.is_zero:
-        return Poly()
-    return Poly(_forward_differences([p.evaluate(j) for j in range(p.degree + 1)]))
+    values = [_horner(p._num, j)[0] for j in range(len(p._num))]  # p(j) times p._den
+    return Poly._from_ints(_forward_differences(values), p._den)
 
 
 def f_from_h(h: Poly, d: int) -> Poly:

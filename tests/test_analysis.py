@@ -121,6 +121,12 @@ class TestLogConcave:
     def test_reeve_f_fails_at_one(self):
         rep = is_log_concave(REEVE_F)
         assert not rep.holds and rep.witness == {"index": 1}
+        assert rep.detail == "a_1^2 = 9 < a_0 a_2 = 10"
+
+    def test_rational_failure_detail(self):
+        rep = is_log_concave(P(1, Fraction(1, 2), 1))
+        assert not rep.holds and rep.witness == {"index": 1}
+        assert rep.detail == "a_1^2 = 1/4 < a_0 a_2 = 1"
 
     def test_binomials_hold(self):
         assert is_log_concave(P(1, 1) ** 7).holds
@@ -470,6 +476,12 @@ class TestFunctionalEquation:
     def test_binomial_axis_zero(self):
         for d in range(1, 7):
             assert check_functional_eq(w_inverse(Poly.one(), d), 0).holds
+
+    def test_axis_type_checked_before_its_range(self):
+        p = w_inverse(P(1, 0, 1), 2)
+        for axis in (True, Fraction(3, 2), 2.0):
+            with pytest.raises(TypeError, match=f"^axis {re.escape(repr(axis))} is not an int$"):
+                check_functional_eq(p, axis)
 
     def test_equivalent_to_numerator_symmetry(self):
         rng = SplitMix64(89)

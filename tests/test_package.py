@@ -141,7 +141,7 @@ PRIVATE_IMPORTS = {
         "_horner", "_int_derivative", "_int_exact_div", "_int_gcd", "_int_mul", "_int_sub",
         "_prem", "_primitive", "_rational",
     },
-    ("operators", "poly"): {"_check_tag"},
+    ("operators", "poly"): {"_check_tag", "_horner"},
     ("decomp", "poly"): {"_check_tag", "_is_palindrome"},
     ("analysis", "poly"): {"_check_tag", "_is_palindrome"},
     ("ehrhart", "poly"): {"_check_tag"},
