@@ -17,7 +17,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .poly import Poly, _check_tag, _is_palindrome
+from .poly import Poly, _check_int, _check_tag, _is_palindrome
 from .roots import (
     distinct_root_counts,
     real_rooted_interlacing,
@@ -136,8 +136,7 @@ def is_ulc(h: Poly, m: int) -> PropertyReport:
 
     A failure reports an internal zero ahead of the first failing index.
     """
-    if type(m) is not int:
-        raise TypeError(f"order {m!r} is not an int")
+    _check_int(m, "order")
     if m < 0:
         raise ValueError(f"order must be nonnegative, got {m}")
     v = _require_nonnegative(h)
@@ -307,8 +306,7 @@ def symmetry_certificate(h: Poly, ref_degree: int | None = None):
 
 def _check_axis(s: int) -> None:
     """A gamma axis is an ``int`` s >= 0."""
-    if type(s) is not int:
-        raise TypeError(f"axis {s!r} is not an int")
+    _check_int(s, "axis")
     if s < 0:
         raise ValueError("axis must be nonnegative")
 

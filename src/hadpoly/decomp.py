@@ -24,7 +24,7 @@ from .analysis import (
     is_real_rooted,
 )
 from .operators import diamond, reflect
-from .poly import Poly, _check_tag, _is_palindrome
+from .poly import Poly, _check_int, _check_tag, _is_palindrome
 from .roots import real_rooted_interlacing
 
 
@@ -100,6 +100,8 @@ def defect1_ell(b1: Poly, d1: int, b2: Poly, d2: int) -> Poly:
     Computed by exact division of the first product by (x+1); inexact
     division or broken symmetry signals an implementation bug and aborts.
     """
+    _check_int(d1, "d1")
+    _check_int(d2, "d2")
     if d1 < 1 or d2 < 1:
         raise ValueError("reference degrees must be at least 1")
     if reflect(b1, d1 - 1) != b1:

@@ -44,7 +44,7 @@ from .analysis import (
     newton_violation,
 )
 from .operators import _difference, _forward_differences, _series_values, diamond_power
-from .poly import Poly, _check_tag
+from .poly import Poly, _check_int, _check_tag
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,7 @@ def product_f(k: int) -> Poly:
 
     Kept as an independent cross-check of ``powers``.
     """
+    _check_int(k, "k")
     if k < 1:
         raise ValueError("power must be at least 1")
     return diamond_power(_REEVE.f_poly, k)
@@ -99,6 +100,7 @@ def powers(
 ) -> Iterator[tuple[int, Poly, Poly]]:
     """Yield (k, f-polynomial, numerator) of the k-th Hadamard power of (h, d)
     for k = 1..k_max, each built in full."""
+    _check_int(k_max, "k_max")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     for k in range(1, k_max + 1):
@@ -118,6 +120,7 @@ def low_coefficients(
     P_2 - (n+1) P_1 + C(n+1, 2) P_0).  That product vanishes above degree n,
     so this holds at every tag, n < 2 included.
     """
+    _check_int(k_max, "k_max")
     l0, l1, l2 = _values(h, d, 3)
     p0 = p1 = p2 = 1
     for k in range(1, k_max + 1):
@@ -158,6 +161,7 @@ def counterexample_report(
     the strict inequality holds at every k exactly when L1^2 < L0 L2 (16 < 17
     for Reeve); it breaks log-concavity of the nonnegative f at index 1.
     """
+    _check_int(k_max, "k_max")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     l0, l1, l2 = _values(h, d, 3)

@@ -14,7 +14,6 @@ here: the suites validate every hypothesis with the exact checker.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .analysis import gamma_contract
@@ -73,10 +72,10 @@ def _pairs_poly(pairs: list[tuple[int, int]]) -> Poly:
     return Poly._from_ints([n * (den // q) for n, q in pairs], den)
 
 
-def _linear_product(scale: Fraction | int, shifts: list[tuple[int, int]]) -> tuple[list[int], int]:
+def _linear_product(scale: int, shifts: list[tuple[int, int]]) -> tuple[list[int], int]:
     """scale * prod (x + n/q) over the pairs (n, q), q > 0, as prod (q x + n) on
     one integer vector: that vector and its denominator, neither reduced."""
-    v, den = [scale.numerator], scale.denominator
+    v, den = [scale], 1
     for n, q in shifts:
         v = [n * a + q * b for a, b in zip(v + [0], [0] + v)]
         den *= q

@@ -2,13 +2,14 @@
 
 For p of degree at most d, sum_j p(j) x^j = h(x) / (1-x)^(d+1) for a
 numerator h tagged d, and p's f-polynomial is f = sum_i (Delta^i p)(0) x^i =
-sum_i h_i x^i (x+1)^(d-i).  Four maps on integer sequences, read over their
+sum_i h_i x^i (x+1)^(d-i).  Five maps on integer sequences, read over their
 input's common denominator, carry the basis changes and the products:
 
 * h -> values: ``_series_values``, p(0), p(1), ... by d+1 running prefix sums;
 * values -> h: ``_difference``, the product with (1-x)^(d+1), truncated;
 * values -> f: ``_forward_differences``, the (Delta^i p)(0);
-* f -> values: ``_newton_values``, p(j) = sum_i f_i C(j, i) by running sums.
+* f -> values: ``_newton_values``, p(j) = sum_i f_i C(j, i) by running sums;
+* f -> p: ``_newton_monomials``, d! sum_i f_i C(x, i) in monomial coordinates.
 
 ``f_from_h`` and ``h_from_f`` compose two of them; ``reflect``, (-1)^d f(-x-1),
 is ``reverse`` between them, as it swaps the coordinates i and d-i of f.  The
@@ -17,7 +18,7 @@ and the diamond product f_p <> f_q = f_(pq) both multiply d1+d2+1 values
 pointwise.  ``numerator_at`` and ``subdivision`` take the values of p to h
 and to f, and ``check_functional_eq`` compares the values of its two sides:
 each value is Horner's rule on p's integer numerators, read over their one
-denominator.  Only ``w_inverse``, which sums f_j C(x, j), uses ``Fraction``s.
+denominator.
 Test-only cross-checks of ``hadamard`` are in ``tests/helpers.py``:
 ``bullet``, a binomial formula on monomials, and ``diamond_route``, through
 Wagner's derivative formula for the diamond product and binomial sums.
@@ -26,12 +27,12 @@ Wagner's derivative formula for the diamond product and binomial sums.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from itertools import accumulate
+from math import factorial
 from typing import Sequence
 
 from .analysis import PropertyReport, is_nonnegative
-from .poly import Poly, TaggedPoly, _check_tag, _horner, reverse
+from .poly import Poly, TaggedPoly, _check_int, _check_tag, _horner, reverse
 
 
 def _series_values(v: Sequence, d: int, count: int) -> list:
@@ -68,6 +69,17 @@ def _newton_values(v: Sequence, count: int) -> list:
     return row
 
 
+def _newton_monomials(f: Sequence[int]) -> list[int]:
+    """m with sum_j f_j C(x, j) = sum_i m_i x^i / n!, n = len(f) - 1: the inverse of
+    ``subdivision``, by Horner's rule on sum_j f_j (n!/j!) x(x-1)...(x-j+1)."""
+    m, weight = [], 1  # n!/j!, for j from n down
+    for j in reversed(range(len(f))):
+        m = [b - j * a for a, b in zip(m + [0], [0] + m)]  # times (x - j)
+        m[0] += f[j] * weight
+        weight *= j
+    return m
+
+
 def numerator_at(p: Poly, d: int) -> Poly:
     """Coefficients of p in the basis {C(x + d - i, d)}: the numerator of
     sum_j p(j) x^j over (1-x)^(d+1).
@@ -89,18 +101,12 @@ def w_transform(p: Poly) -> TaggedPoly:
 
 
 def w_inverse(h: Poly, d: int) -> Poly:
-    """The polynomial p with w_transform(p) = (h, d), in Newton form.
-
-    The f-polynomial f = f_from_h(h, d) holds the forward differences
-    f_j = (Delta^j p)(0), so p = sum_j f_j C(x, j); deg p = d whenever the
-    coefficients of h do not sum to zero.
-    """
-    acc = Poly()
-    basis = Poly.one()  # C(x, j), by C(x, j+1) = C(x, j) (x - j) / (j + 1)
-    for j, c in enumerate(f_from_h(h, d).coeffs):
-        acc = acc + basis.scale(c)
-        basis = basis * Poly([Fraction(-j, j + 1), Fraction(1, j + 1)])
-    return acc
+    """The polynomial p with w_transform(p) = (h, d): p = sum_j f_j C(x, j) for the
+    forward differences f_j = (Delta^j p)(0), the coefficients of f_from_h(h, d).
+    deg p = d whenever the coefficients of h do not sum to zero."""
+    _check_tag(h, d, "h")
+    f = _forward_differences(_series_values(h._num, d, d + 1))  # f_from_h, unstripped
+    return Poly._from_ints(_newton_monomials(f), h._den * factorial(d))
 
 
 def check_functional_eq(p: Poly, s: int) -> PropertyReport:
@@ -109,12 +115,11 @@ def check_functional_eq(p: Poly, s: int) -> PropertyReport:
     This identity holds exactly when the numerator of p's generating function
     equals its own degree-s reversal.  Both sides have degree at most d, so
     their values at x = 0..d decide it; a failure names the first coefficient
-    of their difference, read back from the difference values by ``w_inverse``.
+    of their difference, read from the difference values by ``_newton_monomials``.
     """
     if p.is_zero:
         raise ValueError("functional equation of the zero polynomial is undefined")
-    if type(s) is not int:
-        raise TypeError(f"axis {s!r} is not an int")
+    _check_int(s, "axis")
     d = p.degree
     if not 0 <= s <= d:
         raise ValueError(f"axis {s} must satisfy 0 <= s <= deg p = {d}")
@@ -122,7 +127,7 @@ def check_functional_eq(p: Poly, s: int) -> PropertyReport:
     diff = [(-1) ** d * _horner(v, s - d - 1 - x)[0] - _horner(v, x)[0] for x in range(d + 1)]
     if not any(diff):
         return PropertyReport.passed()
-    j = w_inverse(Poly._from_ints(_difference(diff, d + 1)), d).support[0]
+    j = next(i for i, c in enumerate(_newton_monomials(_forward_differences(diff))) if c)
     return PropertyReport.failed({"index": j}, f"sides differ first at coefficient {j}")
 
 
@@ -174,7 +179,8 @@ def diamond(f: Poly, g: Poly) -> Poly:
 
 
 def diamond_power(f: Poly, k: int) -> Poly:
-    """Left fold of the diamond product over k copies of f; requires k >= 1."""
+    """Left fold of the diamond product over k copies of f; requires an int k >= 1."""
+    _check_int(k, "k")
     if k < 1:
         raise ValueError("diamond power requires k >= 1 (no degree-free identity)")
     acc = f

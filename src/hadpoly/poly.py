@@ -12,7 +12,8 @@ square-free factorization in ``roots``) runs on primitive integer vectors,
 combined by one pseudo-remainder, ``_prem``, which ``divmod`` also uses; its
 multiplier is |lc(b)| ** (deg a - deg b + 1), and the normal step, deg a =
 deg b + 1, is one pass.  ``_check_tag`` is the one check of the tag rule: a
-numerator tagged d needs an ``int`` d >= 0 and degree at most d.
+numerator tagged d needs an ``int`` d >= 0 and degree at most d.  Its ``int``
+test, ``_check_int``, also checks every axis, order and power argument.
 """
 
 from __future__ import annotations
@@ -151,13 +152,6 @@ class Poly:
     def __hash__(self) -> int:
         return hash((self._num, self._den))
 
-    # -- evaluation -----------------------------------------------------------
-
-    def evaluate(self, x: Coefficient) -> Fraction:
-        """Exact Horner evaluation on the numerators, with one division at the end."""
-        value, scale = _horner(self._num, _rational(x, "point"))
-        return Fraction(value, self._den * scale)
-
     # -- division -------------------------------------------------------------
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
@@ -211,11 +205,16 @@ def format_poly(p: Poly) -> str:
     return text
 
 
+def _check_int(value: object, what: str) -> None:
+    """A ``TypeError`` naming ``what`` unless ``value`` is an ``int`` (not a ``bool``)."""
+    if type(value) is not int:
+        raise TypeError(f"{what} {value!r} is not an int")
+
+
 def _check_tag(p: Poly, d: int, name: str) -> None:
     """The tag rule of a numerator ``p`` at reference degree ``d``: an ``int``
     d >= 0 and deg p <= d."""
-    if type(d) is not int:
-        raise TypeError(f"reference degree {d!r} is not an int")
+    _check_int(d, "reference degree")
     if d < 0:
         raise ValueError("reference degree must be nonnegative")
     if len(p._num) > d + 1:

@@ -1,13 +1,16 @@
 """Test-only helpers: rational draws for seeded tests, the bullet and
-diamond routes of the Hadamard product, a derivative, the Sturm interval
-count, a rational Euclidean chain and the Reeve closed form.
+diamond routes of the Hadamard product, a ``Fraction`` Newton sum, a
+derivative, rational evaluation, the Sturm interval count, a rational
+Euclidean chain and the Reeve closed form.
 
 Nothing here comes from ``hadpoly.operators``, so the routes are independent
 of the code they cross-check: ``diamond_route`` runs on Wagner's derivative
 formula for the diamond product and on binomial sums for the h <-> f basis
-changes, where ``operators`` works on value sequences.  ``count_real_roots``
-counts distinct real roots on an interval with the Sturm chain of the
-square-free part, the second root-count method beside ``isolate_roots``.
+changes, where ``operators`` works on value sequences, and ``newton_sum``
+sums ``Fraction`` Newton coefficients, where ``w_inverse`` sums integers.
+``count_real_roots`` counts distinct real roots on an interval with the Sturm
+chain of the square-free part, the second root-count method beside
+``isolate_roots``.
 
 The draws take the numerator, then the denominator, from a ``SplitMix64``:
 the order in which the generators draw their integer pairs (n, q), so a
@@ -17,7 +20,7 @@ test and a generator on the same seed see the same values.
 import math
 from fractions import Fraction
 
-from hadpoly.poly import Poly, TaggedPoly, _int_derivative, _int_exact_div, _rational
+from hadpoly.poly import Poly, TaggedPoly, _horner, _int_derivative, _int_exact_div, _rational
 from hadpoly.roots import _chain_of, _int_sturm_chain, _sturm_count
 
 
@@ -80,6 +83,23 @@ def binomial_basis_change(p: Poly, d: int, sign: int) -> Poly:
         for j in range(d - i + 1):
             out[i + j] += c * sign**j * math.comb(d - i, j)
     return Poly(out)
+
+
+def newton_sum(h: Poly, d: int) -> Poly:
+    """sum_j f_j C(x, j) over ``Fraction`` polynomials, for the coefficients f_j of
+    the f-polynomial of (h, d): the reference for ``w_inverse``."""
+    acc = Poly()
+    basis = Poly.one()  # C(x, j), by C(x, j+1) = C(x, j) (x - j) / (j + 1)
+    for j, c in enumerate(binomial_basis_change(h, d, 1).coeffs):
+        acc = acc + basis.scale(c)
+        basis = basis * Poly([Fraction(-j, j + 1), Fraction(1, j + 1)])
+    return acc
+
+
+def evaluate(p: Poly, x) -> Fraction:
+    """p(x) for an int or ``Fraction`` x, by Horner's rule on the numerators."""
+    value, scale = _horner(p._num, x)
+    return Fraction(value, p._den * scale)
 
 
 def derivative(p: Poly, order: int = 1) -> Poly:

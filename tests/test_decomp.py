@@ -194,6 +194,16 @@ class TestDefect1Ell:
         with pytest.raises(ValueError):
             defect1_ell(P(1, 1), 2, Poly.one(), 1)
 
+    @pytest.mark.parametrize("d", [True, 1.0, 2.0, Fraction(2)], ids=["bool", "1.0", "2.0", "fraction"])
+    def test_degree_that_is_not_an_int_rejected(self, d):
+        for name, call in (
+            ("d1", lambda: defect1_ell(Poly.one(), d, Poly.one(), 1)),
+            ("d2", lambda: defect1_ell(Poly.one(), 1, Poly.one(), d)),
+        ):
+            with pytest.raises(TypeError) as raised:
+                call()
+            assert str(raised.value) == f"{name} {d!r} is not an int"
+
 
 def _random_reflection_symmetric(rng, degree):
     """Random polynomial fixed by the reflection at the given degree."""

@@ -86,6 +86,19 @@ class TestValueSpacePowers:
         with pytest.raises(ValueError):
             next(powers(0))
 
+    @pytest.mark.parametrize("k", [True, 2.0, Fraction(2)], ids=["bool", "float", "fraction"])
+    def test_power_that_is_not_an_int_rejected(self, k):
+        calls = (
+            ("k_max", lambda: next(powers(k))),
+            ("k_max", lambda: next(low_coefficients(k))),
+            ("k_max", lambda: counterexample_report(k)),
+            ("k", lambda: product_f(k)),
+        )
+        for name, call in calls:
+            with pytest.raises(TypeError) as raised:
+                call()
+            assert str(raised.value) == f"{name} {k!r} is not an int"
+
     @pytest.mark.parametrize(
         "h, d", [(P(1, -1), 2), (P(1, 2, 3), 1), (P(1, 0, 7), -1), (P(1, Fraction(1, 2)), 1)]
     )

@@ -41,8 +41,6 @@ from hadpoly.rng import SplitMix64
 
 from helpers import positive_rational, rational
 
-rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
-
 
 class TestTrialConfig:
     def test_defaults(self):
@@ -221,7 +219,7 @@ class TestLinearProduct:
     """The integer product agrees with the ``Fraction`` product of linear factors."""
 
     @given(
-        st.one_of(st.integers(-9, 9), rationals),
+        st.integers(-30, 30),
         st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 12)), max_size=9),
     )
     def test_equals_fraction_poly_product(self, scale, shifts):
@@ -503,15 +501,15 @@ class TestIntegerDrawsMatchFractionDraws:
             assert rng_new.next_u64() == rng_ref.next_u64(), (seed, d, m)
 
     @settings(max_examples=60, deadline=None)
-    @example(Fraction(10**6, 999_999), [(10**6, 1)] * 20 + [(-(10**6), 10**6)] * 20)
-    @example(Fraction(-1, 10**6), [(-(10**6), 1), (10**6, 10**6), (0, 7)] * 13)
+    @example(10**6, [(10**6, 1)] * 20 + [(-(10**6), 10**6)] * 20)
+    @example(-1, [(-(10**6), 1), (10**6, 10**6), (0, 7)] * 13)
     @given(
-        st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6),
+        st.integers(-(10**6), 10**6),
         st.lists(st.tuples(st.integers(-(10**6), 10**6), st.integers(1, 10**6)), max_size=40),
     )
     def test_linear_product_at_large_magnitudes(self, scale, shifts):
         v, den = _linear_product(scale, shifts)
-        schoolbook = [scale.numerator]
+        schoolbook = [scale]
         for n, q in shifts:
             schoolbook = [n * a + q * b for a, b in zip(schoolbook + [0], [0] + schoolbook)]
         assert v == schoolbook

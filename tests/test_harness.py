@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from hadpoly import decomp, harness
@@ -35,6 +37,12 @@ class TestSuites:
     def test_reeve_invalid(self):
         with pytest.raises(ValueError):
             verify_reeve(0)
+
+    @pytest.mark.parametrize("k_max", [True, 2.0, Fraction(2)], ids=["bool", "float", "fraction"])
+    def test_reeve_k_max_that_is_not_an_int_rejected(self, k_max):
+        with pytest.raises(TypeError) as raised:
+            verify_reeve(k_max)
+        assert str(raised.value) == f"k_max {k_max!r} is not an int"
 
 
 class TestDeterminism:

@@ -34,6 +34,8 @@ from helpers import (
     derivative,
     diamond_by_derivatives,
     diamond_route,
+    evaluate,
+    newton_sum,
     rational,
 )
 
@@ -148,7 +150,7 @@ class TestWTransform:
             d = p.degree
             h = numerator_at(p, d)
             series = series_from_numerator(h, d, d + 5)
-            assert series == [p.evaluate(j) for j in range(d + 5)]
+            assert series == [evaluate(p, j) for j in range(d + 5)]
 
 
 class TestWInverse:
@@ -171,6 +173,20 @@ class TestWInverse:
                 continue
             t = w_transform(w_inverse(h, d))
             assert t == TaggedPoly(h, d)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(rationals, max_size=28), st.integers(0, 3))
+    @example([], 0)
+    @example([], 3)
+    @example([Fraction(1, 7)] * 28, 3)
+    @example([0, 0, 0, 1], 0)
+    @example([1, -1], 1)
+    def test_matches_the_fraction_newton_sum(self, coeffs, extra):
+        """The integer Newton map equals the ``Fraction`` sum it replaced, at
+        every tag from deg h to deg h + 3, up to 30."""
+        h = Poly(coeffs)
+        d = max(len(h.coeffs) - 1, 0) + extra
+        assert w_inverse(h, d) == newton_sum(h, d)
 
 
 class TestSubdivision:
@@ -227,7 +243,7 @@ class TestBasisChanges:
             h = h_from_f(f, d)
             for x in points:
                 rebuilt = sum(c * x**i * (x + 1) ** (d - i) for i, c in enumerate(h.coeffs))
-                assert rebuilt == f.evaluate(x)
+                assert rebuilt == evaluate(f, x)
 
     def test_round_trip(self):
         rng = SplitMix64(19)
@@ -417,6 +433,12 @@ class TestDiamondPower:
     def test_zeroth_power_rejected(self):
         with pytest.raises(ValueError):
             diamond_power(REEVE_F, 0)
+
+    @pytest.mark.parametrize("k", [True, 2.0, Fraction(2)], ids=["bool", "float", "fraction"])
+    def test_power_that_is_not_an_int_rejected(self, k):
+        with pytest.raises(TypeError) as raised:
+            diamond_power(REEVE_F, k)
+        assert str(raised.value) == f"k {k!r} is not an int"
 
 
 # -- value maps against the formulas they replaced -------------------------------

@@ -129,10 +129,35 @@ def test_static_guard_flags_each_rule():
     ]
 
 
+# ``Fraction`` is the coefficient type of ``poly``, the interval end of ``roots``
+# and the parsed number of ``cli``; every other module works on integer numerators.
+
+FRACTION_MODULES = {"poly", "roots", "cli"}
+
+
+def _imports_fractions(tree: ast.AST) -> bool:
+    return any(
+        isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "fractions"
+        for node in ast.walk(tree)
+    )
+
+
+def test_only_poly_roots_and_cli_import_fractions():
+    found = {p.stem for p in SOURCES if _imports_fractions(ast.parse(p.read_text("utf-8")))}
+    assert found - FRACTION_MODULES == set()
+
+
+def test_fractions_guard_flags_each_import_form():
+    for source in ("import fractions\n", "from fractions import Fraction\n"):
+        assert _imports_fractions(ast.parse(source))
+    assert not _imports_fractions(ast.parse("from .poly import Fraction\n"))
+
+
 # -- private names across modules ------------------------------------------------
 #
 # A ``_``-prefixed name belongs to its module.  Only the integer kernel of
-# ``poly`` (used by ``roots``), its tag check, the value-space helpers of
+# ``poly`` (used by ``roots``), its int and tag checks, the value-space helpers of
 # ``operators`` (used by ``ehrhart``) and Newton's inequality of ``analysis``
 # (used by ``ehrhart``) cross a module boundary.
 
@@ -141,10 +166,10 @@ PRIVATE_IMPORTS = {
         "_horner", "_int_derivative", "_int_exact_div", "_int_gcd", "_int_mul", "_int_sub",
         "_prem", "_primitive", "_rational",
     },
-    ("operators", "poly"): {"_check_tag", "_horner"},
-    ("decomp", "poly"): {"_check_tag", "_is_palindrome"},
-    ("analysis", "poly"): {"_check_tag", "_is_palindrome"},
-    ("ehrhart", "poly"): {"_check_tag"},
+    ("operators", "poly"): {"_check_int", "_check_tag", "_horner"},
+    ("decomp", "poly"): {"_check_int", "_check_tag", "_is_palindrome"},
+    ("analysis", "poly"): {"_check_int", "_check_tag", "_is_palindrome"},
+    ("ehrhart", "poly"): {"_check_int", "_check_tag"},
     ("ehrhart", "operators"): {"_difference", "_forward_differences", "_series_values"},
     ("ehrhart", "analysis"): {"_newton_index"},
 }

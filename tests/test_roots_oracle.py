@@ -22,7 +22,7 @@ from hadpoly.roots import (
     yun_decomposition,
 )
 
-from helpers import count_real_roots, derivative
+from helpers import count_real_roots, derivative, evaluate
 
 sympy = pytest.importorskip("sympy")
 X = sympy.Symbol("x")
@@ -65,7 +65,7 @@ def test_real_root_counts_match_sympy(p, a, b):
     assert count_real_roots(p) == sp.count_roots()
     lo, hi = min(a, b), max(a, b)
     # sympy counts on [lo, hi], the Sturm count on (lo, hi]
-    at_lo = 1 if p.evaluate(lo) == 0 else 0
+    at_lo = 1 if evaluate(p, lo) == 0 else 0
     expected = sp.count_roots(lo, hi) - at_lo if lo < hi else 0
     assert count_real_roots(p, lo, hi) == expected
     assert count_real_roots(p) == len(isolate_roots(p))
@@ -103,7 +103,7 @@ def test_counts_with_an_end_on_a_chain_zero_match_sympy(case):
     not, and at a rational root of p' or a later element where p does not
     vanish.  sympy counts on [lo, hi], the Sturm count on (lo, hi]."""
     p, lo, hi = case
-    at_lo = 1 if lo is not None and p.evaluate(lo) == 0 else 0
+    at_lo = 1 if lo is not None and evaluate(p, lo) == 0 else 0
     expected = 0 if lo is not None and lo == hi else to_sympy(p).count_roots(lo, hi) - at_lo
     assert count_real_roots(p, lo, hi) == expected
 
@@ -166,10 +166,10 @@ def test_isolation_near_complex_pairs_matches_sympy(p, max_width):
     for iv in isolate_roots(p, max_width):
         assert iv.hi - iv.lo <= max_width
         if iv.is_exact:
-            assert p.evaluate(iv.lo) == 0
+            assert evaluate(p, iv.lo) == 0
             holds = [m for q, m in sqf if q.eval(iv.lo) == 0]
         else:
-            assert p.evaluate(iv.lo) != 0 and p.evaluate(iv.hi) != 0
+            assert evaluate(p, iv.lo) != 0 and evaluate(p, iv.hi) != 0
             assert to_sympy(p).count_roots(iv.lo, iv.hi) == 1
             holds = [m for q, m in sqf if q.count_roots(iv.lo, iv.hi) == 1]
         assert holds == [iv.multiplicity]
