@@ -23,7 +23,7 @@ from .analysis import (
     is_nonnegative,
     is_real_rooted,
 )
-from .operators import diamond, reflect
+from .operators import diamond, f_from_h, h_from_f, reflect
 from .poly import Poly, _check_int, _check_tag, _is_palindrome
 from .roots import real_rooted_interlacing
 
@@ -60,9 +60,8 @@ def i_decompose(h: Poly, d: int) -> SymDecomp:
     """The unique symmetric decomposition of h at reference degree d.
 
     Solved on the numerators of h, over its denominator, by the triangular
-    recurrence a_0 = h_0, b_i = h_(d-i) - a_i, a_i = h_i - b_(i-1); the
-    reconstruction h_i = a_i + b_(i-1) is re-checked on those integers before
-    the two parts are built.
+    recurrence a_0 = h_0, b_i = h_(d-i) - a_i, a_i = h_i - b_(i-1), which
+    makes h_i = a_i + b_(i-1) by construction.
     """
     _check_tag(h, d, "h")
     v = h._num + (0,) * (d + 1 - len(h._num))
@@ -70,22 +69,19 @@ def i_decompose(h: Poly, d: int) -> SymDecomp:
     for i in range(d + 1):
         a.append(v[i] - b[i])
         b.append(v[d - i] - a[i])
-    if any(ai + bi != hi for ai, bi, hi in zip(a, b, v)):
-        raise RuntimeError("internal error: decomposition does not reconstruct input")
     return SymDecomp(Poly._from_ints(a, h._den), Poly._from_ints(b[1:d + 1], h._den), d)
 
 
 def r_decompose(f: Poly, d: int) -> tuple[Poly, Poly]:
     """Reflection-symmetric split of an f-polynomial at reference degree d.
 
-    Returns (a~, b~) with a~ = (x+1) f - x * reflect(f, d) and
-    b~ = reflect(f, d) - f, so that f = a~ + x b~, reflect(a~, d) = a~ and
-    reflect(b~, d-1) = b~.
+    Returns (a~, b~) with f = a~ + x b~, reflect(a~, d) = a~ and
+    reflect(b~, d-1) = b~: the f-images of the parts of ``i_decompose`` of
+    h_from_f(f, d), since the basis change carries reversal to reflection and
+    x b to x b~.  At d = 0, b~ = 0.
     """
-    rf = reflect(f, d)
-    a = Poly([1, 1]) * f - Poly.x() * rf
-    b = rf - f
-    return a, b
+    dec = i_decompose(h_from_f(f, d), d)
+    return f_from_h(dec.a, d), f_from_h(dec.b, d - 1) if d else dec.b
 
 
 def defect1_ell(b1: Poly, d1: int, b2: Poly, d2: int) -> Poly:
@@ -97,8 +93,10 @@ def defect1_ell(b1: Poly, d1: int, b2: Poly, d2: int) -> Poly:
         ((x+1) b1) <> ((x+1) b2) = (x+1) ell    and
         (x b1) <> (x b2) = x ell.
 
-    Computed by exact division of the first product by (x+1); inexact
-    division or broken symmetry signals an implementation bug and aborts.
+    Read one index down from the second product: the values of x b are the
+    running sums of b's values before j, so both factors vanish at j = 0 and
+    the product has no constant term.  Broken symmetry signals an
+    implementation bug and aborts.
     """
     _check_int(d1, "d1")
     _check_int(d2, "d2")
@@ -108,17 +106,12 @@ def defect1_ell(b1: Poly, d1: int, b2: Poly, d2: int) -> Poly:
         raise ValueError(f"b1 is not its own reflection at degree {d1 - 1}")
     if reflect(b2, d2 - 1) != b2:
         raise ValueError(f"b2 is not its own reflection at degree {d2 - 1}")
-    if b1.is_zero or b2.is_zero:
-        return Poly()
-    shifted = diamond(Poly([1, 1]) * b1, Poly([1, 1]) * b2)
-    quotient, remainder = divmod(shifted, Poly([1, 1]))
-    if not remainder.is_zero:
-        raise RuntimeError(
-            "internal error: ((x+1)b1 <> (x+1)b2) is not divisible by (x+1)"
-        )
-    if reflect(quotient, d1 + d2 - 1) != quotient:
-        raise RuntimeError("internal error: quotient lost reflection symmetry")
-    return quotient
+    xb1, xb2 = (Poly._from_ints((0, *b._num), b._den) for b in (b1, b2))
+    x_ell = diamond(xb1, xb2)
+    ell = Poly._from_ints(x_ell._num[1:], x_ell._den)
+    if reflect(ell, d1 + d2 - 1) != ell:
+        raise RuntimeError("internal error: ell lost reflection symmetry")
+    return ell
 
 
 def decomposition_is_nonnegative(dec: SymDecomp) -> PropertyReport:

@@ -121,6 +121,8 @@ def low_coefficients(
     so this holds at every tag, n < 2 included.
     """
     _check_int(k_max, "k_max")
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
     l0, l1, l2 = _values(h, d, 3)
     p0 = p1 = p2 = 1
     for k in range(1, k_max + 1):

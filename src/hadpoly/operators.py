@@ -15,10 +15,10 @@ input's common denominator, carry the basis changes and the products:
 is ``reverse`` between them, as it swaps the coordinates i and d-i of f.  The
 Hadamard product (h1, d1) x (h2, d2), the numerator of sum_j p1(j) p2(j) x^j,
 and the diamond product f_p <> f_q = f_(pq) both multiply d1+d2+1 values
-pointwise.  ``numerator_at`` and ``subdivision`` take the values of p to h
-and to f, and ``check_functional_eq`` compares the values of its two sides:
-each value is Horner's rule on p's integer numerators, read over their one
-denominator.
+pointwise, and ``diamond_power`` raises k deg f + 1 of them to the k-th power.
+``numerator_at`` and ``subdivision`` take the values of p to h and to f, and
+``check_functional_eq`` compares the values of its two sides: each value is
+Horner's rule on p's integer numerators, read over their one denominator.
 Test-only cross-checks of ``hadamard`` are in ``tests/helpers.py``:
 ``bullet``, a binomial formula on monomials, and ``diamond_route``, through
 Wagner's derivative formula for the diamond product and binomial sums.
@@ -179,14 +179,16 @@ def diamond(f: Poly, g: Poly) -> Poly:
 
 
 def diamond_power(f: Poly, k: int) -> Poly:
-    """Left fold of the diamond product over k copies of f; requires an int k >= 1."""
+    """The diamond product of k copies of f; requires an int k >= 1.
+
+    With f = f_p it is f_(p^k): the forward differences of the values p(j)^k,
+    k deg f + 1 of them.
+    """
     _check_int(k, "k")
     if k < 1:
         raise ValueError("diamond power requires k >= 1 (no degree-free identity)")
-    acc = f
-    for _ in range(k - 1):
-        acc = diamond(acc, f)
-    return acc
+    values = _newton_values(f._num, k * max(len(f._num) - 1, 0) + 1)
+    return Poly._from_ints(_forward_differences([v**k for v in values]), f._den**k)
 
 
 def hadamard(t1: TaggedPoly, t2: TaggedPoly) -> TaggedPoly:

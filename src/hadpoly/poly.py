@@ -117,20 +117,12 @@ class Poly:
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other: "Poly | Coefficient") -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Poly()
         return Poly._from_ints(_int_mul(self._num, other._num), self._den * other._den)
-
-    __rmul__ = __mul__
-
-    def scale(self, c: Coefficient) -> "Poly":
-        c = _rational(c, "scalar")
-        return Poly._from_ints([a * c.numerator for a in self._num], self._den * c.denominator)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:

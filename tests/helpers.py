@@ -1,5 +1,6 @@
 """Test-only helpers: rational draws for seeded tests, the bullet and
-diamond routes of the Hadamard product, a ``Fraction`` Newton sum, a
+diamond routes of the Hadamard product, a ``Fraction`` Newton sum, ring
+formulas for the f-side split, the defect-1 factor and the diamond power, a
 derivative, rational evaluation, the Sturm interval count, a rational
 Euclidean chain and the Reeve closed form.
 
@@ -8,6 +9,9 @@ of the code they cross-check: ``diamond_route`` runs on Wagner's derivative
 formula for the diamond product and on binomial sums for the h <-> f basis
 changes, where ``operators`` works on value sequences, and ``newton_sum``
 sums ``Fraction`` Newton coefficients, where ``w_inverse`` sums integers.
+``reflection_split``, ``defect1_by_division`` and ``diamond_fold`` are the
+``Poly`` ring formulas of ``r_decompose``, ``defect1_ell`` and
+``diamond_power``, which compose the value maps instead.
 ``count_real_roots`` counts distinct real roots on an interval with the Sturm
 chain of the square-free part, the second root-count method beside
 ``isolate_roots``.
@@ -20,7 +24,15 @@ test and a generator on the same seed see the same values.
 import math
 from fractions import Fraction
 
-from hadpoly.poly import Poly, TaggedPoly, _horner, _int_derivative, _int_exact_div, _rational
+from hadpoly.poly import (
+    Poly,
+    TaggedPoly,
+    _horner,
+    _int_derivative,
+    _int_exact_div,
+    _rational,
+    reverse,
+)
 from hadpoly.roots import _chain_of, _int_sturm_chain, _sturm_count
 
 
@@ -91,7 +103,7 @@ def newton_sum(h: Poly, d: int) -> Poly:
     acc = Poly()
     basis = Poly.one()  # C(x, j), by C(x, j+1) = C(x, j) (x - j) / (j + 1)
     for j, c in enumerate(binomial_basis_change(h, d, 1).coeffs):
-        acc = acc + basis.scale(c)
+        acc = acc + Poly([c]) * basis
         basis = basis * Poly([Fraction(-j, j + 1), Fraction(1, j + 1)])
     return acc
 
@@ -117,7 +129,33 @@ def diamond_by_derivatives(f: Poly, g: Poly) -> Poly:
     acc = Poly()
     for j in range(min(f.degree, g.degree) + 1):
         term = derivative(f, j) * derivative(g, j) * Poly([0, 1, 1]) ** j
-        acc = acc + term.scale(Fraction(1, math.factorial(j) ** 2))
+        acc = acc + Poly([Fraction(1, math.factorial(j) ** 2)]) * term
+    return acc
+
+
+def reflection_split(f: Poly, d: int) -> tuple[Poly, Poly]:
+    """(a~, b~) = ((x+1) f - x rf, rf - f) for the reflection rf = (-1)^d f(-x-1),
+    taken as ``reverse`` between the binomial basis changes: the reference for
+    ``r_decompose``."""
+    rf = binomial_basis_change(reverse(binomial_basis_change(f, d, -1), d), d, 1)
+    return Poly([1, 1]) * f - Poly.x() * rf, rf - f
+
+
+def defect1_by_division(b1: Poly, b2: Poly) -> Poly:
+    """((x+1) b1 <> (x+1) b2) / (x+1), by Wagner's formula and exact division:
+    the reference for ``defect1_ell``."""
+    x1 = Poly([1, 1])
+    quotient, remainder = divmod(diamond_by_derivatives(x1 * b1, x1 * b2), x1)
+    assert remainder.is_zero
+    return quotient
+
+
+def diamond_fold(f: Poly, k: int) -> Poly:
+    """The left fold of Wagner's diamond product over k >= 1 copies of f: the
+    reference for ``diamond_power``."""
+    acc = f
+    for _ in range(k - 1):
+        acc = diamond_by_derivatives(acc, f)
     return acc
 
 

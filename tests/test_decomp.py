@@ -2,6 +2,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hadpoly import analysis, decomp
 from hadpoly.analysis import interlaces, is_real_rooted
@@ -18,7 +20,13 @@ from hadpoly.operators import diamond, f_from_h, hadamard, reflect
 from hadpoly.poly import Poly, TaggedPoly, reverse
 from hadpoly.rng import SplitMix64
 
-from helpers import positive_rational, rational
+from helpers import (
+    binomial_basis_change,
+    defect1_by_division,
+    positive_rational,
+    rational,
+    reflection_split,
+)
 
 NEAR_SYMMETRIC_CUBIC = Poly([1, 3, 9, 1])  # splits into (1+x)^3 and 6x
 SQUARE_EX = Poly([1, 42, 639, 1836, 1239, 162, 1])
@@ -26,6 +34,18 @@ SQUARE_EX = Poly([1, 42, 639, 1836, 1239, 162, 1])
 
 def P(*coeffs):
     return Poly(coeffs)
+
+
+#: signed rationals over mixed denominators, zero drawn often so that parts vanish
+signed = st.just(Fraction(0)) | st.fractions(min_value=-9, max_value=9, max_denominator=6)
+#: (coefficients, d) for an f-polynomial of degree at most d <= 8
+f_cases = st.integers(0, 8).flatmap(
+    lambda d: st.tuples(st.lists(signed, max_size=d + 1), st.just(d))
+)
+#: (lower half, d) of a palindrome of degree d - 1, for 1 <= d <= 8
+half_cases = st.integers(1, 8).flatmap(
+    lambda d: st.tuples(st.lists(signed, min_size=(d + 1) // 2, max_size=(d + 1) // 2), st.just(d))
+)
 
 
 def random_nonneg(rng, d):
@@ -156,6 +176,42 @@ class TestRDecompose:
                 assert b == f_from_h(dec.b, d - 1)
             else:
                 assert b.is_zero
+
+
+class TestAgainstRingFormulas:
+    """The value-map constructions equal the ``Poly`` ring formulas in ``helpers``."""
+
+    @given(f_cases)
+    @example(([], 0))
+    @example(([Fraction(-3, 4)], 0))
+    @example(([Fraction(1, 2)], 5))
+    @settings(max_examples=150, deadline=None)
+    def test_r_decompose_is_the_reflection_split(self, case):
+        coeffs, d = case
+        f = Poly(coeffs)
+        a, b = reflection_split(f, d)
+        assert r_decompose(f, d) == (a, b)
+        if d == 0:
+            assert b.is_zero
+
+    @given(half_cases, half_cases)
+    @example(([Fraction(0)], 1), ([Fraction(0)], 1))
+    @example(([Fraction(0)], 2), ([Fraction(2, 3)], 1))
+    @example(([Fraction(-1, 2)], 1), ([Fraction(5, 3)], 1))
+    @settings(max_examples=150, deadline=None)
+    def test_defect1_ell_is_the_quotient_by_x_plus_one(self, case1, case2):
+        (half1, d1), (half2, d2) = case1, case2
+        b1, b2 = _reflection_symmetric(half1, d1 - 1), _reflection_symmetric(half2, d2 - 1)
+        assert defect1_ell(b1, d1, b2, d2) == defect1_by_division(b1, b2)
+
+
+def _reflection_symmetric(half, degree):
+    """The f-polynomial, by binomial sums, of the palindrome of ``degree`` whose
+    lower half is ``half``."""
+    coeffs = [Fraction(0)] * (degree + 1)
+    for i, c in enumerate(half):
+        coeffs[i] = coeffs[degree - i] = c
+    return binomial_basis_change(Poly(coeffs), degree, 1)
 
 
 class TestDefect1Ell:

@@ -83,8 +83,15 @@ class TestValueSpacePowers:
         assert ks == list(range(1, 13))
 
     def test_invalid_kmax(self):
-        with pytest.raises(ValueError):
-            next(powers(0))
+        # low_coefficients checks its range like the other two, on its first step
+        for k_max in (0, -3):
+            for call in (
+                lambda: next(powers(k_max)),
+                lambda: list(low_coefficients(k_max)),
+                lambda: counterexample_report(k_max),
+            ):
+                with pytest.raises(ValueError, match="^k_max must be at least 1$"):
+                    call()
 
     @pytest.mark.parametrize("k", [True, 2.0, Fraction(2)], ids=["bool", "float", "fraction"])
     def test_power_that_is_not_an_int_rejected(self, k):

@@ -169,7 +169,7 @@ def _interlacing_pair(rng: SplitMix64) -> tuple[Poly, Poly]:
     if kind == 0:
         return derivative(a), a
     if kind == 1:
-        return derivative(a) + a.scale(Fraction(rng.randint(-5, 5), rng.randint(1, 3))), a
+        return derivative(a) + Poly([Fraction(rng.randint(-5, 5), rng.randint(1, 3))]) * a, a
     del factors[rng.randint(0, len(factors) - 1)]
     if kind > 2:
         factors += _root_factors(rng, 1)[:1]

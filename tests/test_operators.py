@@ -33,6 +33,7 @@ from helpers import (
     comb0,
     derivative,
     diamond_by_derivatives,
+    diamond_fold,
     diamond_route,
     evaluate,
     newton_sum,
@@ -315,10 +316,10 @@ class TestHadamard:
             g = Poly([rational(rng, 5, 5) for _ in range(rng.randint(0, d2) + 1)])
             a, b = rational(rng, 5, 5), rational(rng, 5, 5)
             combo = hadamard(
-                TaggedPoly(h1.scale(a) + h2.scale(b), d1), TaggedPoly(g, d2)
+                TaggedPoly(Poly([a]) * h1 + Poly([b]) * h2, d1), TaggedPoly(g, d2)
             )
-            lhs = hadamard(TaggedPoly(h1, d1), TaggedPoly(g, d2)).poly.scale(a)
-            rhs = hadamard(TaggedPoly(h2, d1), TaggedPoly(g, d2)).poly.scale(b)
+            lhs = Poly([a]) * hadamard(TaggedPoly(h1, d1), TaggedPoly(g, d2)).poly
+            rhs = Poly([b]) * hadamard(TaggedPoly(h2, d1), TaggedPoly(g, d2)).poly
             assert combo.poly == lhs + rhs
 
     def test_zero_factor_on_every_route(self):
@@ -410,9 +411,9 @@ class TestDiamond:
             f2 = random_poly(rng, 4, nonneg=False)
             g = random_poly(rng, 4, nonneg=False)
             a, b = rational(rng, 5, 5), rational(rng, 5, 5)
-            assert diamond(f1.scale(a) + f2.scale(b), g) == diamond(f1, g).scale(
-                a
-            ) + diamond(f2, g).scale(b)
+            assert diamond(Poly([a]) * f1 + Poly([b]) * f2, g) == Poly([a]) * diamond(
+                f1, g
+            ) + Poly([b]) * diamond(f2, g)
 
 
 class TestDiamondPower:
@@ -433,6 +434,17 @@ class TestDiamondPower:
     def test_zeroth_power_rejected(self):
         with pytest.raises(ValueError):
             diamond_power(REEVE_F, 0)
+
+    @given(
+        st.lists(st.just(Fraction(0)) | st.fractions(-9, 9, max_denominator=6), max_size=9),
+        st.integers(1, 6),
+    )
+    @example([], 3)
+    @example([Fraction(-2, 3)], 6)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_diamond_fold(self, coeffs, k):
+        f = Poly(coeffs)
+        assert diamond_power(f, k) == diamond_fold(f, k)
 
     @pytest.mark.parametrize("k", [True, 2.0, Fraction(2)], ids=["bool", "float", "fraction"])
     def test_power_that_is_not_an_int_rejected(self, k):

@@ -8,6 +8,9 @@ from pathlib import Path
 import pytest
 
 import hadpoly
+from hadpoly import cli, decomp, ehrhart, harness, operators
+from hadpoly.generators import TrialConfig
+from hadpoly.poly import Poly
 
 
 def test_every_export_resolves():
@@ -271,3 +274,62 @@ def test_bench_call_metric_resolves_to_a_function(target):
         obj = getattr(obj, name)
     assert inspect.isfunction(obj)
     assert (obj.__module__, obj.__qualname__) == (f"hadpoly.{module}", qualname)
+
+
+# -- no ring arithmetic on a package path --------------------------------------------
+#
+# Every operator, check and suite works on integer numerators and value sequences;
+# the ring dunders of ``Poly`` serve tests and callers only.
+
+RING_DUNDERS = ("__add__", "__sub__", "__neg__", "__mul__", "__pow__", "__divmod__")
+
+
+@pytest.fixture
+def no_ring_arithmetic(monkeypatch):
+    def refuse(name):
+        def dunder(*args):
+            raise AssertionError(f"Poly.{name} called on a package path")
+        return dunder
+
+    for name in RING_DUNDERS:
+        monkeypatch.setattr(Poly, name, refuse(name))
+
+
+def test_ring_guard_refuses_each_dunder(no_ring_arithmetic):
+    p = Poly([1, 2])
+    for call in (lambda: p + p, lambda: p - p, lambda: -p, lambda: p * p,
+                 lambda: p ** 2, lambda: divmod(p, p)):
+        with pytest.raises(AssertionError, match="called on a package path"):
+            call()
+
+
+def test_package_paths_use_no_ring_arithmetic(no_ring_arithmetic, capsys):
+    config = TrialConfig(seed=3, trials=30)
+    assert all(run(config).ok for run in harness.SUITES.values())
+    harness.scan_logconcave_pair(config)
+    assert harness.verify_reeve(12).ok
+    f = Poly([1, 3, 9, 1])
+    decomp.r_decompose(f, 3)
+    decomp.r_decompose(Poly([5]), 0)
+    b = operators.f_from_h(Poly([1, 1]), 1)
+    decomp.defect1_ell(b, 2, Poly([1]), 1)
+    decomp.defect1_ell(Poly(), 1, b, 2)
+    operators.diamond_power(f, 3)
+    ehrhart.product_f(4)
+    commands = [
+        ("w", "--poly", "1,2"),
+        ("invw", "--poly", "1,0,7", "--degree", "3"),
+        ("f", "--poly", "1,0,7", "--degree", "3"),
+        ("h", "--poly", "1,3,10,8", "--degree", "3"),
+        ("subdiv", "--poly", "1,2,1"),
+        ("hadamard", "--a", "1,0,0,1", "--da", "6", "--b", "1,1/2", "--db", "3"),
+        ("diamond", "--a", "1,1", "--b", "1,-1/3"),
+        ("gamma", "--poly", "1,8,24,36,24,8,1", "--center", "6"),
+        ("symdec", "--poly", "1,3,9,1", "--degree", "3"),
+        ("check", "realrooted", "--poly", "1,0,7"),
+        ("check", "interlacing", "--a", "1,3,3,1", "--b", "0,6"),
+    ]
+    assert {argv[0] for argv in commands} == set(cli._OPERATORS) | {"symdec", "check"}
+    codes = [cli.main(list(argv)) for argv in commands]
+    capsys.readouterr()
+    assert codes == [0] * 9 + [1, 1]
