@@ -19,6 +19,7 @@ test, ``_check_int``, also checks every axis, order and power argument.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Sequence, Union
@@ -344,28 +345,21 @@ def gcd(a: Poly, b: Poly) -> Poly:
     return Poly._from_ints(_int_gcd(a._num, b._num)).monic()
 
 
+@dataclass(frozen=True, slots=True)
 class TaggedPoly:
     """A polynomial paired with the reference degree it is a numerator for.
 
     The tag is the degree of the interpolating polynomial whose generating
     function the `poly` is the numerator of; it drives every degree-dependent
-    operator (reversal, reflection, basis changes, Hadamard products).
+    operator (reversal, reflection, basis changes, Hadamard products).  The
+    tag rule is checked once, at construction, and the pair cannot change.
     """
 
-    __slots__ = ("poly", "ref_degree")
+    poly: Poly
+    ref_degree: int
 
-    def __init__(self, poly: Poly, ref_degree: int):
-        _check_tag(poly, ref_degree, "h")
-        self.poly = poly
-        self.ref_degree = ref_degree
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TaggedPoly):
-            return NotImplemented
-        return self.poly == other.poly and self.ref_degree == other.ref_degree
-
-    def __hash__(self) -> int:
-        return hash((self.poly, self.ref_degree))
+    def __post_init__(self):
+        _check_tag(self.poly, self.ref_degree, "h")
 
     def __repr__(self) -> str:
         return f"TaggedPoly({self.poly!r}, ref_degree={self.ref_degree})"

@@ -528,6 +528,15 @@ class TestGamma:
             g = Poly([rational(rng, 9, 9) for _ in range(rng.randint(0, s // 2) + 1)])
             assert gamma_expand(gamma_contract(g, s), s) == g
 
+    def test_basis_vectors(self):
+        # both maps are linear, so the basis x^i (1+x)^(s-2i) pins them at each axis
+        for s in range(25):
+            for i in range(s // 2 + 1):
+                e = Poly([0] * i + [1])
+                basis = Poly.x() ** i * P(1, 1) ** (s - 2 * i)
+                assert gamma_contract(e, s) == basis, (i, s)
+                assert gamma_expand(basis, s) == e, (i, s)
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 40), st.data())
     def test_basis_change_against_the_basis_sum(self, s, data):

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -565,3 +569,22 @@ class TestScanCommand:
     def test_bad_config_exits_2(self, capsys):
         code, out, err = run(capsys, "scan", "logconcave-pair", "--trials", "0")
         assert (code, out, err) == (2, "", "error: trials must be positive\n")
+
+
+class TestModuleEntryPoint:
+    """``python -m hadpoly`` passes ``main``'s return value to the process exit code."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["verify", "reeve", "--kmax", "3"], 0),
+            (["check", "realrooted", "--poly", "1,0,7"], 1),
+            (["check", "ulc", "--poly", "1,2"], 2),
+        ],
+        ids=["pass", "fail", "usage"],
+    )
+    def test_exit_code(self, argv, code):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-m", "hadpoly", *argv], env=env, capture_output=True)
+        assert done.returncode == code, done.stderr

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -347,6 +348,37 @@ class TestHadamard:
         s2 = series_from_numerator(h2, 20, n)
         assert out.ref_degree == 60
         assert series_from_numerator(out.poly, 60, n) == [a * b for a, b in zip(s1, s2)]
+
+
+def unit(i):
+    """The basis numerator x^i."""
+    return Poly([0] * i + [1])
+
+
+class TestOnBases:
+    """At fixed tags ``hadamard`` and ``diamond_route`` are bilinear, and the basis
+    changes and ``w_inverse`` linear, so agreeing on every pair of basis numerators,
+    with the bilinearity tests, covers every input at those tags."""
+
+    def test_hadamard_structure_constants(self):
+        for a, b in product(range(13), repeat=2):
+            for i, j in product(range(a + 1), range(b + 1)):
+                out = hadamard(TaggedPoly(unit(i), a), TaggedPoly(unit(j), b))
+                assert out == TaggedPoly(Poly(bullet_monomial(i, a, j, b)), a + b), (i, a, j, b)
+
+    def test_hadamard_matches_the_diamond_route(self):
+        for a, b in product(range(7), repeat=2):
+            for i, j in product(range(a + 1), range(b + 1)):
+                t1, t2 = TaggedPoly(unit(i), a), TaggedPoly(unit(j), b)
+                assert hadamard(t1, t2) == diamond_route(t1, t2), (i, a, j, b)
+
+    def test_linear_maps_on_unit_vectors(self):
+        for d in range(25):
+            for i in range(d + 1):
+                e = unit(i)
+                assert f_from_h(e, d) == binomial_basis_change(e, d, 1), (i, d)
+                assert h_from_f(e, d) == binomial_basis_change(e, d, -1), (i, d)
+                assert w_inverse(e, d) == newton_sum(e, d), (i, d)
 
 
 class TestBullet:

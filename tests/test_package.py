@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import sys
@@ -54,6 +55,18 @@ def test_version_matches_pyproject():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as f:
         assert hadpoly.__version__ == tomllib.load(f)["project"]["version"]
+
+
+def test_exported_value_classes_are_frozen_dataclasses():
+    # a value checked at construction must not change afterwards; Poly guards its own fields
+    exported = [getattr(hadpoly, name) for name in hadpoly.__all__]
+    classes = [c for c in exported if inspect.isclass(c) and c is not Poly]
+    loose = [
+        c.__name__
+        for c in classes
+        if not (dataclasses.is_dataclass(c) and c.__dataclass_params__.frozen)
+    ]
+    assert hadpoly.TaggedPoly in classes and loose == []
 
 
 def test_star_import_binds_exactly_the_exports():

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from fractions import Fraction
 from itertools import zip_longest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hadpoly.analysis import gamma_contract
 from hadpoly.decomp import SymDecomp, i_decompose, r_decompose
 from hadpoly.ehrhart import counterexample_report, low_coefficients, powers
-from hadpoly.operators import f_from_h, h_from_f, msupp, numerator_at, reflect, w_inverse
+from hadpoly.operators import f_from_h, h_from_f, hadamard, msupp, numerator_at, reflect, w_inverse
 from hadpoly.poly import Poly, TaggedPoly, _is_palindrome, _prem, gcd, reverse
 from hadpoly.roots import isolate_roots
 
@@ -359,6 +360,56 @@ class TestTaggedPoly:
     def test_equality(self):
         assert TaggedPoly(P(1), 3) == TaggedPoly(P(1), 3)
         assert TaggedPoly(P(1), 3) != TaggedPoly(P(1), 4)
+
+    def test_equality_and_hash_are_those_of_the_pair(self):
+        same = TaggedPoly(P(Fraction(2, 4), 3), 2), TaggedPoly(P(Fraction(1, 2), Fraction(6, 2)), 2)
+        assert same[0] == same[1] and hash(same[0]) == hash(same[1])
+        for t in (*same, TaggedPoly(P(), 0), TaggedPoly(P(1, 0, 0, 1), 6)):
+            assert hash(t) == hash((t.poly, t.ref_degree))
+            assert t != (t.poly, t.ref_degree)
+        assert TaggedPoly(P(1, 2), 2) != TaggedPoly(P(1, 2), 3)
+        assert TaggedPoly(P(1, 2), 2) != TaggedPoly(P(1, 3), 2)
+
+    @pytest.mark.parametrize(
+        "t, text, shown",
+        [
+            (TaggedPoly(P(1), 3), "TaggedPoly(Poly([Fraction(1, 1)]), ref_degree=3)", "(1, d=3)"),
+            (TaggedPoly(P(), 0), "TaggedPoly(Poly([]), ref_degree=0)", "(0, d=0)"),
+            (
+                TaggedPoly(P(Fraction(-1, 2), 0, 3), 2),
+                "TaggedPoly(Poly([Fraction(-1, 2), Fraction(0, 1), Fraction(3, 1)]), ref_degree=2)",
+                "(3x^2 - 1/2, d=2)",
+            ),
+        ],
+        ids=["one", "zero", "rational"],
+    )
+    def test_repr_and_str(self, t, text, shown):
+        assert (repr(t), str(t)) == (text, shown)
+
+    @pytest.mark.parametrize(
+        "tag, error, message",
+        [
+            (True, TypeError, "reference degree True is not an int"),
+            (2.0, TypeError, "reference degree 2.0 is not an int"),
+            (-1, ValueError, "reference degree must be nonnegative"),
+            (1, ValueError, "degree overflow: deg h = 2 > d = 1"),
+        ],
+    )
+    def test_keyword_construction_keeps_the_tag_errors(self, tag, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            TaggedPoly(poly=P(1, 0, 7), ref_degree=tag)
+
+    def test_pair_cannot_change_after_its_check(self):
+        # once checked, a numerator of degree 5 cannot sit under tag 3, nor True under a tag
+        t = TaggedPoly(P(1), 3)
+        held = {t}
+        for field, value in (("poly", P(*[1] * 6)), ("ref_degree", True), ("ref_degree", 9)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, field, value)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(t, field)
+        assert t == TaggedPoly(P(1), 3) and t in held
+        assert hadamard(t, TaggedPoly(P(1), 0)) == TaggedPoly(P(1), 3)
 
     def test_tag_that_is_not_an_int_rejected(self):
         # the type is checked before the sign, so -1.0 is not a negative degree
