@@ -92,11 +92,18 @@ def is_log_concave(h: Poly) -> PropertyReport:
     v = _require_nonnegative(h)
     for j in range(1, len(v) - 1):
         if v[j] * v[j] < v[j - 1] * v[j + 1]:
-            a, b, c = (h.coefficient(i) for i in (j - 1, j, j + 1))
+            den = h._den**2
+            square, product = _over(v[j] * v[j], den), _over(v[j - 1] * v[j + 1], den)
             return PropertyReport.failed(
-                {"index": j}, f"a_{j}^2 = {b ** 2} < a_{j - 1} a_{j + 1} = {a * c}"
+                {"index": j}, f"a_{j}^2 = {square} < a_{j - 1} a_{j + 1} = {product}"
             )
     return PropertyReport.passed()
+
+
+def _over(n: int, den: int) -> str:
+    """n/den in lowest terms, as ``str(Fraction(n, den))`` prints it, by one gcd."""
+    g = math.gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 def is_unimodal(h: Poly) -> PropertyReport:

@@ -4,10 +4,11 @@ The Reeve tetrahedron (lattice simplex with vertices (0,0,0), (1,0,0),
 (0,1,0), (1,7,8)) has numerator 1 + 7x^2 in dimension 3 and Ehrhart values
 L(j) = C(j+3, 3) + 7 C(j+1, 3), the series coefficients of (1 + 7x^2)/(1-x)^4.
 Its k-fold Cartesian power has the values L(j)^k, of degree n = 3k in j (the
-tag of power k): its numerator is L(0..n)^k times (1-x)^(n+1), truncated to
-degree n, and its f-polynomial, the k-fold diamond power of
-8x^3 + 10x^2 + 3x + 1, has coefficients f_(k,i) = Delta^i(L^k)(0).  The three
-lowest obey
+tag of power k): its f-polynomial, the k-fold diamond power of
+8x^3 + 10x^2 + 3x + 1, has coefficients f_(k,i) = Delta^i(L^k)(0), and its
+numerator, L(0..n)^k times (1-x)^(n+1) truncated to degree n, is built from
+f as ``h_from_f(f, n)``, one Horner pass in (1-x).  The three lowest
+f-coefficients obey
 
     f_(k+1,0) = f_(k,0)
     f_(k+1,1) = 3 f_(k,0) + 4 f_(k,1)
@@ -25,8 +26,7 @@ polynomials are built only as cross-checks, at k <= 3, at k = min(k_max, 60)
 and at any k that certificate misses: their low coefficients must be the
 sweep's, f must fail log-concavity, and the numerator some Newton inequality
 or else its Sturm chain.  Both are built over denominator 1, so every
-comparison reads integer numerators; ``Fraction``s appear only in the text
-of a failure.
+comparison, and the text of every failure, reads integer numerators.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .analysis import (
     is_real_rooted,
     newton_violation,
 )
-from .operators import _difference, _forward_differences, _series_values, diamond_power
+from .operators import _forward_differences, _series_values, diamond_power, h_from_f
 from .poly import Poly, _check_int, _check_tag
 
 
@@ -87,12 +87,11 @@ def _values(h: Poly, d: int, count: int) -> list[int]:
 
 
 def _power(k: int, h: Poly, d: int) -> tuple[Poly, Poly]:
-    """(f-polynomial, numerator) of power k: forward differences of its values
-    L(0..n)^k, and n + 1 backward ones."""
+    """(f-polynomial, numerator) of power k: the forward differences of its values
+    L(0..n)^k, and that f's coordinates in the basis x^i (x+1)^(n-i)."""
     n = d * k
-    values = [value**k for value in _values(h, d, n + 1)]
-    f = Poly._from_ints(_forward_differences(values))
-    return f, Poly._from_ints(_difference(values, n + 1))
+    f = Poly._from_ints(_forward_differences([value**k for value in _values(h, d, n + 1)]))
+    return f, h_from_f(f, n)
 
 
 def powers(
@@ -161,7 +160,9 @@ def counterexample_report(
 
     f_(k,0) f_(k,2) - f_(k,1)^2 = P_0 P_2 - P_1^2 = (L0 L2)^k - L1^(2k), so
     the strict inequality holds at every k exactly when L1^2 < L0 L2 (16 < 17
-    for Reeve); it breaks log-concavity of the nonnegative f at index 1.
+    for Reeve); it breaks log-concavity of the nonnegative f at index 1.  So
+    the sweep's check at k = 1, L1^2 < L0 L2, gives the strict inequality at
+    every k >= 1, and a pass says so.
     """
     _check_int(k_max, "k_max")
     if k_max < 1:
@@ -200,4 +201,6 @@ def counterexample_report(
                 {"k": k, "stage": "real-rootedness"},
                 f"numerator of power {k} is unexpectedly real-rooted",
             )
-    return PropertyReport.passed(f"counterexample confirmed for every k in 1..{k_max}")
+    return PropertyReport.passed(
+        f"counterexample confirmed for every power k >= 1, and power by power up to {k_max}"
+    )

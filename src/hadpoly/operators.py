@@ -2,20 +2,26 @@
 
 For p of degree at most d, sum_j p(j) x^j = h(x) / (1-x)^(d+1) for a
 numerator h tagged d, and p's f-polynomial is f = sum_i (Delta^i p)(0) x^i =
-sum_i h_i x^i (x+1)^(d-i).  Five maps on integer sequences, read over their
+sum_i h_i x^i (x+1)^(d-i).  Six maps on integer sequences, read over their
 input's common denominator, carry the basis changes and the products:
 
-* h -> values: ``_series_values``, p(0), p(1), ... by d+1 running prefix sums;
-* values -> h: ``_difference``, the product with (1-x)^(d+1), truncated;
+* h <-> f: ``_binomial_horner``, sum_i v_i x^i (1 +- x)^(d-i) by Horner's rule
+  in (1 +- x), d^2/2 additions: ``f_from_h`` and the f inside ``w_inverse``
+  take the plus sign, ``h_from_f`` the minus sign;
+* h -> values: ``_series_values``, p(0), p(1), ... by d+1 running prefix sums
+  (``hadamard``, and the Ehrhart values of ``ehrhart``);
+* values -> h: ``_difference``, the product with (1-x)^(d+1), truncated
+  (``hadamard`` and ``numerator_at``);
 * values -> f: ``_forward_differences``, the (Delta^i p)(0);
-* f -> values: ``_newton_values``, p(j) = sum_i f_i C(j, i) by running sums;
+* f -> values: ``_newton_values``, p(j) = sum_i f_i C(j, i) by running sums
+  (``diamond`` and ``diamond_power``);
 * f -> p: ``_newton_monomials``, d! sum_i f_i C(x, i) in monomial coordinates.
 
-``f_from_h`` and ``h_from_f`` compose two of them; ``reflect``, (-1)^d f(-x-1),
-is ``reverse`` between them, as it swaps the coordinates i and d-i of f.  The
-Hadamard product (h1, d1) x (h2, d2), the numerator of sum_j p1(j) p2(j) x^j,
-and the diamond product f_p <> f_q = f_(pq) both multiply d1+d2+1 values
-pointwise, and ``diamond_power`` raises k deg f + 1 of them to the k-th power.
+``reflect``, (-1)^d f(-x-1), is ``reverse`` between the two basis changes, as
+it swaps the coordinates i and d-i of f.  The Hadamard product
+(h1, d1) x (h2, d2), the numerator of sum_j p1(j) p2(j) x^j, and the diamond
+product f_p <> f_q = f_(pq) both multiply d1+d2+1 values pointwise, and
+``diamond_power`` raises k deg f + 1 of them to the k-th power.
 ``numerator_at`` and ``subdivision`` take the values of p to h and to f, and
 ``check_functional_eq`` compares the values of its two sides: each value is
 Horner's rule on p's integer numerators, read over their one denominator.
@@ -80,6 +86,16 @@ def _newton_monomials(f: Sequence[int]) -> list[int]:
     return m
 
 
+def _binomial_horner(v: Sequence[int], d: int, op) -> list[int]:
+    """sum_i v_i x^i (1 + x)^(d-i) for ``operator.add``, or (1 - x) for ``operator.sub``,
+    where len(v) <= d + 1: by Horner's rule, times (1 +- x), plus the next v_i x^i."""
+    out = []
+    for c in list(v) + [0] * (d + 1 - len(v)):
+        out = list(map(op, out + [0], [0] + out))
+        out[-1] += c
+    return out
+
+
 def numerator_at(p: Poly, d: int) -> Poly:
     """Coefficients of p in the basis {C(x + d - i, d)}: the numerator of
     sum_j p(j) x^j over (1-x)^(d+1).
@@ -105,7 +121,7 @@ def w_inverse(h: Poly, d: int) -> Poly:
     forward differences f_j = (Delta^j p)(0), the coefficients of f_from_h(h, d).
     deg p = d whenever the coefficients of h do not sum to zero."""
     _check_tag(h, d, "h")
-    f = _forward_differences(_series_values(h._num, d, d + 1))  # f_from_h, unstripped
+    f = _binomial_horner(h._num, d, operator.add)  # f_from_h, unstripped
     return Poly._from_ints(_newton_monomials(f), h._den * factorial(d))
 
 
@@ -147,7 +163,7 @@ def f_from_h(h: Poly, d: int) -> Poly:
     Coefficient m is sum_i h_i C(d-i, m-i): (Delta^m p)(0) for the values p(j) of h.
     """
     _check_tag(h, d, "h")
-    return Poly._from_ints(_forward_differences(_series_values(h._num, d, d + 1)), h._den)
+    return Poly._from_ints(_binomial_horner(h._num, d, operator.add), h._den)
 
 
 def h_from_f(f: Poly, d: int) -> Poly:
@@ -156,7 +172,7 @@ def h_from_f(f: Poly, d: int) -> Poly:
     Coefficient m is sum_i f_i (-1)^(m-i) C(d-i, m-i): the numerator of f's values.
     """
     _check_tag(f, d, "f")
-    return Poly._from_ints(_difference(_newton_values(f._num, d + 1), d + 1), f._den)
+    return Poly._from_ints(_binomial_horner(f._num, d, operator.sub), f._den)
 
 
 def reflect(f: Poly, d: int) -> Poly:

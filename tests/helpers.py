@@ -1,14 +1,18 @@
 """Test-only helpers: rational draws for seeded tests, the bullet and
-diamond routes of the Hadamard product, a ``Fraction`` Newton sum, ring
-formulas for the f-side split, the defect-1 factor and the diamond power, a
-derivative, rational evaluation, the Sturm interval count, a rational
-Euclidean chain and the Reeve closed form.
+diamond routes of the Hadamard product, binomial sums for the basis changes,
+the reflection, the numerator of a value sequence and the subdivision, a
+``Fraction`` Newton sum, ring formulas for the f-side split, the defect-1
+factor and the diamond power, a derivative, rational evaluation, the Sturm
+interval count, a rational Euclidean chain and the Reeve closed form.
 
 Nothing here comes from ``hadpoly.operators``, so the routes are independent
 of the code they cross-check: ``diamond_route`` runs on Wagner's derivative
 formula for the diamond product and on binomial sums for the h <-> f basis
-changes, where ``operators`` works on value sequences, and ``newton_sum``
-sums ``Fraction`` Newton coefficients, where ``w_inverse`` sums integers.
+changes, where ``operators`` works on value sequences and Horner's rule, and
+``newton_sum`` sums ``Fraction`` Newton coefficients, where ``w_inverse``
+sums integers.  ``reflection_by_binomials``, ``numerator_by_binomials`` and
+``subdivision_by_binomials`` are explicit binomial sums for ``reflect``,
+``numerator_at`` and ``subdivision``.
 ``reflection_split``, ``defect1_by_division`` and ``diamond_fold`` are the
 ``Poly`` ring formulas of ``r_decompose``, ``defect1_ell`` and
 ``diamond_power``, which compose the value maps instead.
@@ -94,6 +98,39 @@ def binomial_basis_change(p: Poly, d: int, sign: int) -> Poly:
     for i, c in enumerate(p.coeffs):
         for j in range(d - i + 1):
             out[i + j] += c * sign**j * math.comb(d - i, j)
+    return Poly(out)
+
+
+def reflection_by_binomials(f: Poly, d: int) -> Poly:
+    """(-1)^d f(-x-1) = sum_m (sum_i f_i (-1)^(d+i) C(i, m)) x^m: the reference for
+    ``reflect``."""
+    out = [Fraction(0)] * len(f.coeffs)
+    for i, c in enumerate(f.coeffs):
+        for m in range(i + 1):
+            out[m] += c * (-1) ** (d + i) * math.comb(i, m)
+    return Poly(out)
+
+
+def numerator_by_binomials(p: Poly, d: int) -> Poly:
+    """h_i = sum_(j <= i) (-1)^(i-j) C(d+1, i-j) p(j) for i = 0..d, the coefficients
+    of sum_j p(j) x^j times (1-x)^(d+1): the reference for ``numerator_at``."""
+    out = [Fraction(0)] * (d + 1)
+    for j in range(d + 1):
+        value = evaluate(p, j)
+        for i in range(j, d + 1):
+            out[i] += (-1) ** (i - j) * math.comb(d + 1, i - j) * value
+    return Poly(out)
+
+
+def subdivision_by_binomials(p: Poly) -> Poly:
+    """sum_m (Delta^m p)(0) x^m, with (Delta^m p)(0) = sum_(j <= m) (-1)^(m-j) C(m, j)
+    p(j) for m = 0..deg p: the reference for ``subdivision``."""
+    n = len(p.coeffs)
+    out = [Fraction(0)] * n
+    for j in range(n):
+        value = evaluate(p, j)
+        for m in range(j, n):
+            out[m] += (-1) ** (m - j) * math.comb(m, j) * value
     return Poly(out)
 
 

@@ -510,7 +510,8 @@ class TestVerifyCommand:
     def test_reeve_at_power_100(self, capsys):
         code, out, _ = run(capsys, "verify", "reeve", "--kmax", "100")
         assert code == 0
-        assert "PASS: counterexample confirmed for every power up to 100\n" in out
+        summary = "counterexample confirmed for every power k >= 1, and power by power up to 100"
+        assert f"PASS: {summary}\n" in out
 
     def test_deterministic_output(self, capsys):
         args = ("verify", "no-internal-zeros", "--trials", "10", "--seed", "7")

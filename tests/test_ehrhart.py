@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hadpoly import ehrhart
@@ -14,6 +14,7 @@ from hadpoly.analysis import (
     newton_violation,
 )
 from hadpoly.ehrhart import counterexample_report, low_coefficients, powers, product_f, reeve
+from hadpoly.generators import gen_real_rooted
 from hadpoly.operators import diamond_power, f_from_h, h_from_f, hadamard
 from hadpoly.poly import Poly, TaggedPoly
 from hadpoly.rng import SplitMix64
@@ -73,14 +74,27 @@ class TestProductF:
 class TestValueSpacePowers:
     def test_equal_the_diamond_powers_up_to_12(self):
         # the Sturm verdict on each numerator is the independent check of
-        # the Newton certificate that counterexample_report relies on
+        # the Newton certificate that counterexample_report relies on; powers
+        # builds the numerator from f, so it is checked against hadamard
         ks = []
+        base = acc = TaggedPoly(reeve().hstar, 3)
         for k, f, numerator in powers(12):
             ks.append(k)
             assert f == product_f(k)
-            assert numerator == h_from_f(product_f(k), 3 * k)
+            assert TaggedPoly(numerator, 3 * k) == acc
             assert not is_real_rooted(numerator).holds
+            acc = hadamard(acc, base)
         assert ks == list(range(1, 13))
+
+    def test_numerators_equal_the_hadamard_powers(self):
+        rng = SplitMix64(3802)
+        for _ in range(40):
+            d = rng.randint(0, 4)
+            h = P(*(rng.randint(0, 9) for _ in range(rng.randint(1, d + 1))))
+            base = acc = TaggedPoly(h, d)
+            for k, _, numerator in powers(6, h, d):
+                assert TaggedPoly(numerator, d * k) == acc, (h, d, k)
+                acc = hadamard(acc, base)
 
     def test_invalid_kmax(self):
         # low_coefficients checks its range like the other two, on its first step
@@ -130,6 +144,14 @@ def lows(p):
     return tuple(p.coefficient(i) for i in range(3))
 
 
+def binomial_values(coeffs, d):
+    """L(0), L(1), L(2) for h tagged d: L(j) = sum_i h_i C(j - i + d, d), the
+    series coefficients of h / (1-x)^(d+1)."""
+    return tuple(
+        sum(c * math.comb(j - i + d, d) for i, c in enumerate(coeffs[: j + 1])) for j in range(3)
+    )
+
+
 numerators = st.integers(0, 6).flatmap(
     lambda d: st.tuples(st.lists(st.integers(0, 9), min_size=1, max_size=d + 1), st.just(d))
 )
@@ -160,18 +182,57 @@ class TestLowCoefficients:
             assert lows(numerator) == h_lows
             assert ehrhart._newton_fails_at_tag(h_lows, 3 * k)
 
-    @given(numerators, st.integers(1, 30))
+    @given(numerators, st.integers(1, 300))
     @settings(max_examples=60, deadline=None)
     def test_log_concavity_margin_identity(self, numerator, k):
         # f0 f2 - f1^2 = P0 (P2 - 2 P1 + P0) - (P1 - P0)^2 = P0 P2 - P1^2
         coeffs, d = numerator
-        # L(j) = sum_i h_i C(j - i + d, d), the series coefficients of h / (1-x)^(d+1)
-        l0, l1, l2 = (
-            sum(c * math.comb(j - i + d, d) for i, c in enumerate(coeffs[: j + 1]))
-            for j in range(3)
-        )
+        l0, l1, l2 = binomial_values(coeffs, d)
         *_, (_, (f0, f1, f2), _) = low_coefficients(k, P(*coeffs), d)
         assert f0 * f2 - f1 * f1 == (l0 * l2) ** k - l1 ** (2 * k)
+
+
+class TestEveryK:
+    """A pass says no power k >= 1 is real-rooted, since power 1's strict
+    inequality, L1^2 < L0 L2, gives f_(k,1)^2 < f_(k,0) f_(k,2) at every k."""
+
+    @given(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 300)),
+        st.lists(st.integers(0, 9), max_size=4),
+        st.integers(0, 6),
+        st.integers(1, 300),
+    )
+    @example((1, 0, 7), [], 3, 300)  # Reeve
+    @example((1, 0, 6), [], 3, 2)  # T_7: L(1)^2 = L(0) L(2), not certified
+    @example((1, 0, 9), [], 1, 1)  # d = 1
+    @settings(max_examples=80, deadline=None)
+    def test_holds_at_each_k_of_the_sweep(self, low, tail, d, k):
+        coeffs = [*low, *tail][: d + 1]
+        l0, l1, l2 = binomial_values(coeffs, d)
+        certified = l1 * l1 < l0 * l2
+        # power 1 alone decides the report: it passes exactly on the certificate
+        assert counterexample_report(1, P(*coeffs), d).holds == certified
+        *_, (_, (f0, f1, f2), _) = low_coefficients(k, P(*coeffs), d)
+        if certified:
+            assert f1 * f1 < f0 * f2
+
+    def test_wagner_control(self):
+        # a real-rooted nonnegative h has real-rooted Hadamard powers at every tag
+        # d >= deg h (Wagner 1992), so it must never be certified
+        rng = SplitMix64(3803)
+        for trial in range(300):
+            degree = rng.randint(0, 6)
+            h = P(*gen_real_rooted(rng, degree, 9).poly._num)  # denominators cleared
+            for d in range(degree, degree + 3):
+                l0, l1, l2 = ehrhart._values(h, d, 3)
+                assert not l1 * l1 < l0 * l2, (trial, h, d)
+                assert not counterexample_report(3, h, d).holds, (trial, h, d)
+
+    def test_reeve_pass_says_every_k(self):
+        report = counterexample_report(8)
+        assert report.detail == (
+            "counterexample confirmed for every power k >= 1, and power by power up to 8"
+        )
 
 
 class TestClosedForm:

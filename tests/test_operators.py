@@ -38,7 +38,10 @@ from helpers import (
     diamond_route,
     evaluate,
     newton_sum,
+    numerator_by_binomials,
     rational,
+    reflection_by_binomials,
+    subdivision_by_binomials,
 )
 
 
@@ -357,8 +360,9 @@ def unit(i):
 
 class TestOnBases:
     """At fixed tags ``hadamard`` and ``diamond_route`` are bilinear, and the basis
-    changes and ``w_inverse`` linear, so agreeing on every pair of basis numerators,
-    with the bilinearity tests, covers every input at those tags."""
+    changes, ``w_inverse``, ``reflect``, ``numerator_at`` and ``subdivision`` linear,
+    so agreeing on every pair of basis numerators, with the bilinearity tests,
+    covers every input at those tags."""
 
     def test_hadamard_structure_constants(self):
         for a, b in product(range(13), repeat=2):
@@ -379,6 +383,24 @@ class TestOnBases:
                 assert f_from_h(e, d) == binomial_basis_change(e, d, 1), (i, d)
                 assert h_from_f(e, d) == binomial_basis_change(e, d, -1), (i, d)
                 assert w_inverse(e, d) == newton_sum(e, d), (i, d)
+
+    def test_reflect_numerator_at_and_subdivision_on_unit_vectors(self):
+        for d in range(25):
+            for i in range(d + 1):
+                e = unit(i)
+                assert reflect(e, d) == reflection_by_binomials(e, d), (i, d)
+                assert numerator_at(e, d) == numerator_by_binomials(e, d), (i, d)
+            assert subdivision(unit(d)) == subdivision_by_binomials(unit(d)), d
+
+    def test_basis_changes_above_the_unit_vector_degrees(self):
+        # the Horner passes at d = 40, 48, ..., 96, on signed rationals of degree d and below
+        rng = SplitMix64(3801)
+        for d in range(40, 97, 8):
+            for top in (d, rng.randint(0, d - 1)):
+                signs = [(-1) ** rng.randint(0, 1) for _ in range(top + 1)]
+                h = Poly([rational(rng, 99, 9) * sign for sign in signs])
+                assert f_from_h(h, d) == binomial_basis_change(h, d, 1), d
+                assert h_from_f(h, d) == binomial_basis_change(h, d, -1), d
 
 
 class TestBullet:

@@ -186,7 +186,7 @@ PRIVATE_IMPORTS = {
     ("decomp", "poly"): {"_check_int", "_check_tag", "_is_palindrome"},
     ("analysis", "poly"): {"_check_int", "_check_tag", "_is_palindrome"},
     ("ehrhart", "poly"): {"_check_int", "_check_tag"},
-    ("ehrhart", "operators"): {"_difference", "_forward_differences", "_series_values"},
+    ("ehrhart", "operators"): {"_forward_differences", "_series_values"},
     ("ehrhart", "analysis"): {"_newton_index"},
 }
 
