@@ -88,16 +88,22 @@ def has_internal_zeros(h: Poly) -> PropertyReport:
 
 
 def is_log_concave(h: Poly) -> PropertyReport:
-    """a_j^2 >= a_(j-1) a_(j+1) for every interior index j (nonnegative input)."""
+    """a_j^2 >= a_(j-1) a_(j+1) for every interior index j (nonnegative input).
+
+    A failure's text prints both sides in lowest terms, or names only the
+    index when a side has more digits than ``str`` of an ``int`` allows.
+    """
     v = _require_nonnegative(h)
-    for j in range(1, len(v) - 1):
-        if v[j] * v[j] < v[j - 1] * v[j + 1]:
-            den = h._den**2
-            square, product = _over(v[j] * v[j], den), _over(v[j - 1] * v[j + 1], den)
-            return PropertyReport.failed(
-                {"index": j}, f"a_{j}^2 = {square} < a_{j - 1} a_{j + 1} = {product}"
-            )
-    return PropertyReport.passed()
+    j = _log_concave_index(v)
+    if j is None:
+        return PropertyReport.passed()
+    den = h._den**2
+    try:
+        square, product = _over(v[j] * v[j], den), _over(v[j - 1] * v[j + 1], den)
+        detail = f"a_{j}^2 = {square} < a_{j - 1} a_{j + 1} = {product}"
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        detail = f"a_{j}^2 < a_{j - 1} a_{j + 1} (too many digits to print the values)"
+    return PropertyReport.failed({"index": j}, detail)
 
 
 def _over(n: int, den: int) -> str:
@@ -119,6 +125,14 @@ def is_unimodal(h: Poly) -> PropertyReport:
                 f"coefficients fall at index {descent} and rise again at index {i}",
             )
     return PropertyReport.passed()
+
+
+def _log_concave_index(v: Sequence[int]) -> int | None:
+    """The first 0 < j < len(v) - 1 with v_j^2 < v_(j-1) v_(j+1), or ``None``."""
+    for j in range(1, len(v) - 1):
+        if v[j] * v[j] < v[j - 1] * v[j + 1]:
+            return j
+    return None
 
 
 def _newton_index(v: Sequence[int], m: int) -> int | None:
@@ -180,7 +194,8 @@ def is_real_rooted(p: Poly) -> PropertyReport:
         return PropertyReport.passed()
     return PropertyReport.failed(
         {"distinct_real_roots": found, "distinct_roots_needed": needed},
-        f"only {found} of {needed} distinct roots are real",
+        f"only {found} of {needed} distinct roots are real, "
+        f"non-real pairs: {(needed - found) // 2}",
     )
 
 

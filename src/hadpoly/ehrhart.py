@@ -24,9 +24,11 @@ three lowest f-coefficients against the recurrence, the strict inequality,
 then Newton's inequality at index 1 of the numerator, at the tag.  Full
 polynomials are built only as cross-checks, at k <= 3, at k = min(k_max, 60)
 and at any k that certificate misses: their low coefficients must be the
-sweep's, f must fail log-concavity, and the numerator some Newton inequality
-or else its Sturm chain.  Both are built over denominator 1, so every
-comparison, and the text of every failure, reads integer numerators.
+sweep's, f must fail log-concavity, decided on its integer numerators by
+the kernel of ``is_log_concave`` with no failure text, and the numerator
+some Newton inequality or else its Sturm chain.  Both are built over
+denominator 1, so every comparison reads integer numerators, and the report
+formats no number it does not print.
 """
 
 from __future__ import annotations
@@ -37,8 +39,9 @@ from typing import Iterator
 
 from .analysis import (
     PropertyReport,
+    _log_concave_index,
     _newton_index,
-    is_log_concave,
+    _require_nonnegative,
     is_nonnegative,
     is_real_rooted,
     newton_violation,
@@ -191,7 +194,7 @@ def counterexample_report(
             got = (full._num + (0, 0, 0))[:3]  # _power builds both over denominator 1
             if got != lows:
                 return _lows_differ(k, got)
-        if is_log_concave(f).holds:
+        if _log_concave_index(_require_nonnegative(f)) is None:
             return PropertyReport.failed(
                 {"k": k, "stage": "log-concavity"},
                 f"power {k} is unexpectedly log-concave",

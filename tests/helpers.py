@@ -1,9 +1,10 @@
 """Test-only helpers: rational draws for seeded tests, the bullet and
 diamond routes of the Hadamard product, binomial sums for the basis changes,
-the reflection, the numerator of a value sequence and the subdivision, a
-``Fraction`` Newton sum, ring formulas for the f-side split, the defect-1
-factor and the diamond power, a derivative, rational evaluation, the Sturm
-interval count, a rational Euclidean chain and the Reeve closed form.
+the reflection, the numerator of a value sequence and the subdivision, the
+closed form of the symmetric decomposition, a ``Fraction`` Newton sum, ring
+formulas for the f-side split, the defect-1 factor and the diamond power, a
+derivative, rational evaluation, the Sturm interval count, a rational
+Euclidean chain and the Reeve closed form.
 
 Nothing here comes from ``hadpoly.operators``, so the routes are independent
 of the code they cross-check: ``diamond_route`` runs on Wagner's derivative
@@ -12,7 +13,8 @@ changes, where ``operators`` works on value sequences and Horner's rule, and
 ``newton_sum`` sums ``Fraction`` Newton coefficients, where ``w_inverse``
 sums integers.  ``reflection_by_binomials``, ``numerator_by_binomials`` and
 ``subdivision_by_binomials`` are explicit binomial sums for ``reflect``,
-``numerator_at`` and ``subdivision``.
+``numerator_at`` and ``subdivision``, and ``symmetric_split`` is the closed
+form of ``i_decompose``.
 ``reflection_split``, ``defect1_by_division`` and ``diamond_fold`` are the
 ``Poly`` ring formulas of ``r_decompose``, ``defect1_ell`` and
 ``diamond_power``, which compose the value maps instead.
@@ -132,6 +134,15 @@ def subdivision_by_binomials(p: Poly) -> Poly:
         for m in range(j, n):
             out[m] += (-1) ** (m - j) * math.comb(m, j) * value
     return Poly(out)
+
+
+def symmetric_split(h: Poly, d: int) -> tuple[Poly, Poly]:
+    """(a, b) with b = (x^d h(1/x) - h) / (1 - x) and a = h - x b: the closed form
+    of ``i_decompose``.  With h = a + x b, reverse(a, d) = a and reverse(b, d-1) = b,
+    x^d h(1/x) = a + b, so x^d h(1/x) - h = (1 - x) b."""
+    b, remainder = divmod(reverse(h, d) - h, Poly([1, -1]))
+    assert remainder.is_zero
+    return h - Poly.x() * b, b
 
 
 def newton_sum(h: Poly, d: int) -> Poly:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hadpoly.analysis import (
     PropertyReport,
+    _log_concave_index,
     _root_order,
     gamma_contract,
     gamma_expand,
@@ -134,6 +135,32 @@ class TestLogConcave:
     def test_gap_product_fails(self):
         rep = is_log_concave(P(1, 18, 45, 40, 45, 18, 1))
         assert not rep.holds and rep.witness == {"index": 3}
+
+    def test_values_past_the_digit_limit_still_fail(self):
+        # a_1^2 = 1 < a_0 a_2 = 9 * 10^4400, whose decimal text is past the default
+        # int-to-str limit of 4300 digits
+        a = 3 * 10**2200
+        rep = is_log_concave(P(a, 1, a))
+        assert not rep.holds and rep.witness == {"index": 1}
+        assert rep.detail == "a_1^2 < a_0 a_2 (too many digits to print the values)"
+
+    def test_detail_matches_the_fraction_text(self):
+        rng = SplitMix64(3901)
+        failures = 0
+        for _ in range(300):
+            h = P(*[rational(rng, 9, 6) for _ in range(rng.randint(3, 6))])
+            rep = is_log_concave(h)
+            index = _log_concave_index(h._num)
+            assert rep.holds == (index is None)
+            if index is not None:
+                failures += 1
+                a = h.coeffs
+                assert rep.witness == {"index": index}
+                assert rep.detail == (
+                    f"a_{index}^2 = {a[index] ** 2} < "
+                    f"a_{index - 1} a_{index + 1} = {a[index - 1] * a[index + 1]}"
+                )
+        assert failures > 50
 
 
 class TestUnimodal:
@@ -293,6 +320,17 @@ class TestRealRooted:
 
     def test_reeve_numerator_fails(self):
         assert not is_real_rooted(P(1, 0, 7)).holds
+
+    @pytest.mark.parametrize(
+        "p, real, needed, pairs",
+        [(P(1, 0, 7), 0, 2, 1), (P(1, 0, 0, 1), 1, 3, 1), (P(1, 0, 1) ** 2 * P(4, 0, 1), 0, 4, 2)],
+    )
+    def test_failure_detail_counts_the_non_real_pairs(self, p, real, needed, pairs):
+        rep = is_real_rooted(p)
+        assert rep.witness == {"distinct_real_roots": real, "distinct_roots_needed": needed}
+        assert rep.detail == (
+            f"only {real} of {needed} distinct roots are real, non-real pairs: {pairs}"
+        )
 
     def test_square_example_fails(self):
         assert not is_real_rooted(SQUARE_EX).holds

@@ -316,6 +316,14 @@ class TestCheckCommand:
         assert code == 1
         assert "'index': 1" in out
 
+    def test_logconcave_failure_past_the_digit_limit(self, capsys):
+        a = "3" + "0" * 2200
+        code, out, _ = run(capsys, "check", "logconcave", "--poly", f"{a},1,{a}")
+        assert code == 1
+        assert out == (
+            "fails: a_1^2 < a_0 a_2 (too many digits to print the values)  witness={'index': 1}\n"
+        )
+
     def test_ulc_holds(self, capsys):
         code, out, _ = run(
             capsys, "check", "ulc", "--poly", "1,8,24,36,24,8,1", "--order", "6"

@@ -300,6 +300,30 @@ class TestCounterexampleReport:
         assert report.witness == {"k": 1, "stage": "real-rootedness"}
         assert report.detail == "numerator of power 1 is unexpectedly real-rooted"
 
+    def test_log_concave_power_fails_its_stage(self, monkeypatch):
+        monkeypatch.setattr(ehrhart, "_log_concave_index", lambda v: None)
+        report = counterexample_report(3)
+        assert not report.holds
+        assert report.witness == {"k": 1, "stage": "log-concavity"}
+        assert report.detail == "power 1 is unexpectedly log-concave"
+
+    def test_negative_f_coefficient_is_rejected(self, monkeypatch):
+        # the low coefficients still match the sweep's, so only the precondition
+        # of the log-concavity stage sees the -8
+        power = ehrhart._power
+        monkeypatch.setattr(
+            ehrhart, "_power", lambda k, h, d: (P(1, 3, 10, -8), power(k, h, d)[1])
+        )
+        with pytest.raises(ValueError, match="negative coefficient -8 at index 3"):
+            counterexample_report(1)
+
+    def test_cross_check_past_the_digit_limit(self):
+        # the k = 60 power has coefficients of more than 4300 digits, which the
+        # default int-to-str limit would refuse to print
+        f, _ = ehrhart._power(60, P(1, 0, 10**80), 3)
+        assert max(f._num) > 10**4300
+        assert counterexample_report(60, P(1, 0, 10**80), 3).holds
+
     @pytest.mark.parametrize(
         "k_max, built", [(2, [1, 2]), (12, [1, 2, 3, 12]), (100, [1, 2, 3, 60])]
     )

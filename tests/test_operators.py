@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hadpoly import operators
+from hadpoly.decomp import i_decompose
 from hadpoly.operators import (
     _difference,
     _forward_differences,
@@ -42,6 +43,7 @@ from helpers import (
     rational,
     reflection_by_binomials,
     subdivision_by_binomials,
+    symmetric_split,
 )
 
 
@@ -360,9 +362,9 @@ def unit(i):
 
 class TestOnBases:
     """At fixed tags ``hadamard`` and ``diamond_route`` are bilinear, and the basis
-    changes, ``w_inverse``, ``reflect``, ``numerator_at`` and ``subdivision`` linear,
-    so agreeing on every pair of basis numerators, with the bilinearity tests,
-    covers every input at those tags."""
+    changes, ``w_inverse``, ``reflect``, ``numerator_at``, ``subdivision`` and
+    ``i_decompose`` linear, so agreeing on every pair of basis numerators, with
+    the bilinearity tests, covers every input at those tags."""
 
     def test_hadamard_structure_constants(self):
         for a, b in product(range(13), repeat=2):
@@ -391,6 +393,12 @@ class TestOnBases:
                 assert reflect(e, d) == reflection_by_binomials(e, d), (i, d)
                 assert numerator_at(e, d) == numerator_by_binomials(e, d), (i, d)
             assert subdivision(unit(d)) == subdivision_by_binomials(unit(d)), d
+
+    def test_i_decompose_on_unit_vectors(self):
+        for d in range(25):
+            for j in range(d + 1):
+                dec = i_decompose(unit(j), d)
+                assert (dec.a, dec.b) == symmetric_split(unit(j), d), (j, d)
 
     def test_basis_changes_above_the_unit_vector_degrees(self):
         # the Horner passes at d = 40, 48, ..., 96, on signed rationals of degree d and below

@@ -187,7 +187,7 @@ PRIVATE_IMPORTS = {
     ("analysis", "poly"): {"_check_int", "_check_tag", "_is_palindrome"},
     ("ehrhart", "poly"): {"_check_int", "_check_tag"},
     ("ehrhart", "operators"): {"_forward_differences", "_series_values"},
-    ("ehrhart", "analysis"): {"_newton_index"},
+    ("ehrhart", "analysis"): {"_log_concave_index", "_newton_index", "_require_nonnegative"},
 }
 
 
