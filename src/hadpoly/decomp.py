@@ -98,10 +98,8 @@ def defect1_ell(b1: Poly, d1: int, b2: Poly, d2: int) -> Poly:
     the product has no constant term.  Broken symmetry signals an
     implementation bug and aborts.
     """
-    _check_int(d1, "d1")
-    _check_int(d2, "d2")
-    if d1 < 1 or d2 < 1:
-        raise ValueError("reference degrees must be at least 1")
+    _check_int(d1, "d1", 1)
+    _check_int(d2, "d2", 1)
     if reflect(b1, d1 - 1) != b1:
         raise ValueError(f"b1 is not its own reflection at degree {d1 - 1}")
     if reflect(b2, d2 - 1) != b2:

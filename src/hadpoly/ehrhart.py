@@ -41,6 +41,7 @@ from .analysis import (
     PropertyReport,
     _log_concave_index,
     _newton_index,
+    _printed,
     _require_nonnegative,
     is_nonnegative,
     is_real_rooted,
@@ -75,9 +76,6 @@ def product_f(k: int) -> Poly:
 
     Kept as an independent cross-check of ``powers``.
     """
-    _check_int(k, "k")
-    if k < 1:
-        raise ValueError("power must be at least 1")
     return diamond_power(_REEVE.f_poly, k)
 
 
@@ -102,9 +100,7 @@ def powers(
 ) -> Iterator[tuple[int, Poly, Poly]]:
     """Yield (k, f-polynomial, numerator) of the k-th Hadamard power of (h, d)
     for k = 1..k_max, each built in full."""
-    _check_int(k_max, "k_max")
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+    _check_int(k_max, "k_max", 1)
     for k in range(1, k_max + 1):
         yield (k, *_power(k, h, d))
 
@@ -122,9 +118,7 @@ def low_coefficients(
     P_2 - (n+1) P_1 + C(n+1, 2) P_0).  That product vanishes above degree n,
     so this holds at every tag, n < 2 included.
     """
-    _check_int(k_max, "k_max")
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+    _check_int(k_max, "k_max", 1)
     l0, l1, l2 = _values(h, d, 3)
     p0 = p1 = p2 = 1
     for k in range(1, k_max + 1):
@@ -148,7 +142,7 @@ def _newton_fails_at_tag(h_lows: tuple[int, int, int], n: int) -> bool:
 
 def _lows_differ(k: int, got: tuple) -> PropertyReport:
     return PropertyReport.failed(
-        {"k": k, "stage": "closed form", "got": [str(c) for c in got]},
+        {"k": k, "stage": "closed form", "got": [_printed(c) for c in got]},
         f"low coefficients at k={k} differ from the closed form",
     )
 
@@ -167,9 +161,7 @@ def counterexample_report(
     the sweep's check at k = 1, L1^2 < L0 L2, gives the strict inequality at
     every k >= 1, and a pass says so.
     """
-    _check_int(k_max, "k_max")
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+    _check_int(k_max, "k_max", 1)
     l0, l1, l2 = _values(h, d, 3)
     # f of power k+1 from that of power k, since P_j = sum_i C(j, i) f_i and
     # P_j -> L(j) P_j; for Reeve it is the recurrence of the module docstring

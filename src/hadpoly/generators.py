@@ -18,7 +18,7 @@ from math import comb, gcd, lcm
 
 from .analysis import gamma_contract
 from .decomp import SymDecomp
-from .poly import Poly, TaggedPoly
+from .poly import Poly, TaggedPoly, _check_int
 from .rng import SplitMix64
 
 
@@ -37,17 +37,11 @@ class TrialConfig:
 
     def __post_init__(self):
         for name in ("seed", "trials", "max_degree", "max_coefficient"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise TypeError(f"{name} must be an int, got {value!r}")
+            _check_int(getattr(self, name), name)
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
-        if self.max_degree < 1:
-            raise ValueError("max_degree must be positive")
-        if self.max_coefficient < 1:
-            raise ValueError("max_coefficient must be positive")
+        for name in ("trials", "max_degree", "max_coefficient"):
+            _check_int(getattr(self, name), name, 1)
 
 
 def gen_real_rooted(rng: SplitMix64, degree: int, max_coeff: int) -> TaggedPoly:
@@ -102,8 +96,8 @@ def gen_symmetric(
     Emits sum_i g_i x^i (1+x)^(s-2i) with random nonnegative g_i (at least
     one positive), tagged s + defect.
     """
-    if s < 0 or defect < 0:
-        raise ValueError("axis and defect must be nonnegative")
+    _check_int(s, "axis", 0)
+    _check_int(defect, "defect", 0)
     gamma = _pairs(rng, s // 2 + 1, max_coeff)
     if not any(n for n, _ in gamma):
         gamma = _pairs(rng, 1, max_coeff, 1)

@@ -200,9 +200,7 @@ def diamond_power(f: Poly, k: int) -> Poly:
     With f = f_p it is f_(p^k): the forward differences of the values p(j)^k,
     k deg f + 1 of them.
     """
-    _check_int(k, "k")
-    if k < 1:
-        raise ValueError("diamond power requires k >= 1 (no degree-free identity)")
+    _check_int(k, "k", 1)
     values = _newton_values(f._num, k * max(len(f._num) - 1, 0) + 1)
     return Poly._from_ints(_forward_differences([v**k for v in values]), f._den**k)
 

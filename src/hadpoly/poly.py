@@ -13,7 +13,8 @@ combined by one pseudo-remainder, ``_prem``, which ``divmod`` also uses; its
 multiplier is |lc(b)| ** (deg a - deg b + 1), and the normal step, deg a =
 deg b + 1, is one pass.  ``_check_tag`` is the one check of the tag rule: a
 numerator tagged d needs an ``int`` d >= 0 and degree at most d.  Its ``int``
-test, ``_check_int``, also checks every axis, order and power argument.
+test, ``_check_int``, also checks every axis, order, power and trial count,
+and words the ``TypeError`` and the lower-bound ``ValueError`` of each.
 """
 
 from __future__ import annotations
@@ -198,10 +199,15 @@ def format_poly(p: Poly) -> str:
     return text
 
 
-def _check_int(value: object, what: str) -> None:
-    """A ``TypeError`` naming ``what`` unless ``value`` is an ``int`` (not a ``bool``)."""
+def _check_int(value: object, what: str, least: int | None = None) -> None:
+    """A ``TypeError`` naming ``what`` unless ``value`` is an ``int`` (not a
+    ``bool``), then a ``ValueError`` if it is below ``least``."""
     if type(value) is not int:
         raise TypeError(f"{what} {value!r} is not an int")
+    if least is not None and value < least:
+        raise ValueError(
+            f"{what} must be nonnegative" if least == 0 else f"{what} must be at least {least}"
+        )
 
 
 def _check_tag(p: Poly, d: int, name: str) -> None:

@@ -249,13 +249,11 @@ def _rational_roots_capped(ints: tuple[int, ...]) -> list[Fraction]:
     dens = _divisors(an)
     if len(nums) * len(dens) > _SWEEP_CANDIDATE_CAP:
         return found
-    seen = set()
     for num in nums:
         for den in dens:
-            cand = Fraction(num, den)
-            if cand in seen:
+            if math.gcd(num, den) > 1:  # met already, in lowest terms, earlier in the sweep
                 continue
-            seen.add(cand)
+            cand = Fraction(num, den)
             for signed in (cand, -cand):
                 if _sign_at(ints, signed) == 0:
                     found.append(signed)

@@ -100,6 +100,25 @@ class TestNonnegative:
         with pytest.raises(ValueError, match="^negative coefficient -2/3 at index 2$"):
             is_log_concave(P(1, 1, Fraction(-2, 3), -1))
 
+    def test_values_past_the_digit_limit_still_fail(self):
+        # -10^5000 has more digits than the default int-to-str limit of 4300;
+        # -10^4299 has exactly 4300 and is still printed
+        edge = -(10**4299)
+        rep = is_nonnegative(P(1, edge))
+        assert rep.witness == {"index": 1, "value": str(edge)}
+        assert rep.detail == f"coefficient 1 is {edge}"
+        marker = "(too many digits to print)"
+        big = -(10**5000)
+        rep = is_nonnegative(P(1, big))
+        assert not rep.holds and rep.witness == {"index": 1, "value": marker}
+        assert rep.detail == f"coefficient 1 is {marker}"
+        with pytest.raises(ValueError) as raised:
+            is_log_concave(P(1, big))
+        assert str(raised.value) == f"negative coefficient {marker} at index 1"
+        rep = is_gamma_positive(P(big), 0)
+        assert rep.witness == {"index": 0, "value": marker}
+        assert rep.detail == f"gamma coordinate 0 is {marker}"
+
 
 class TestInternalZeros:
     def test_gap_fails_with_witness(self):

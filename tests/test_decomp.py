@@ -279,6 +279,13 @@ class TestPredicates:
     def test_nonnegative_zero_b(self):
         assert decomposition_is_nonnegative(SymDecomp(P(1, 1), Poly(), 1)).holds
 
+    def test_nonnegative_past_the_digit_limit(self):
+        # -10^5000 has more digits than the default int-to-str limit of 4300
+        rep = decomposition_is_nonnegative(SymDecomp(P(-(10**5000)), Poly(), 0))
+        marker = "(too many digits to print)"
+        assert rep.witness == {"part": "a", "index": 0, "value": marker}
+        assert rep.detail == f"coefficient 0 of a is {marker}"
+
     def test_interlacing_fails_for_detached_root(self):
         # b = 6x has its root above every root of a = (1+x)^3
         dec = i_decompose(NEAR_SYMMETRIC_CUBIC, 3)

@@ -343,11 +343,17 @@ class TestCounterexampleReport:
         assert calls == list(range(1, 13))
 
     @pytest.mark.parametrize(
-        "k, which, got", [(7, 1, ["1", "16384", "410305906"]), (2, 2, ["1", "9", "198"])]
+        "k, which, got",
+        [
+            (7, 1, ["1", "16384", "410305906"]),
+            (2, 2, ["1", "9", "198"]),
+            (3600, 1, ["1", str(4**3600), "(too many digits to print)"]),
+        ],
     )
     def test_sweep_that_drifts_fails_the_closed_form(self, monkeypatch, k, which, got):
         # f_(k,1) one too high (which = 1) leaves the recurrence; h_(k,1) one
-        # too high (which = 2) differs from the full numerator's, which is reported
+        # too high (which = 2) differs from the full numerator's, which is reported.
+        # At k = 3600, f_(k,2) ~ 17^k has more digits than the int-to-str limit of 4300
         sweep = ehrhart.low_coefficients
 
         def drifted(*args):
@@ -358,7 +364,7 @@ class TestCounterexampleReport:
                 yield tuple(item)
 
         monkeypatch.setattr(ehrhart, "low_coefficients", drifted)
-        report = counterexample_report(12)
+        report = counterexample_report(max(k, 12))
         assert not report.holds
         assert report.witness == {"k": k, "stage": "closed form", "got": got}
         assert report.detail == f"low coefficients at k={k} differ from the closed form"

@@ -1,4 +1,5 @@
 import inspect
+import re
 from fractions import Fraction
 from math import comb
 
@@ -60,7 +61,7 @@ class TestTrialConfig:
         [("seed", True), ("trials", True), ("max_degree", 2.5), ("max_coefficient", 2.5), ("seed", 1.5)],
     )
     def test_rejects_a_non_int(self, field, value):
-        with pytest.raises(TypeError, match=f"{field} must be an int"):
+        with pytest.raises(TypeError, match=f"^{field} {re.escape(repr(value))} is not an int$"):
             TrialConfig(**{field: value})
 
 

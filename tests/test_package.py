@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import hadpoly
-from hadpoly import cli, decomp, ehrhart, harness, operators
+from hadpoly import cli, decomp, ehrhart, generators, harness, operators
 from hadpoly.generators import TrialConfig
 from hadpoly.poly import Poly
+from hadpoly.rng import SplitMix64
 
 
 def test_every_export_resolves():
@@ -187,7 +188,10 @@ PRIVATE_IMPORTS = {
     ("analysis", "poly"): {"_check_int", "_check_tag", "_is_palindrome"},
     ("ehrhart", "poly"): {"_check_int", "_check_tag"},
     ("ehrhart", "operators"): {"_forward_differences", "_series_values"},
-    ("ehrhart", "analysis"): {"_log_concave_index", "_newton_index", "_require_nonnegative"},
+    ("generators", "poly"): {"_check_int"},
+    ("ehrhart", "analysis"): {
+        "_log_concave_index", "_newton_index", "_printed", "_require_nonnegative",
+    },
 }
 
 
@@ -260,6 +264,116 @@ def test_tag_message_guard_flags_a_copy():
         "line 3: reference degree must be nonnegative",
         "line 4: degree overflow",
     ]
+
+
+# -- one bounded int check -----------------------------------------------------------
+#
+# Every order, axis, power and trial count is an ``int`` with a lower bound, checked
+# and worded by ``poly._check_int``: no other module may spell out its type or
+# lower-bound message in a string constant or an f-string part.
+
+ONE = Poly([1])
+
+BOUNDED_COUNTS = {
+    "is_ulc order": (lambda: hadpoly.is_ulc(ONE, -1), ValueError, "order must be nonnegative"),
+    "gamma_expand axis": (
+        lambda: hadpoly.gamma_expand(ONE, -1), ValueError, "axis must be nonnegative"
+    ),
+    "gamma_contract axis": (
+        lambda: hadpoly.gamma_contract(ONE, -1), ValueError, "axis must be nonnegative"
+    ),
+    "defect1_ell d1": (
+        lambda: decomp.defect1_ell(ONE, 0, ONE, 1), ValueError, "d1 must be at least 1"
+    ),
+    "defect1_ell d2": (
+        lambda: decomp.defect1_ell(ONE, 1, ONE, 0), ValueError, "d2 must be at least 1"
+    ),
+    "powers k_max": (lambda: list(ehrhart.powers(0)), ValueError, "k_max must be at least 1"),
+    "low_coefficients k_max": (
+        lambda: list(ehrhart.low_coefficients(0)), ValueError, "k_max must be at least 1"
+    ),
+    "counterexample_report k_max": (
+        lambda: ehrhart.counterexample_report(0), ValueError, "k_max must be at least 1"
+    ),
+    "diamond_power k": (
+        lambda: operators.diamond_power(ONE, 0), ValueError, "k must be at least 1"
+    ),
+    "product_f k": (lambda: ehrhart.product_f(0), ValueError, "k must be at least 1"),
+    "gen_symmetric axis": (
+        lambda: generators.gen_symmetric(SplitMix64(1), -1, 0, 9),
+        ValueError,
+        "axis must be nonnegative",
+    ),
+    "gen_symmetric axis type": (
+        lambda: generators.gen_symmetric(SplitMix64(1), 1.5, 0, 9),
+        TypeError,
+        "axis 1.5 is not an int",
+    ),
+    "gen_symmetric defect": (
+        lambda: generators.gen_symmetric(SplitMix64(1), 2, -1, 9),
+        ValueError,
+        "defect must be nonnegative",
+    ),
+    "TrialConfig trials": (lambda: TrialConfig(trials=0), ValueError, "trials must be at least 1"),
+    "TrialConfig trials type": (
+        lambda: TrialConfig(trials=True), TypeError, "trials True is not an int"
+    ),
+    "TrialConfig max_degree": (
+        lambda: TrialConfig(max_degree=0), ValueError, "max_degree must be at least 1"
+    ),
+    "TrialConfig max_coefficient": (
+        lambda: TrialConfig(max_coefficient=-3), ValueError, "max_coefficient must be at least 1"
+    ),
+    "verify reeve --kmax": (
+        lambda: cli.main(["verify", "reeve", "--kmax", "0"]), 2, "k_max must be at least 1"
+    ),
+    "check ulc --order": (
+        lambda: cli.main(["check", "ulc", "--poly", "1", "--order", "-1"]),
+        2,
+        "order must be nonnegative",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", BOUNDED_COUNTS.values(), ids=BOUNDED_COUNTS)
+def test_a_count_out_of_range_is_refused_in_one_wording(call, error, message, capsys):
+    if isinstance(error, int):  # a console command: its exit code, and the message on stderr
+        assert (call(), *capsys.readouterr()) == (error, "", f"error: {message}\n")
+        return
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message
+
+
+COUNT_MESSAGES = ("is not an int", "must be at least", "must be nonnegative")
+
+
+def _count_messages(tree: ast.AST) -> list[str]:
+    """The count messages found in the string constants or f-string parts of ``tree``."""
+    return sorted({
+        message
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for message in COUNT_MESSAGES
+        if message in node.value
+    })
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_count_messages_are_written_only_in_poly(path):
+    found = _count_messages(ast.parse(path.read_text("utf-8")))
+    assert found == (sorted(COUNT_MESSAGES) if path.name == "poly.py" else [])
+
+
+def test_count_message_guard_flags_a_copy():
+    source = (
+        'def check(k):\n'
+        '    if type(k) is not int:\n'
+        '        raise TypeError(f"k {k!r} is not an int")\n'
+        '    if k < 1:\n'
+        '        raise ValueError(f"k must be at least 1, got {k}")\n'
+    )
+    assert _count_messages(ast.parse(source)) == ["is not an int", "must be at least"]
 
 
 # -- traced entry points ------------------------------------------------------------
