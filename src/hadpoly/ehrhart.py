@@ -84,7 +84,7 @@ def _values(h: Poly, d: int, count: int) -> list[int]:
     _check_tag(h, d, "h")
     if h._den != 1 or not is_nonnegative(h):
         raise ValueError(f"need a nonnegative integer numerator of degree at most {d}")
-    return _series_values(h._num[:count], d, count)
+    return _series_values(h._num, d, count)
 
 
 def _power(k: int, h: Poly, d: int) -> tuple[Poly, Poly]:

@@ -10,8 +10,10 @@ input's common denominator, carry the basis changes and the products:
   take the plus sign, ``h_from_f`` the minus sign;
 * h -> values: ``_series_values``, p(0), p(1), ... by d+1 running prefix sums
   (``hadamard``, and the Ehrhart values of ``ehrhart``);
-* values -> h: ``_difference``, the product with (1-x)^(d+1), truncated
-  (``hadamard`` and ``numerator_at``);
+* values -> h: ``_difference``, the product with (1-x)^(d+1), truncated, one
+  binomial sum per coefficient (``hadamard`` and ``numerator_at``, in two heads:
+  the upper half of h, read from the top, is the lower head of rev_d(h), whose
+  values are (-1)^d p(-1-j) by Stanley's reciprocity);
 * values -> f: ``_forward_differences``, the (Delta^i p)(0);
 * f -> values: ``_newton_values``, p(j) = sum_i f_i C(j, i) by running sums
   (``diamond`` and ``diamond_power``);
@@ -20,7 +22,8 @@ input's common denominator, carry the basis changes and the products:
 ``reflect``, (-1)^d f(-x-1), is ``reverse`` between the two basis changes, as
 it swaps the coordinates i and d-i of f.  The Hadamard product
 (h1, d1) x (h2, d2), the numerator of sum_j p1(j) p2(j) x^j, and the diamond
-product f_p <> f_q = f_(pq) both multiply d1+d2+1 values pointwise, and
+product f_p <> f_q = f_(pq) both multiply d1+d2+1 values pointwise (the Hadamard
+product ceil((d1+d2)/2) of them from the reversed factors), and
 ``diamond_power`` raises k deg f + 1 of them to the k-th power.
 ``numerator_at`` and ``subdivision`` take the values of p to h and to f, and
 ``check_functional_eq`` compares the values of its two sides: each value is
@@ -32,9 +35,10 @@ Wagner's derivative formula for the diamond product and binomial sums.
 
 from __future__ import annotations
 
+import functools
 import operator
 from itertools import accumulate
-from math import factorial
+from math import comb, factorial
 from typing import Sequence
 
 from .analysis import PropertyReport, is_nonnegative
@@ -43,18 +47,22 @@ from .poly import Poly, TaggedPoly, _check_int, _check_tag, _horner, reverse
 
 def _series_values(v: Sequence, d: int, count: int) -> list:
     """Coefficients 0..count-1 of v(x) / (1-x)^(d+1), by d+1 running prefix sums."""
-    values = list(v) + [0] * (count - len(v))
+    values = list(v[:count]) + [0] * (count - len(v))
     for _ in range(d + 1):
         values = list(accumulate(values))
     return values
 
 
+@functools.lru_cache(maxsize=64)
+def _signed_row(n: int) -> tuple[int, ...]:
+    """The coefficients (-1)^j C(n, j) of (1-x)^n."""
+    return tuple([(-1) ** j * comb(n, j) for j in range(n + 1)])
+
+
 def _difference(values: list, times: int) -> list:
-    """Coefficients 0..len(values)-1 of values(x) * (1-x)^times, by ``times``
-    backward differences."""
-    for _ in range(times):
-        values = list(map(operator.sub, values, [0] + values))
-    return values
+    """Coefficients 0..len(values)-1 of values(x) * (1-x)^times, one binomial sum each."""
+    row = _signed_row(times)
+    return [sum(map(operator.mul, row, values[m::-1])) for m in range(len(values))]
 
 
 def _forward_differences(values: list) -> list:
@@ -98,14 +106,17 @@ def _binomial_horner(v: Sequence[int], d: int, op) -> list[int]:
 
 def numerator_at(p: Poly, d: int) -> Poly:
     """Coefficients of p in the basis {C(x + d - i, d)}: the numerator of
-    sum_j p(j) x^j over (1-x)^(d+1).
+    sum_j p(j) x^j over (1-x)^(d+1); requires deg p <= d.
 
-    Computed as the product of the value sequence p(0..d) with (1-x)^(d+1),
-    truncated to degree d; requires deg p <= d.
+    In two heads, as in ``hadamard``: coefficients 0..floor(d/2) from the values
+    p(0), p(1), ..., the rest, read from the top, from (-1)^d p(-1), (-1)^d p(-2), ...,
+    the series values of rev_d(h) by Stanley's reciprocity.
     """
     _check_tag(p, d, "p")
-    values = [_horner(p._num, j)[0] for j in range(d + 1)]  # p(j) times p._den
-    return Poly._from_ints(_difference(values, d + 1), p._den)
+    low, sign = d // 2 + 1, (-1) ** d
+    head = [_horner(p._num, j)[0] for j in range(low)]  # p(j) times p._den
+    tail = [sign * _horner(p._num, -1 - j)[0] for j in range(d + 1 - low)]
+    return Poly._from_ints(_difference(head, d + 1) + _difference(tail, d + 1)[::-1], p._den)
 
 
 def w_transform(p: Poly) -> TaggedPoly:
@@ -213,14 +224,22 @@ def hadamard(t1: TaggedPoly, t2: TaggedPoly) -> TaggedPoly:
     h_i/(1-x)^(d_i+1).  It is the coefficientwise product of the two
     series, over the integers.  Since p1 p2 has degree at most D = d1+d2,
     its first D+1 values fix the numerator, which is their product with
-    (1-x)^(D+1) truncated to degree D.
+    (1-x)^(D+1) truncated to degree D.  By Stanley's reciprocity, sum_j p(-1-j) x^j
+    = (-1)^d rev_d(h) / (1-x)^(d+1), and (-1)^d1 (-1)^d2 = (-1)^D, so rev_D(h) =
+    rev_d1(h1) x rev_d2(h2): floor(D/2)+1 values give h's lower half, and ceil(D/2)
+    values of the reversed factors give its upper half, read from the top.
     """
     d1, d2 = t1.ref_degree, t2.ref_degree
-    top = d1 + d2
-    p1, p2 = t1.poly, t2.poly
-    s1, s2 = _series_values(p1._num, d1, top + 1), _series_values(p2._num, d2, top + 1)
-    coeffs = _difference([a * b for a, b in zip(s1, s2)], top + 1)
-    return TaggedPoly(Poly._from_ints(coeffs, p1._den * p2._den), top)
+    top, low = d1 + d2, (d1 + d2) // 2 + 1
+
+    def values(a: tuple, b: tuple, count: int) -> list:  # product values 0..count-1
+        return list(map(operator.mul, _series_values(a, d1, count), _series_values(b, d2, count)))
+
+    v1, v2 = t1.poly._num, t2.poly._num
+    r1, r2 = (v1 + (0,) * (d1 + 1 - len(v1)))[::-1], (v2 + (0,) * (d2 + 1 - len(v2)))[::-1]
+    head = _difference(values(v1, v2, low), top + 1)
+    tail = _difference(values(r1, r2, top + 1 - low), top + 1)
+    return TaggedPoly(Poly._from_ints(head + tail[::-1], t1.poly._den * t2.poly._den), top)
 
 
 def msupp(f: Poly, d: int) -> frozenset[int]:

@@ -4,7 +4,7 @@ the reflection, the numerator of a value sequence and the subdivision, the
 closed form of the symmetric decomposition, a ``Fraction`` Newton sum, ring
 formulas for the f-side split, the defect-1 factor and the diamond power, a
 derivative, rational evaluation, the Sturm interval count, a rational
-Euclidean chain and the Reeve closed form.
+Euclidean chain, the Reeve closed form and the Eulerian polynomials.
 
 Nothing here comes from ``hadpoly.operators``, so the routes are independent
 of the code they cross-check: ``diamond_route`` runs on Wagner's derivative
@@ -264,3 +264,13 @@ def closed_form(k: int) -> tuple[int, int, int]:
     if k < 1:
         raise ValueError("power must be at least 1")
     return (1, 4**k - 1, 17**k - 2 * 4**k + 1)
+
+
+def eulerian(n: int) -> Poly:
+    """The Eulerian polynomial A_n, sum_k A(n, k) x^k, the numerator of
+    sum_j (j+1)^n x^j over (1-x)^(n+1): by the recurrence
+    A(n, k) = (k+1) A(n-1, k) + (n-k) A(n-1, k-1) from A(0, 0) = 1."""
+    row = [1]
+    for m in range(1, n + 1):
+        row = [(k + 1) * a + (m - k) * b for k, (a, b) in enumerate(zip(row + [0], [0] + row))]
+    return Poly(row)

@@ -12,6 +12,7 @@ from hadpoly.operators import (
     _difference,
     _forward_differences,
     _newton_values,
+    _series_values,
     diamond,
     diamond_power,
     f_from_h,
@@ -37,6 +38,7 @@ from helpers import (
     diamond_by_derivatives,
     diamond_fold,
     diamond_route,
+    eulerian,
     evaluate,
     newton_sum,
     numerator_by_binomials,
@@ -124,6 +126,12 @@ def test_difference_is_the_truncated_product_with_a_power_of_one_minus_x(v, t):
     """``_difference(v, t)`` is v(x) (1-x)^t below x^len(v)."""
     product = Poly(v) * Poly([1, -1]) ** t
     assert _difference(v, t) == [product.coefficient(i) for i in range(len(v))]
+
+
+def test_series_values_stop_at_count():
+    """``_series_values(v, d, count)`` gives count values when v is longer than count."""
+    assert _series_values([1, 2, 3], 2, 2) == [1, 5]
+    assert len(_series_values([1, 2, 3], 2, 2)) == 2
 
 
 class TestWTransform:
@@ -353,6 +361,31 @@ class TestHadamard:
         s2 = series_from_numerator(h2, 20, n)
         assert out.ref_degree == 60
         assert series_from_numerator(out.poly, 60, n) == [a * b for a, b in zip(s1, s2)]
+
+
+class TestEulerian:
+    """Known answers at degrees the suites never reach: A_n, the numerator of
+    sum_j (j+1)^n x^j tagged n, at both parities of the tag."""
+
+    def test_hadamard_of_eulerians_is_eulerian(self):
+        A = [TaggedPoly(eulerian(n), n) for n in range(49)]
+        for a, b in product(range(25), repeat=2):
+            assert hadamard(A[a], A[b]) == A[a + b]
+
+    @pytest.mark.parametrize("n", range(49))
+    def test_numerator_of_a_power_of_x_plus_one(self, n):
+        power = Poly([math.comb(n, i) for i in range(n + 1)])  # (x+1)^n
+        assert numerator_at(power, n) == eulerian(n)
+        assert w_inverse(eulerian(n), n) == power
+
+    @settings(max_examples=60, deadline=None)
+    @given(tagged_factor(), tagged_factor())
+    def test_reversal_at_the_tags_commutes_with_hadamard(self, t1, t2):
+        def rev(t):
+            return TaggedPoly(reverse(t.poly, t.ref_degree), t.ref_degree)
+
+        top = t1.ref_degree + t2.ref_degree
+        assert reverse(hadamard(t1, t2).poly, top) == hadamard(rev(t1), rev(t2)).poly
 
 
 def unit(i):
