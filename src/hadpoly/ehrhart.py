@@ -6,9 +6,9 @@ L(j) = C(j+3, 3) + 7 C(j+1, 3), the series coefficients of (1 + 7x^2)/(1-x)^4.
 Its k-fold Cartesian power has the values L(j)^k, of degree n = 3k in j (the
 tag of power k): its f-polynomial, the k-fold diamond power of
 8x^3 + 10x^2 + 3x + 1, has coefficients f_(k,i) = Delta^i(L^k)(0), and its
-numerator, L(0..n)^k times (1-x)^(n+1) truncated to degree n, is built from
-f as ``h_from_f(f, n)``, one Horner pass in (1-x).  The three lowest
-f-coefficients obey
+numerator, L(0..n)^k times (1-x)^(n+1) truncated to degree n, is f's
+coordinates in the basis x^i (x+1)^(n-i), one Horner pass in (1-x).  The
+three lowest f-coefficients obey
 
     f_(k+1,0) = f_(k,0)
     f_(k+1,1) = 3 f_(k,0) + 4 f_(k,1)
@@ -24,15 +24,17 @@ three lowest f-coefficients against the recurrence, the strict inequality,
 then Newton's inequality at index 1 of the numerator, at the tag.  Full
 polynomials are built only as cross-checks, at k <= 3, at k = min(k_max, 60)
 and at any k that certificate misses: their low coefficients must be the
-sweep's, f must fail log-concavity, decided on its integer numerators by
-the kernel of ``is_log_concave`` with no failure text, and the numerator
-some Newton inequality or else its Sturm chain.  Both are built over
-denominator 1, so every comparison reads integer numerators, and the report
-formats no number it does not print.
+sweep's, f must fail log-concavity, decided by the kernel of ``is_log_concave``
+after its nonnegativity check, with no failure text, and the numerator some
+Newton inequality or else its Sturm chain.  Both are integer vectors, built
+from one table of values L(0..n) that grows only when a larger n needs it,
+and only the Sturm chain reads a ``Poly``, so the report formats no number it
+does not print.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator
@@ -45,10 +47,9 @@ from .analysis import (
     _require_nonnegative,
     is_nonnegative,
     is_real_rooted,
-    newton_violation,
 )
-from .operators import _forward_differences, _series_values, diamond_power, h_from_f
-from .poly import Poly, _check_int, _check_tag
+from .operators import _binomial_horner, _forward_differences, _series_values, diamond_power
+from .poly import Poly, _check_int, _check_tag, _strip
 
 
 @dataclass(frozen=True)
@@ -87,12 +88,14 @@ def _values(h: Poly, d: int, count: int) -> list[int]:
     return _series_values(h._num, d, count)
 
 
-def _power(k: int, h: Poly, d: int) -> tuple[Poly, Poly]:
-    """(f-polynomial, numerator) of power k: the forward differences of its values
-    L(0..n)^k, and that f's coordinates in the basis x^i (x+1)^(n-i)."""
-    n = d * k
-    f = Poly._from_ints(_forward_differences([value**k for value in _values(h, d, n + 1)]))
-    return f, h_from_f(f, n)
+def _power(k: int, values: list[int], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(f-polynomial, numerator) of power k, tagged n, as stripped integer
+    coefficients: the forward differences of its values L(j)^k, j = 0..n, read
+    from the table ``values`` of L, and that f's coordinates in the basis
+    x^i (x+1)^(n-i)."""
+    f = _forward_differences([value**k for value in values[: n + 1]])
+    numerator = _binomial_horner(f, n, operator.sub)
+    return tuple(_strip(f)), tuple(_strip(numerator))
 
 
 def powers(
@@ -101,8 +104,12 @@ def powers(
     """Yield (k, f-polynomial, numerator) of the k-th Hadamard power of (h, d)
     for k = 1..k_max, each built in full."""
     _check_int(k_max, "k_max", 1)
+    values = _values(h, d, 1)
     for k in range(1, k_max + 1):
-        yield (k, *_power(k, h, d))
+        if len(values) <= d * k:
+            values = _series_values(h._num, d, d * k + 1)
+        f, numerator = _power(k, values, d * k)
+        yield k, Poly._from_ints(f), Poly._from_ints(numerator)
 
 
 def low_coefficients(
@@ -162,7 +169,8 @@ def counterexample_report(
     every k >= 1, and a pass says so.
     """
     _check_int(k_max, "k_max", 1)
-    l0, l1, l2 = _values(h, d, 3)
+    values = _values(h, d, 3)  # L(0..n) of each built power, once extended below
+    l0, l1, l2 = values
     # f of power k+1 from that of power k, since P_j = sum_i C(j, i) f_i and
     # P_j -> L(j) P_j; for Reeve it is the recurrence of the module docstring
     a, b, c = l1 - l0, l2 - 2 * l1 + l0, 2 * (l2 - l1)
@@ -181,17 +189,23 @@ def counterexample_report(
             )
         if k not in checked and _newton_fails_at_tag(h_lows, d * k):
             continue
-        f, numerator = _power(k, h, d)
+        n = d * k
+        if len(values) <= n:  # to the largest checked power, then to each missed past it
+            values = _series_values(h._num, d, d * max(k, *checked) + 1)
+        f, numerator = _power(k, values, n)
         for full, lows in ((f, f_lows), (numerator, h_lows)):
-            got = (full._num + (0, 0, 0))[:3]  # _power builds both over denominator 1
+            got = (full + (0, 0, 0))[:3]
             if got != lows:
                 return _lows_differ(k, got)
-        if _log_concave_index(_require_nonnegative(f)) is None:
+        if min(f) < 0:  # the precondition of is_log_concave, and its text
+            _require_nonnegative(Poly._from_ints(f))
+        if _log_concave_index(f) is None:
             return PropertyReport.failed(
                 {"k": k, "stage": "log-concavity"},
                 f"power {k} is unexpectedly log-concave",
             )
-        if newton_violation(numerator) is None and is_real_rooted(numerator).holds:
+        newton_fails = _newton_index(numerator, len(numerator) - 1) is not None
+        if not newton_fails and is_real_rooted(Poly._from_ints(numerator)).holds:
             return PropertyReport.failed(
                 {"k": k, "stage": "real-rootedness"},
                 f"numerator of power {k} is unexpectedly real-rooted",

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from math import comb, factorial
 from typing import Sequence
 
@@ -46,11 +46,15 @@ from .poly import Poly, TaggedPoly, _check_int, _check_tag, _horner, reverse
 
 
 def _series_values(v: Sequence, d: int, count: int) -> list:
-    """Coefficients 0..count-1 of v(x) / (1-x)^(d+1), by d+1 running prefix sums."""
-    values = list(v[:count]) + [0] * (count - len(v))
+    """Coefficients 0..count-1 of v(x) / (1-x)^(d+1), by d+1 running prefix sums,
+    chained as iterators at most 1000 deep and listed once per chain: each level
+    of a chain is a nested C call, and a chain of 10**6 overflows C's stack."""
+    for _ in range(d // 1000):
+        v, d = _series_values(v, 999, count), d - 1000
+    values = chain(v[:count], repeat(0, count - len(v)))
     for _ in range(d + 1):
-        values = list(accumulate(values))
-    return values
+        values = accumulate(values)
+    return list(values)
 
 
 @functools.lru_cache(maxsize=64)

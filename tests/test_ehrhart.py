@@ -92,7 +92,8 @@ class TestValueSpacePowers:
             d = rng.randint(0, 4)
             h = P(*(rng.randint(0, 9) for _ in range(rng.randint(1, d + 1))))
             base = acc = TaggedPoly(h, d)
-            for k, _, numerator in powers(6, h, d):
+            for k, f, numerator in powers(6, h, d):
+                assert f == diamond_power(f_from_h(h, d), k), (h, d, k)
                 assert TaggedPoly(numerator, d * k) == acc, (h, d, k)
                 acc = hadamard(acc, base)
 
@@ -287,13 +288,18 @@ class TestCounterexampleReport:
             counterexample_report(0)
 
     def test_sturm_fallback_decides_without_a_certificate(self, monkeypatch):
-        monkeypatch.setattr(ehrhart, "_newton_fails_at_tag", lambda lows, n: False)
-        monkeypatch.setattr(ehrhart, "newton_violation", lambda p: None)
+        # no Newton inequality fails, neither the sweep's at the tag nor the full
+        # numerator's, so every power up to 12 is built and decided by its Sturm chain
+        calls = []
+        monkeypatch.setattr(ehrhart, "_newton_index", lambda v, m: None)
+        monkeypatch.setattr(
+            ehrhart, "is_real_rooted", lambda p: calls.append(p) or is_real_rooted(p)
+        )
         assert counterexample_report(12).holds
+        assert calls == [numerator for _, _, numerator in powers(12)]
 
     def test_real_rooted_numerator_fails_the_last_stage(self, monkeypatch):
-        monkeypatch.setattr(ehrhart, "_newton_fails_at_tag", lambda lows, n: False)
-        monkeypatch.setattr(ehrhart, "newton_violation", lambda p: None)
+        monkeypatch.setattr(ehrhart, "_newton_index", lambda v, m: None)
         monkeypatch.setattr(ehrhart, "is_real_rooted", lambda p: PropertyReport.passed())
         report = counterexample_report(3)
         assert not report.holds
@@ -311,17 +317,15 @@ class TestCounterexampleReport:
         # the low coefficients still match the sweep's, so only the precondition
         # of the log-concavity stage sees the -8
         power = ehrhart._power
-        monkeypatch.setattr(
-            ehrhart, "_power", lambda k, h, d: (P(1, 3, 10, -8), power(k, h, d)[1])
-        )
+        monkeypatch.setattr(ehrhart, "_power", lambda *args: ((1, 3, 10, -8), power(*args)[1]))
         with pytest.raises(ValueError, match="negative coefficient -8 at index 3"):
             counterexample_report(1)
 
     def test_cross_check_past_the_digit_limit(self):
         # the k = 60 power has coefficients of more than 4300 digits, which the
         # default int-to-str limit would refuse to print
-        f, _ = ehrhart._power(60, P(1, 0, 10**80), 3)
-        assert max(f._num) > 10**4300
+        f, _ = ehrhart._power(60, ehrhart._values(P(1, 0, 10**80), 3, 181), 180)
+        assert max(f) > 10**4300
         assert counterexample_report(60, P(1, 0, 10**80), 3).holds
 
     @pytest.mark.parametrize(
@@ -330,14 +334,26 @@ class TestCounterexampleReport:
     def test_full_polynomials_only_as_cross_checks(self, monkeypatch, k_max, built):
         calls = []
         power = ehrhart._power
-        monkeypatch.setattr(ehrhart, "_power", lambda k, h, d: calls.append(k) or power(k, h, d))
+        monkeypatch.setattr(ehrhart, "_power", lambda *args: calls.append(args[0]) or power(*args))
         assert counterexample_report(k_max).holds
         assert calls == built
+
+    @pytest.mark.parametrize("k_max, counts", [(12, [3, 3, 37]), (100, [3, 3, 181])])
+    def test_cross_checks_read_one_table_of_values(self, monkeypatch, k_max, counts):
+        # L(0..2) for the report and for the sweep, then one table up to the
+        # largest checked power, read by every power built
+        calls = []
+        series = ehrhart._series_values
+        monkeypatch.setattr(
+            ehrhart, "_series_values", lambda v, d, count: calls.append(count) or series(v, d, count)
+        )
+        assert counterexample_report(k_max).holds
+        assert calls == counts
 
     def test_missing_certificate_builds_every_power(self, monkeypatch):
         calls = []
         power = ehrhart._power
-        monkeypatch.setattr(ehrhart, "_power", lambda k, h, d: calls.append(k) or power(k, h, d))
+        monkeypatch.setattr(ehrhart, "_power", lambda *args: calls.append(args[0]) or power(*args))
         monkeypatch.setattr(ehrhart, "_newton_fails_at_tag", lambda lows, n: False)
         assert counterexample_report(12).holds
         assert calls == list(range(1, 13))

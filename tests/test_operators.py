@@ -134,6 +134,15 @@ def test_series_values_stop_at_count():
     assert len(_series_values([1, 2, 3], 2, 2)) == 2
 
 
+@pytest.mark.parametrize("d", [0, 1, 998, 999, 1000, 1001, 2999, 10**6])
+def test_series_values_are_binomial_sums_at_any_tag(d):
+    """Coefficient j of v(x) / (1-x)^(d+1) is sum_i v_i C(d + j - i, d), past every
+    block of 1000 prefix sums; a chain of 10**6 nested iterators overflows C's stack."""
+    v = (3, 0, 7)
+    want = [sum(c * math.comb(d + j - i, d) for i, c in enumerate(v[: j + 1])) for j in range(4)]
+    assert _series_values(v, d, 4) == want
+
+
 class TestWTransform:
     def test_constant(self):
         t = w_transform(Poly.one())

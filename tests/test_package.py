@@ -174,9 +174,9 @@ def test_fractions_guard_flags_each_import_form():
 # -- private names across modules ------------------------------------------------
 #
 # A ``_``-prefixed name belongs to its module.  Only the integer kernel of
-# ``poly`` (used by ``roots``), its int and tag checks, the value-space helpers of
-# ``operators`` (used by ``ehrhart``) and Newton's inequality of ``analysis``
-# (used by ``ehrhart``) cross a module boundary.
+# ``poly`` (used by ``roots``, and its ``_strip`` by ``ehrhart``), its int and tag
+# checks, the value-space helpers of ``operators`` (used by ``ehrhart``) and
+# Newton's inequality of ``analysis`` (used by ``ehrhart``) cross a module boundary.
 
 PRIVATE_IMPORTS = {
     ("roots", "poly"): {
@@ -186,8 +186,8 @@ PRIVATE_IMPORTS = {
     ("operators", "poly"): {"_check_int", "_check_tag", "_horner"},
     ("decomp", "poly"): {"_check_int", "_check_tag", "_is_palindrome"},
     ("analysis", "poly"): {"_check_int", "_check_tag", "_is_palindrome"},
-    ("ehrhart", "poly"): {"_check_int", "_check_tag"},
-    ("ehrhart", "operators"): {"_forward_differences", "_series_values"},
+    ("ehrhart", "poly"): {"_check_int", "_check_tag", "_strip"},
+    ("ehrhart", "operators"): {"_binomial_horner", "_forward_differences", "_series_values"},
     ("generators", "poly"): {"_check_int"},
     ("ehrhart", "analysis"): {
         "_log_concave_index", "_newton_index", "_printed", "_require_nonnegative",
