@@ -6,9 +6,10 @@ L(j) = C(j+3, 3) + 7 C(j+1, 3), the series coefficients of (1 + 7x^2)/(1-x)^4.
 Its k-fold Cartesian power has the values L(j)^k, of degree n = 3k in j (the
 tag of power k): its f-polynomial, the k-fold diamond power of
 8x^3 + 10x^2 + 3x + 1, has coefficients f_(k,i) = Delta^i(L^k)(0), and its
-numerator, L(0..n)^k times (1-x)^(n+1) truncated to degree n, is f's
-coordinates in the basis x^i (x+1)^(n-i), one Horner pass in (1-x).  The
-three lowest f-coefficients obey
+numerator is L(0..n)^k times (1-x)^(n+1) truncated to degree n.  One triangle
+of backward differences gives both: f_i is entry i after i of its n + 1
+passes, and the numerator is the last row.  The three lowest f-coefficients
+obey
 
     f_(k+1,0) = f_(k,0)
     f_(k+1,1) = 3 f_(k,0) + 4 f_(k,1)
@@ -27,9 +28,9 @@ and at any k that certificate misses: their low coefficients must be the
 sweep's, f must fail log-concavity, decided by the kernel of ``is_log_concave``
 after its nonnegativity check, with no failure text, and the numerator some
 Newton inequality or else its Sturm chain.  Both are integer vectors, built
-from one table of values L(0..n) that grows only when a larger n needs it,
-and only the Sturm chain reads a ``Poly``, so the report formats no number it
-does not print.
+from one table of values L(0..n), made once up to the largest checked power
+and extended only for a missed power past it, and only the Sturm chain reads
+a ``Poly``, so the report formats no number it does not print.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .analysis import (
     is_nonnegative,
     is_real_rooted,
 )
-from .operators import _binomial_horner, _forward_differences, _series_values, diamond_power
+from .operators import _series_values, diamond_power
 from .poly import Poly, _check_int, _check_tag, _strip
 
 
@@ -80,22 +81,30 @@ def product_f(k: int) -> Poly:
     return diamond_power(_REEVE.f_poly, k)
 
 
-def _values(h: Poly, d: int, count: int) -> list[int]:
-    """L(0..count-1), the series coefficients of h / (1-x)^(d+1); L(j) reads h_0..h_j."""
+def _values(h: Poly, d: int, k: int) -> list[int]:
+    """L(j) for j <= max(2, d k), the series coefficients of h / (1-x)^(d+1): the
+    values of power k up to its tag, and L(0..2) for the sweep; L(j) reads h_0..h_j."""
     _check_tag(h, d, "h")
     if h._den != 1 or not is_nonnegative(h):
         raise ValueError(f"need a nonnegative integer numerator of degree at most {d}")
-    return _series_values(h._num, d, count)
+    return _series_values(h._num, d, max(3, d * k + 1))
 
 
 def _power(k: int, values: list[int], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(f-polynomial, numerator) of power k, tagged n, as stripped integer
-    coefficients: the forward differences of its values L(j)^k, j = 0..n, read
-    from the table ``values`` of L, and that f's coordinates in the basis
-    x^i (x+1)^(n-i)."""
-    f = _forward_differences([value**k for value in values[: n + 1]])
-    numerator = _binomial_horner(f, n, operator.sub)
-    return tuple(_strip(f)), tuple(_strip(numerator))
+    coefficients, from one triangle of backward differences of its values
+    P_j = L(j)^k, j = 0..n, read from the table ``values`` of L.
+
+    After i passes of v_m <- v_m - v_(m-1), v is P(x) (1-x)^i truncated to
+    degree n, so v_i = sum_t (-1)^t C(i, t) P_(i-t) = (Delta^i P)(0) = f_i, and
+    after n + 1 passes v is the numerator.
+    """
+    v = [value**k for value in values[: n + 1]]
+    f = []
+    for i in range(n + 1):
+        f.append(v[i])
+        v = list(map(operator.sub, v, [0] + v))  # map stops at the end of v
+    return tuple(_strip(f)), tuple(_strip(v))
 
 
 def powers(
@@ -104,10 +113,10 @@ def powers(
     """Yield (k, f-polynomial, numerator) of the k-th Hadamard power of (h, d)
     for k = 1..k_max, each built in full."""
     _check_int(k_max, "k_max", 1)
-    values = _values(h, d, 1)
+    values = _values(h, d, min(2, k_max))
     for k in range(1, k_max + 1):
-        if len(values) <= d * k:
-            values = _series_values(h._num, d, d * k + 1)
+        if len(values) <= d * k:  # up to power 2k's tag: O(log k_max) tables
+            values = _series_values(h._num, d, d * min(2 * k, k_max) + 1)
         f, numerator = _power(k, values, d * k)
         yield k, Poly._from_ints(f), Poly._from_ints(numerator)
 
@@ -126,7 +135,13 @@ def low_coefficients(
     so this holds at every tag, n < 2 included.
     """
     _check_int(k_max, "k_max", 1)
-    l0, l1, l2 = _values(h, d, 3)
+    yield from _sweep(k_max, d, *_values(h, d, 0))
+
+
+def _sweep(
+    k_max: int, d: int, l0: int, l1: int, l2: int
+) -> Iterator[tuple[int, tuple[int, int, int], tuple[int, int, int]]]:
+    """``low_coefficients`` of the numerator tagged d with values L(0..2) = l0, l1, l2."""
     p0 = p1 = p2 = 1
     for k in range(1, k_max + 1):
         p0, p1, p2 = p0 * l0, p1 * l1, p2 * l2
@@ -169,14 +184,15 @@ def counterexample_report(
     every k >= 1, and a pass says so.
     """
     _check_int(k_max, "k_max", 1)
-    values = _values(h, d, 3)  # L(0..n) of each built power, once extended below
-    l0, l1, l2 = values
+    checked = {1, 2, 3, min(k_max, 60)}
+    # L(0..n) of every checked power; extended only for a missed power past them
+    values = _values(h, d, max(checked))
+    l0, l1, l2 = values[:3]
     # f of power k+1 from that of power k, since P_j = sum_i C(j, i) f_i and
     # P_j -> L(j) P_j; for Reeve it is the recurrence of the module docstring
     a, b, c = l1 - l0, l2 - 2 * l1 + l0, 2 * (l2 - l1)
     expected = (1, 0, 0)
-    checked = {1, 2, 3, min(k_max, 60)}
-    for k, f_lows, h_lows in low_coefficients(k_max, h, d):
+    for k, f_lows, h_lows in _sweep(k_max, d, l0, l1, l2):
         e0, e1, e2 = expected
         expected = (l0 * e0, a * e0 + l1 * e1, b * e0 + c * e1 + l2 * e2)
         if f_lows != expected:
@@ -190,8 +206,8 @@ def counterexample_report(
         if k not in checked and _newton_fails_at_tag(h_lows, d * k):
             continue
         n = d * k
-        if len(values) <= n:  # to the largest checked power, then to each missed past it
-            values = _series_values(h._num, d, d * max(k, *checked) + 1)
+        if len(values) <= n:
+            values = _series_values(h._num, d, n + 1)
         f, numerator = _power(k, values, n)
         for full, lows in ((f, f_lows), (numerator, h_lows)):
             got = (full + (0, 0, 0))[:3]

@@ -15,8 +15,8 @@ from hadpoly.analysis import (
 )
 from hadpoly.ehrhart import counterexample_report, low_coefficients, powers, product_f, reeve
 from hadpoly.generators import gen_real_rooted
-from hadpoly.operators import diamond_power, f_from_h, h_from_f, hadamard
-from hadpoly.poly import Poly, TaggedPoly
+from hadpoly.operators import _forward_differences, diamond_power, f_from_h, h_from_f, hadamard
+from hadpoly.poly import Poly, TaggedPoly, _strip
 from hadpoly.rng import SplitMix64
 
 from helpers import closed_form, positive_rational
@@ -97,6 +97,19 @@ class TestValueSpacePowers:
                 assert TaggedPoly(numerator, d * k) == acc, (h, d, k)
                 acc = hadamard(acc, base)
 
+    def test_tables_of_values_double(self, monkeypatch):
+        # each table reaches power 2k's tag, capped at k_max's, so powers(12)
+        # builds three and the first power of powers(10**9) reads 7 values
+        calls = []
+        series = ehrhart._series_values
+        monkeypatch.setattr(
+            ehrhart, "_series_values", lambda v, d, count: calls.append(count) or series(v, d, count)
+        )
+        assert [k for k, _, _ in powers(12)] == list(range(1, 13))
+        assert calls == [7, 19, 37]
+        assert next(powers(10**9))[0] == 1
+        assert calls[3:] == [7]
+
     def test_invalid_kmax(self):
         # low_coefficients checks its range like the other two, on its first step
         for k_max in (0, -3):
@@ -121,6 +134,18 @@ class TestValueSpacePowers:
                 call()
             assert str(raised.value) == f"{name} {k!r} is not an int"
 
+    @pytest.mark.parametrize("d", ["3", None, 3.0], ids=["str", "none", "float"])
+    def test_tag_that_is_not_an_int_rejected(self, d):
+        # the tag is checked before any table size is worked out from it
+        for call in (
+            lambda: next(powers(2, P(1, 0, 7), d)),
+            lambda: next(low_coefficients(2, P(1, 0, 7), d)),
+            lambda: counterexample_report(2, P(1, 0, 7), d),
+        ):
+            with pytest.raises(TypeError) as raised:
+                call()
+            assert str(raised.value) == f"reference degree {d!r} is not an int"
+
     @pytest.mark.parametrize(
         "h, d", [(P(1, -1), 2), (P(1, 2, 3), 1), (P(1, 0, 7), -1), (P(1, Fraction(1, 2)), 1)]
     )
@@ -139,6 +164,38 @@ class TestValueSpacePowers:
             next(powers(2, h, d))
         with pytest.raises(ValueError, match=message):
             counterexample_report(2, h, d)
+
+
+class TestPowerTriangle:
+    """``_power`` builds f and the numerator from one triangle of backward
+    differences; at k = 1 it reads the values as given."""
+
+    @given(st.lists(st.integers(), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_forward_differences_then_h_from_f(self, values):
+        n = len(values) - 1
+        f, numerator = ehrhart._power(1, values, n)
+        differences = _forward_differences(values)
+        assert f == tuple(_strip(list(differences)))
+        assert Poly._from_ints(numerator) == h_from_f(Poly(differences), n)
+        assert numerator == tuple(_strip(list(numerator)))
+
+    @pytest.mark.parametrize(
+        "h, d, k, f, numerator",
+        [
+            # d = 0: L(j) = 5 and every tag is 0
+            (P(5), 0, 1, (5,), (5,)),
+            (P(5), 0, 3, (125,), (125,)),
+            # h_0 = 0, so f_0 = 0: L(j) = j and sum j^2 x^j = (x + x^2) / (1-x)^3
+            (P(0, 1), 1, 2, (0, 1, 2), (0, 1, 1)),
+            # deg h < d: sum C(j+2, 2)^2 x^j = (1 + 4x + x^2) / (1-x)^5, tagged 4
+            (P(1), 2, 2, (1, 8, 19, 18, 6), (1, 4, 1)),
+        ],
+    )
+    def test_pinned_powers(self, h, d, k, f, numerator):
+        n = d * k
+        assert ehrhart._power(k, ehrhart._values(h, d, k), n) == (f, numerator)
+        assert Poly(f) == diamond_power(f_from_h(h, d), k)
 
 
 def lows(p):
@@ -225,7 +282,7 @@ class TestEveryK:
             degree = rng.randint(0, 6)
             h = P(*gen_real_rooted(rng, degree, 9).poly._num)  # denominators cleared
             for d in range(degree, degree + 3):
-                l0, l1, l2 = ehrhart._values(h, d, 3)
+                l0, l1, l2 = ehrhart._values(h, d, 0)
                 assert not l1 * l1 < l0 * l2, (trial, h, d)
                 assert not counterexample_report(3, h, d).holds, (trial, h, d)
 
@@ -324,7 +381,7 @@ class TestCounterexampleReport:
     def test_cross_check_past_the_digit_limit(self):
         # the k = 60 power has coefficients of more than 4300 digits, which the
         # default int-to-str limit would refuse to print
-        f, _ = ehrhart._power(60, ehrhart._values(P(1, 0, 10**80), 3, 181), 180)
+        f, _ = ehrhart._power(60, ehrhart._values(P(1, 0, 10**80), 3, 60), 180)
         assert max(f) > 10**4300
         assert counterexample_report(60, P(1, 0, 10**80), 3).holds
 
@@ -338,10 +395,10 @@ class TestCounterexampleReport:
         assert counterexample_report(k_max).holds
         assert calls == built
 
-    @pytest.mark.parametrize("k_max, counts", [(12, [3, 3, 37]), (100, [3, 3, 181])])
+    @pytest.mark.parametrize("k_max, counts", [(12, [37]), (100, [181])])
     def test_cross_checks_read_one_table_of_values(self, monkeypatch, k_max, counts):
-        # L(0..2) for the report and for the sweep, then one table up to the
-        # largest checked power, read by every power built
+        # one table up to the largest checked power, which gives the sweep its
+        # L(0..2) and is read by every power built
         calls = []
         series = ehrhart._series_values
         monkeypatch.setattr(
@@ -370,7 +427,7 @@ class TestCounterexampleReport:
         # f_(k,1) one too high (which = 1) leaves the recurrence; h_(k,1) one
         # too high (which = 2) differs from the full numerator's, which is reported.
         # At k = 3600, f_(k,2) ~ 17^k has more digits than the int-to-str limit of 4300
-        sweep = ehrhart.low_coefficients
+        sweep = ehrhart._sweep
 
         def drifted(*args):
             for item in sweep(*args):
@@ -379,7 +436,7 @@ class TestCounterexampleReport:
                     item[which] = (item[which][0], item[which][1] + 1, item[which][2])
                 yield tuple(item)
 
-        monkeypatch.setattr(ehrhart, "low_coefficients", drifted)
+        monkeypatch.setattr(ehrhart, "_sweep", drifted)
         report = counterexample_report(max(k, 12))
         assert not report.holds
         assert report.witness == {"k": k, "stage": "closed form", "got": got}

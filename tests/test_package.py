@@ -175,7 +175,7 @@ def test_fractions_guard_flags_each_import_form():
 #
 # A ``_``-prefixed name belongs to its module.  Only the integer kernel of
 # ``poly`` (used by ``roots``, and its ``_strip`` by ``ehrhart``), its int and tag
-# checks, the value-space helpers of ``operators`` (used by ``ehrhart``) and
+# checks, the series values of ``operators`` (used by ``ehrhart``) and
 # Newton's inequality of ``analysis`` (used by ``ehrhart``) cross a module boundary.
 
 PRIVATE_IMPORTS = {
@@ -187,7 +187,7 @@ PRIVATE_IMPORTS = {
     ("decomp", "poly"): {"_check_int", "_check_tag", "_is_palindrome"},
     ("analysis", "poly"): {"_check_int", "_check_tag", "_is_palindrome"},
     ("ehrhart", "poly"): {"_check_int", "_check_tag", "_strip"},
-    ("ehrhart", "operators"): {"_binomial_horner", "_forward_differences", "_series_values"},
+    ("ehrhart", "operators"): {"_series_values"},
     ("generators", "poly"): {"_check_int"},
     ("ehrhart", "analysis"): {
         "_log_concave_index", "_newton_index", "_printed", "_require_nonnegative",
