@@ -127,8 +127,7 @@ class Poly:
         return Poly._from_ints(_int_mul(self._num, other._num), self._den * other._den)
 
     def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
+        _check_int(n, "power", 0)
         result = Poly.one()
         base = self
         while n:

@@ -372,6 +372,87 @@ class TestHadamard:
         assert series_from_numerator(out.poly, 60, n) == [a * b for a, b in zip(s1, s2)]
 
 
+def unit(i):
+    """The basis numerator x^i."""
+    return Poly([0] * i + [1])
+
+
+GATE = operators._LANES_FROM
+
+
+@st.composite
+def pair_across_the_gate(draw):
+    """Two tagged factors whose tags sum to within 12 of ``_LANES_FROM``, on either side."""
+    top = draw(st.integers(min_value=GATE - 12, max_value=GATE + 12))
+    d1 = draw(st.integers(min_value=0, max_value=top))
+    coeffs = [draw(st.lists(rationals, max_size=d + 1)) for d in (d1, top - d1)]
+    return TaggedPoly(Poly(coeffs[0]), d1), TaggedPoly(Poly(coeffs[1]), top - d1)
+
+
+def alternating(height, length):
+    return Poly([(-1) ** i * height for i in range(length)])
+
+
+def alternating_values(height, count):
+    """height sum_(k < count) (-2)^k C(x, k), whose values at 0..count-1 are (-1)^j height:
+    the numerator's lower half then comes close to 2^d height, the bound of its lane."""
+    acc, term = Poly(), Poly([height])
+    for k in range(count):
+        acc = acc + Poly([(-2) ** k]) * term
+        term = term * Poly([Fraction(-k, k + 1), Fraction(1, k + 1)])  # C(x, k+1)
+    return acc
+
+
+#: a numerator whose values at 0..GATE//2 alternate in sign, all of height 10**40
+ALTERNATING_VALUES = numerator_at(alternating_values(10**40, GATE // 2 + 1), GATE)
+
+
+class TestLanes:
+    """From tag ``_LANES_FROM`` on, ``hadamard`` runs each factor and its reversal as
+    two lanes of one int, and ``numerator_at`` and ``hadamard`` their two heads."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair_across_the_gate())
+    @example((TaggedPoly(Poly(), GATE - 4), TaggedPoly(P(1, -2, 3), 4)))  # a zero factor
+    @example((TaggedPoly(Poly(), GATE), TaggedPoly(Poly(), 0)))
+    @example((TaggedPoly(P(-7), 0), TaggedPoly(alternating(3, GATE + 1), GATE)))  # d = 0
+    @example((TaggedPoly(unit(GATE - 10), GATE - 10), TaggedPoly(unit(10), 10)))  # x^d alone
+    @example((TaggedPoly(unit(GATE), GATE), TaggedPoly(Poly.one(), 3)))
+    @example((TaggedPoly(alternating(10**40, 20), 19), TaggedPoly(alternating(-(10**40), 17), 16)))
+    @example((TaggedPoly(P(*[-(10**40)] * 21), 20), TaggedPoly(P(*[-(10**40)] * 21), 20)))
+    @example((TaggedPoly(ALTERNATING_VALUES, GATE), TaggedPoly(Poly.one(), 0)))
+    def test_hadamard_matches_bullet_across_the_gate(self, pair):
+        assert hadamard(*pair) == bullet(*pair)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(GATE - 8, GATE + 8), st.lists(rationals, max_size=GATE + 9))
+    @example(GATE, [])
+    @example(GATE, [Fraction(-5, 3)])
+    @example(GATE + 1, [0] * GATE + [1])
+    @example(GATE, [(-1) ** i * 10**40 for i in range(GATE + 1)])
+    @example(GATE + 1, [-(10**40)] * (GATE + 2))
+    @example(GATE, list(alternating_values(10**40, GATE // 2 + 1).coeffs))
+    def test_numerator_at_is_the_numerator_of_the_values_across_the_gate(self, d, coeffs):
+        p = Poly(coeffs[: d + 1])
+        h = numerator_at(p, d)
+        assert series_from_numerator(h, d, d + 2) == [evaluate(p, j) for j in range(d + 2)]
+
+    @pytest.mark.parametrize("top, runs, differences", [(GATE - 1, 4, 2), (GATE, 2, 1), (97, 2, 1)])
+    def test_runs_per_call(self, monkeypatch, top, runs, differences):
+        calls = []
+        def counting(name, real):
+            return lambda *args: calls.append(name) or real(*args)
+
+        for name in ("_series_values", "_difference"):
+            monkeypatch.setattr(operators, name, counting(name, getattr(operators, name)))
+        t1, t2 = TaggedPoly(P(1, 2, 3), top // 2), TaggedPoly(P(4, 0, 5), top - top // 2)
+        hadamard(t1, t2)
+        assert sorted(calls) == ["_difference"] * differences + ["_series_values"] * runs
+        calls.clear()
+        numerator_at(P(1, 2, 3), top)
+        assert calls == ["_difference"] * differences
+
+
 class TestEulerian:
     """Known answers at degrees the suites never reach: A_n, the numerator of
     sum_j (j+1)^n x^j tagged n, at both parities of the tag."""
@@ -380,6 +461,12 @@ class TestEulerian:
         A = [TaggedPoly(eulerian(n), n) for n in range(49)]
         for a, b in product(range(25), repeat=2):
             assert hadamard(A[a], A[b]) == A[a + b]
+
+    @pytest.mark.parametrize("a, b", [(48, 48), (20, 76), (33, 31), (0, 96), (1, 94)])
+    def test_hadamard_of_eulerians_up_to_ninety_six(self, a, b):
+        assert hadamard(TaggedPoly(eulerian(a), a), TaggedPoly(eulerian(b), b)) == TaggedPoly(
+            eulerian(a + b), a + b
+        )
 
     @pytest.mark.parametrize("n", range(49))
     def test_numerator_of_a_power_of_x_plus_one(self, n):
@@ -395,11 +482,6 @@ class TestEulerian:
 
         top = t1.ref_degree + t2.ref_degree
         assert reverse(hadamard(t1, t2).poly, top) == hadamard(rev(t1), rev(t2)).poly
-
-
-def unit(i):
-    """The basis numerator x^i."""
-    return Poly([0] * i + [1])
 
 
 class TestOnBases:

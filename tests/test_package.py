@@ -314,6 +314,10 @@ BOUNDED_COUNTS = {
         ValueError,
         "defect must be nonnegative",
     ),
+    "Poly power": (lambda: ONE**-1, ValueError, "power must be nonnegative"),
+    "Poly power float": (lambda: ONE**2.0, TypeError, "power 2.0 is not an int"),
+    "Poly power str": (lambda: ONE ** "2", TypeError, "power '2' is not an int"),
+    "Poly power bool": (lambda: ONE**True, TypeError, "power True is not an int"),
     "TrialConfig trials": (lambda: TrialConfig(trials=0), ValueError, "trials must be at least 1"),
     "TrialConfig trials type": (
         lambda: TrialConfig(trials=True), TypeError, "trials True is not an int"
