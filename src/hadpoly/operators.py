@@ -11,9 +11,7 @@ input's common denominator, carry the basis changes and the products:
 * h -> values: ``_series_values``, p(0), p(1), ... by d+1 running prefix sums
   (``hadamard``, and the Ehrhart values of ``ehrhart``);
 * values -> h: ``_difference``, the product with (1-x)^(d+1), truncated, one
-  binomial sum per coefficient (``hadamard`` and ``numerator_at``, in two heads:
-  the upper half of h, read from the top, is the lower head of rev_d(h), whose
-  values are (-1)^d p(-1-j) by Stanley's reciprocity);
+  binomial sum per coefficient (``hadamard`` and ``numerator_at``);
 * values -> f: ``_forward_differences``, the (Delta^i p)(0);
 * f -> values: ``_newton_values``, p(j) = sum_i f_i C(j, i) by running sums
   (``diamond`` and ``diamond_power``);
@@ -22,16 +20,17 @@ input's common denominator, carry the basis changes and the products:
 ``reflect``, (-1)^d f(-x-1), is ``reverse`` between the two basis changes, as
 it swaps the coordinates i and d-i of f.  The Hadamard product
 (h1, d1) x (h2, d2), the numerator of sum_j p1(j) p2(j) x^j, and the diamond
-product f_p <> f_q = f_(pq) both multiply d1+d2+1 values pointwise (the Hadamard
-product ceil((d1+d2)/2) of them from the reversed factors), and
+product f_p <> f_q = f_(pq) both multiply d1+d2+1 values pointwise, and
 ``diamond_power`` raises k deg f + 1 of them to the k-th power.
-From tag D = ``_LANES_FROM`` = 32 on, a pair of heads runs as the two lanes of
-x = a + b 2^w, read back exactly by the signed split ``_split``: ``hadamard`` runs
-each factor and its reversal through one ``_series_values`` (2 runs, not 4), and
-both take their head and tail values to h by one ``_difference`` (not 2).  The
-widths follow from |S_j| < max|v| 2^(count+d) for a series lane and
-|h_m| <= 2^(D+1) max|value| for a numerator lane; below that tag the packing
-costs more than the runs it saves.
+From tag D = ``_LANES_FROM`` = 21 on, ``hadamard`` and ``numerator_at`` take h in
+two heads of about D/2 values: the upper half of h, read from the top, is the lower
+head of rev_D(h), whose values are (-1)^D p(-1-j) by Stanley's reciprocity.  The
+heads run as the two lanes of x = a + b 2^w, read back exactly by the signed split
+``_split``: ``hadamard`` runs each factor and its reversal through one
+``_series_values``, and both take their head and tail values to h by one
+``_difference``.  The widths follow from |S_j| < max|v| 2^(count+d) for a series
+lane and |h_m| <= 2^(D+1) max|value| for a numerator lane; below that tag the
+packing costs more than the shorter sums save.
 ``numerator_at`` and ``subdivision`` take the values of p to h and to f, and
 ``check_functional_eq`` compares the values of its two sides: each value is
 Horner's rule on p's integer numerators, read over their one denominator.
@@ -76,11 +75,11 @@ def _difference(values: list, times: int) -> list:
     return [sum(map(operator.mul, row, values[m::-1])) for m in range(len(values))]
 
 
-#: Tags from which ``hadamard`` and ``numerator_at`` run their two heads as two lanes
-#: of one int.  On factors with coefficients below 10 (Python 3.11, best of 15), lanes
-#: took 1.2-1.5 times the time of two heads in ``hadamard`` at D <= 20, 1.1 at D = 24-28,
-#: 0.9-1.0 at D = 32-36 and 0.65-0.9 at D = 40-120; in ``numerator_at`` 0.95 from D = 24.
-_LANES_FROM = 32
+#: Tags from which ``hadamard`` and ``numerator_at`` run two heads on two lanes of one int
+#: instead of the definition's D+1 values.  On rational factors of both ``products`` heights
+#: (Python 3.11, best of 11-15), lanes took 1.04-1.43 times the definition's time at D = 12-18,
+#: about as long at D = 19-20 and 0.79-0.98, with one outlier, at D = 21-28.
+_LANES_FROM = 21
 
 
 def _split(packed: list, width: int) -> tuple[list, list]:
@@ -106,12 +105,10 @@ def _numerator(head: list, tail: list, d: int) -> list:
     them, and whose reversal rev_d has the values tail, d - d//2 of them: the lower
     half from head, the upper half, read from the top, from tail.
 
-    From tag ``_LANES_FROM`` on, both go through one ``_difference`` as head + tail 2^w.
-    Coefficient m is sum_t (-1)^t C(d+1, t) head_(m-t), so |h_m| <= 2^(d+1) max|head|
-    < 2^(w-1), and ``_split`` reads both lanes back exactly.
+    Both go through one ``_difference`` as head + tail 2^w.  Coefficient m is
+    sum_t (-1)^t C(d+1, t) head_(m-t), so |h_m| <= 2^(d+1) max|head| < 2^(w-1),
+    and ``_split`` reads both lanes back exactly.
     """
-    if d < _LANES_FROM:
-        return _difference(head, d + 1) + _difference(tail, d + 1)[::-1]
     width = max(map(abs, head), default=0).bit_length() + d + 2
     packed = [a + (b << width) for a, b in zip(head, tail + [0])]  # tail may be one short
     lower, upper = _split(_difference(packed, d + 1), width)
@@ -161,13 +158,17 @@ def numerator_at(p: Poly, d: int) -> Poly:
     """Coefficients of p in the basis {C(x + d - i, d)}: the numerator of
     sum_j p(j) x^j over (1-x)^(d+1); requires deg p <= d.
 
-    In two heads, as in ``hadamard``: coefficients 0..floor(d/2) from the values
-    p(0), p(1), ..., the rest, read from the top, from (-1)^d p(-1), (-1)^d p(-2), ...,
-    the series values of rev_d(h) by Stanley's reciprocity.
+    Below tag ``_LANES_FROM``, the values p(0), ..., p(d) times (1-x)^(d+1).  From it
+    on, in two heads, as in ``hadamard``: coefficients 0..floor(d/2) from p(0), p(1), ...,
+    the rest, read from the top, from (-1)^d p(-1), (-1)^d p(-2), ..., the series
+    values of rev_d(h) by Stanley's reciprocity.
     """
     _check_tag(p, d, "p")
+    if d < _LANES_FROM:
+        values = [_horner(p._num, j)[0] for j in range(d + 1)]  # p(j) times p._den
+        return Poly._from_ints(_difference(values, d + 1), p._den)
     low, sign = d // 2 + 1, (-1) ** d
-    head = [_horner(p._num, j)[0] for j in range(low)]  # p(j) times p._den
+    head = [_horner(p._num, j)[0] for j in range(low)]
     tail = [sign * _horner(p._num, -1 - j)[0] for j in range(d + 1 - low)]
     return Poly._from_ints(_numerator(head, tail, d), p._den)
 
@@ -277,26 +278,24 @@ def hadamard(t1: TaggedPoly, t2: TaggedPoly) -> TaggedPoly:
     h_i/(1-x)^(d_i+1).  It is the coefficientwise product of the two
     series, over the integers.  Since p1 p2 has degree at most D = d1+d2,
     its first D+1 values fix the numerator, which is their product with
-    (1-x)^(D+1) truncated to degree D.  By Stanley's reciprocity, sum_j p(-1-j) x^j
+    (1-x)^(D+1) truncated to degree D.  Below tag ``_LANES_FROM`` that is the
+    route taken.  From it on, h comes in two heads on two lanes of one int
+    (``_series_lanes``, ``_numerator``): by Stanley's reciprocity, sum_j p(-1-j) x^j
     = (-1)^d rev_d(h) / (1-x)^(d+1), and (-1)^d1 (-1)^d2 = (-1)^D, so rev_D(h) =
     rev_d1(h1) x rev_d2(h2): floor(D/2)+1 values give h's lower half, and ceil(D/2)
     values of the reversed factors give its upper half, read from the top.
-    From tag ``_LANES_FROM`` on, each factor's two series and the two heads of h
-    run as two lanes of one int (``_series_lanes``, ``_numerator``).
     """
     d1, d2 = t1.ref_degree, t2.ref_degree
-    top, low = d1 + d2, (d1 + d2) // 2 + 1
-    v1, v2 = t1.poly._num, t2.poly._num
+    top, v1, v2 = d1 + d2, t1.poly._num, t2.poly._num
     if top < _LANES_FROM:
-        r1, r2 = (v1 + (0,) * (d1 + 1 - len(v1)))[::-1], (v2 + (0,) * (d2 + 1 - len(v2)))[::-1]
-        a1, a2 = _series_values(v1, d1, low), _series_values(v2, d2, low)
-        b1, b2 = _series_values(r1, d1, top + 1 - low), _series_values(r2, d2, top + 1 - low)
+        values = map(operator.mul, _series_values(v1, d1, top + 1), _series_values(v2, d2, top + 1))
+        h = _difference(list(values), top + 1)
     else:  # each factor and its reversal in one run, on two lanes
+        low = top // 2 + 1
         (a1, b1), (a2, b2) = _series_lanes(v1, d1, low), _series_lanes(v2, d2, low)
-        del b1[top + 1 - low :]
-    head, tail = list(map(operator.mul, a1, a2)), list(map(operator.mul, b1, b2))
-    h = Poly._from_ints(_numerator(head, tail, top), t1.poly._den * t2.poly._den)
-    return TaggedPoly(h, top)
+        tail = list(map(operator.mul, b1[: top + 1 - low], b2))
+        h = _numerator(list(map(operator.mul, a1, a2)), tail, top)
+    return TaggedPoly(Poly._from_ints(h, t1.poly._den * t2.poly._den), top)
 
 
 def msupp(f: Poly, d: int) -> frozenset[int]:

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hadpoly import operators
-from hadpoly.decomp import i_decompose
+from hadpoly.analysis import interlaces, is_gamma_positive, is_real_rooted
+from hadpoly.decomp import decomposition_is_interlacing, i_decompose
 from hadpoly.operators import (
     _difference,
     _forward_differences,
@@ -406,6 +407,23 @@ def alternating_values(height, count):
 #: a numerator whose values at 0..GATE//2 alternate in sign, all of height 10**40
 ALTERNATING_VALUES = numerator_at(alternating_values(10**40, GATE // 2 + 1), GATE)
 
+#: signed coefficients up to 10**40 in height, integers and rationals
+tall = st.one_of(
+    rationals,
+    st.integers(-(10**40), 10**40),
+    st.fractions(min_value=-(10**40), max_value=10**40, max_denominator=10**40),
+)
+
+
+def coefficients_at(d):
+    """Coefficients of a numerator tagged d: any up to degree d (zero included), a
+    constant, or a multiple of x^d."""
+    return st.one_of(
+        st.lists(tall, max_size=d + 1),
+        tall.map(lambda c: [c]),
+        tall.map(lambda c: [0] * d + [c]),
+    )
+
 
 class TestLanes:
     """From tag ``_LANES_FROM`` on, ``hadamard`` runs each factor and its reversal as
@@ -437,7 +455,23 @@ class TestLanes:
         h = numerator_at(p, d)
         assert series_from_numerator(h, d, d + 2) == [evaluate(p, j) for j in range(d + 2)]
 
-    @pytest.mark.parametrize("top, runs, differences", [(GATE - 1, 4, 2), (GATE, 2, 1), (97, 2, 1)])
+    @pytest.mark.parametrize("top", range(49))
+    @settings(max_examples=8, deadline=None)
+    @given(st.data())
+    def test_both_routes_agree_at_every_tag(self, top, data):
+        """Each route also runs on the other's side of the gate: the lanes at 0, the
+        definition at a gate above every tag."""
+        d1 = data.draw(st.integers(0, top))
+        t1, t2 = (TaggedPoly(Poly(data.draw(coefficients_at(d))), d) for d in (d1, top - d1))
+        p = Poly(data.draw(coefficients_at(top)))
+        results = []
+        for gate in (0, 10**9):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(operators, "_LANES_FROM", gate)
+                results.append((hadamard(t1, t2), numerator_at(p, top)))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("top, runs, differences", [(GATE - 1, 2, 1), (GATE, 2, 1), (97, 2, 1)])
     def test_runs_per_call(self, monkeypatch, top, runs, differences):
         calls = []
         def counting(name, real):
@@ -473,6 +507,17 @@ class TestEulerian:
         power = Poly([math.comb(n, i) for i in range(n + 1)])  # (x+1)^n
         assert numerator_at(power, n) == eulerian(n)
         assert w_inverse(eulerian(n), n) == power
+
+    @pytest.mark.parametrize("n", [8, 16, 24, 32, 40, 48])
+    def test_root_checks_hold(self, n):
+        """Real-rooted (Frobenius), interlaced by A_(n-1), gamma-positive on the axis
+        n - 1 (Foata & Schutzenberger); the interlacing I-decomposition is evidence,
+        not a cited theorem.  The roots are mostly irrational."""
+        a = eulerian(n)
+        assert is_real_rooted(a)
+        assert interlaces(eulerian(n - 1), a)
+        assert is_gamma_positive(a, n - 1)
+        assert decomposition_is_interlacing(i_decompose(a, n))
 
     @settings(max_examples=60, deadline=None)
     @given(tagged_factor(), tagged_factor())
